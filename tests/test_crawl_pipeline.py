@@ -114,10 +114,35 @@ def test_budget_set_invariance(corpus_dict, corpus_info, robots_index):
     assert free.output_urls == tight.output_urls
 
 
-def test_resume_identical(ray_session, corpus_info, corpus_dict, tmp_path):
+# Placements for the resume tests: every wave in the driver; every wave on
+# Ray with the seen set on its actors from the restore on (driver_sort_limit
+# 0); and a crawl that switches from driver to Ray part-way (small_wave_rows
+# 15 sits inside this corpus's frontier sizes). Each resumes a prefix written
+# under the other placement, so journals written in the driver are restored
+# on actors and vice versa.
+RESUME_PLACEMENTS = [
+    pytest.param(1000, None, {"local"}, id="driver"),
+    pytest.param(0, 0, {"ray"}, id="ray"),
+    pytest.param(15, None, {"local", "ray"}, id="mixed"),
+]
+
+
+def _placed_engine(ray_session, corpus_info, cfg, ckpt, small_wave_rows, sort_limit, **kw):
+    eng = _engine(ray_session, corpus_info, cfg, ckpt, small_wave_rows=small_wave_rows, **kw)
+    if sort_limit is not None:
+        eng.driver_sort_limit = sort_limit
+    return eng
+
+
+@pytest.mark.parametrize("small_wave_rows,sort_limit,modes", RESUME_PLACEMENTS)
+def test_resume_identical(
+    ray_session, corpus_info, corpus_dict, tmp_path, small_wave_rows, sort_limit, modes
+):
     oracle = crawl_sequential(corpus_dict, corpus_info.seeds[0])
     ck = str(tmp_path / "ck")
-    eng = _engine(ray_session, corpus_info, CrawlConfig(), ck)
+    eng = _engine(
+        ray_session, corpus_info, CrawlConfig(), ck, small_wave_rows=0 if small_wave_rows else 1000
+    )
     out = eng.crawl(corpus_info.seeds[0])
     n_waves = len(out.waves)
     assert n_waves >= 4
@@ -126,17 +151,30 @@ def test_resume_identical(ray_session, corpus_info, corpus_dict, tmp_path):
         shutil.rmtree(os.path.join(ck, f"wave-{d:04d}"))
     half = os.path.join(ck, f"wave-{3:04d}")
     os.makedirs(os.path.join(half, "results"), exist_ok=True)  # no manifest → incomplete
-    eng2 = _engine(ray_session, corpus_info, CrawlConfig(), ck)
+    # ... and a torn manifest in the last wave kept: that wave is incomplete too
+    manifest = os.path.join(ck, f"wave-{2:04d}", "manifest.json")
+    with open(manifest, "r+") as f:
+        f.truncate(len(f.read()) // 2)
+    eng2 = _placed_engine(
+        ray_session, corpus_info, CrawlConfig(), ck, small_wave_rows, sort_limit
+    )
     out2 = eng2.crawl(corpus_info.seeds[0], resume=True)
     assert [w.wave for w in out2.waves] == list(range(n_waves))
+    assert {w.mode for w in out2.waves[2:]} == modes
     assert eng2.visited_urls() == oracle.output_urls
 
 
-def test_resume_with_different_shard_count(ray_session, corpus_info, corpus_dict, tmp_path):
-    """Restore is shard-local (paths shipped to actors, URLs never relayed
-    through the driver) and works when the resuming pool has a DIFFERENT
-    shard count than the one that wrote the journals — shards then re-route
-    by the current hash layout."""
+def test_resume_with_different_shard_count(
+    ray_session, corpus_info, corpus_dict, tmp_path, monkeypatch
+):
+    """Restore works when the resuming set has a DIFFERENT shard count than
+    the one that wrote the journals — shards then re-route by the current
+    hash layout: in the driver for a small checkpoint, and shard-locally on
+    the actors (paths shipped, URLs never relayed through the driver) above
+    driver_sort_limit."""
+    from urlmap_ray.pipelines.crawl import CrawlEngine
+    from urlmap_ray.state.seen import SeenShard
+
     oracle = crawl_sequential(corpus_dict, corpus_info.seeds[0])
     ck = str(tmp_path / "ck")
     eng = _engine(ray_session, corpus_info, CrawlConfig(), ck)  # seen_shards=2
@@ -144,11 +182,55 @@ def test_resume_with_different_shard_count(ray_session, corpus_info, corpus_dict
     n_waves = len(out.waves)
     for d in range(3, n_waves):
         shutil.rmtree(os.path.join(ck, f"wave-{d:04d}"))
-    from urlmap_ray.pipelines.crawl import CrawlEngine
+    ck_actors = str(tmp_path / "ck_actors")
+    shutil.copytree(ck, ck_actors)
 
+    filter_mods = []
+    orig = SeenShard.bulk_load_files
+
+    def spy(self, paths, filter_mod=None):
+        filter_mods.append(filter_mod)
+        return orig(self, paths, filter_mod)
+
+    monkeypatch.setattr(SeenShard, "bulk_load_files", spy)
     eng2 = CrawlEngine(corpus_info, CrawlConfig(), checkpoint_dir=ck, seen_shards=3)
     eng2.crawl(corpus_info.seeds[0], resume=True)
+    assert filter_mods == [3, 3, 3]  # in the driver, re-layout branch
     assert eng2.visited_urls() == oracle.output_urls
+
+    eng3 = CrawlEngine(corpus_info, CrawlConfig(), checkpoint_dir=ck_actors, seen_shards=3)
+    eng3.driver_sort_limit = 0
+    eng3.crawl(corpus_info.seeds[0], resume=True)
+    assert filter_mods == [3, 3, 3]  # the actors loaded their own files
+    assert eng3.visited_urls() == oracle.output_urls
+
+
+def test_driver_side_crawl_never_distributes(
+    ray_session, corpus_info, corpus_dict, tmp_path, monkeypatch
+):
+    """A crawl whose waves all run in the driver, and its resume, keep the
+    seen set in the driver: no shard actor is started."""
+    from urlmap_ray.state.seen import SeenSet
+
+    calls = []
+    distribute = SeenSet.distribute
+
+    def counted(self):
+        calls.append(self)
+        return distribute(self)
+
+    monkeypatch.setattr(SeenSet, "distribute", counted)
+    oracle = crawl_sequential(corpus_dict, corpus_info.seeds[0])
+    ck = str(tmp_path / "ck")
+    eng = _engine(ray_session, corpus_info, CrawlConfig(), ck)
+    out = eng.crawl(corpus_info.seeds[0])
+    assert {w.mode for w in out.waves} == {"local"}
+    for d in range(3, len(out.waves)):
+        shutil.rmtree(os.path.join(ck, f"wave-{d:04d}"))
+    eng2 = _engine(ray_session, corpus_info, CrawlConfig(), ck)
+    eng2.crawl(corpus_info.seeds[0], resume=True)
+    assert eng2.visited_urls() == oracle.output_urls
+    assert calls == []
 
 
 def test_wave_stats_consistency(ray_session, corpus_info, corpus_dict, tmp_path):
@@ -229,12 +311,22 @@ def test_distributed_budget_matches_oracle(
     assert visited["salted-dist"] == visited["salted"]
 
 
-def test_budget_resume_identical(ray_session, corpus_info, tmp_path):
+@pytest.mark.parametrize("small_wave_rows,sort_limit,modes", RESUME_PLACEMENTS)
+def test_budget_resume_identical(
+    ray_session, corpus_info, tmp_path, small_wave_rows, sort_limit, modes
+):
     """Kill-and-resume mid-crawl under a politeness budget: final visited
     set and depths must equal the uninterrupted run's."""
     cfg = CrawlConfig(per_host_budget=20, respect_robots=True)
     ck = str(tmp_path / "ck")
-    eng = _engine(ray_session, corpus_info, cfg, ck, wave_seconds=1e9)
+    eng = _engine(
+        ray_session,
+        corpus_info,
+        cfg,
+        ck,
+        wave_seconds=1e9,
+        small_wave_rows=0 if small_wave_rows else 1000,
+    )
     out = eng.crawl(corpus_info.seeds[0])
     want_urls, want_depths = eng.visited_urls(), _depths(eng)
     n_waves = len(out.waves)
@@ -243,8 +335,11 @@ def test_budget_resume_identical(ray_session, corpus_info, tmp_path):
     for d in range(cut, n_waves):
         shutil.rmtree(os.path.join(ck, f"wave-{d:04d}"))
     os.makedirs(os.path.join(ck, f"wave-{cut:04d}", "results"), exist_ok=True)
-    eng2 = _engine(ray_session, corpus_info, cfg, ck, wave_seconds=1e9)
-    eng2.crawl(corpus_info.seeds[0], resume=True)
+    eng2 = _placed_engine(
+        ray_session, corpus_info, cfg, ck, small_wave_rows, sort_limit, wave_seconds=1e9
+    )
+    out2 = eng2.crawl(corpus_info.seeds[0], resume=True)
+    assert {w.mode for w in out2.waves[cut:]} == modes
     assert eng2.visited_urls() == want_urls
     assert _depths(eng2) == want_depths
 

@@ -10,7 +10,7 @@ One wave (cf. SURVEY.md §3 E1 restatement; reference loop crawler.go:481-551):
       → results_d         deterministic per-block side-effect write
       → candidates        map_batches(flatten_candidates)        [admission filter M5]
       → wave dedup        groupby(url).min(depth)  [G1 — only when depths mix]
-      → seen claim        map_batches(claim_batch → SeenShard)   [A1 LoadOrStore]
+      → seen claim        map_batches(claim_batch → SeenSet)     [A1 LoadOrStore]
       → frontier_{d+1}    (∪ deferred) write_parquet checkpoint
 
 Physical strategies (see SURVEY.md §3): the no-budget fast path fuses the
@@ -26,13 +26,25 @@ and output don't care which path produced a wave. At 10^10-URL scale every
 interesting wave takes the distributed path.
 
 Every wave checkpoints frontier, results and seen-set delta as Parquet with
-a lineage manifest; ``crawl(..., resume=True)`` restarts from the last
-complete wave (rebuilding the seen shards from the deltas).
+a lineage manifest, written last and atomically (temp file + rename), so a
+wave is complete exactly when its manifest parses; ``crawl(...,
+resume=True)`` restarts from the last complete wave (rebuilding the seen
+shards from the deltas).
 
 Each URL is processed exactly once: candidates are claimed atomically in the
 sharded seen set before entering a frontier (the reference's
 claim-before-enqueue, crawler.go:754-756), so the final visited output is
 the concatenation of all admitted results — no terminal dedup needed.
+
+Where the seen set lives (state/seen.py): each ``crawl()`` starts it in the
+driver, and restores a checkpoint there when its journals hold at most
+``driver_sort_limit`` URLs, so driver-side waves claim without RPCs and start
+no actor. ``SeenSet.distribute()`` moves it to one actor per shard, for the
+rest of that crawl, before the first claim made from Ray tasks, at a wave
+boundary once it holds more than ``driver_sort_limit`` URLs, and before a
+restore of a larger checkpoint (which then stays shard-local). That move is
+the only place URL lists pass through the driver, and it is bounded by
+``driver_sort_limit``. Either way the fail-stop unit is the wave.
 """
 
 from __future__ import annotations
@@ -280,7 +292,7 @@ class CrawlEngine:
         outcome = CrawlOutcome(self.ckpt)
 
         start_wave = 0
-        seen = SeenSet(self.seen_shards)
+        seen = SeenSet(self.seen_shards)  # in the driver until distribute()
         if resume:
             start_wave = self._restore(seen, outcome)
         if start_wave == 0:
@@ -310,6 +322,8 @@ class CrawlEngine:
                 n_frontier = _count_rows(frontier_path)
                 if n_frontier == 0:
                     break
+                if not seen.distributed and seen.total() > self.driver_sort_limit:
+                    seen.distribute()
                 t0 = time.time()
                 wdir = self._wave_dir(d)
                 if os.path.exists(wdir):
@@ -335,10 +349,11 @@ class CrawlEngine:
                         pass
                 d += 1
         finally:
-            # Always release the seen-shard actors — including on a failed
-            # wave (claim tasks are fail-stop; recovery is crawl(resume=True)
-            # with a FRESH SeenSet rebuilt from checkpointed journals, so a
-            # failed wave's uncheckpointed claims never survive).
+            # Always release the seen-shard actors, if the set was
+            # distributed — including on a failed wave (claim tasks are
+            # fail-stop; recovery is crawl(resume=True) with a FRESH SeenSet
+            # rebuilt from checkpointed journals, so a failed wave's
+            # uncheckpointed claims never survive).
             seen.shutdown()
         return outcome
 
@@ -402,15 +417,17 @@ class CrawlEngine:
         return _WaveTicker(self.on_tick, d, n_frontier, results_path, self.tick_seconds)
 
     def _claim_stage(self, ds, seen):
-        """Seen-shard claim. Claims are side effects on the shards: a
-        silently retried task would find its URLs already claimed and drop
-        them (lost work). Fail-stop instead — a worker death fails the
-        wave, and crawl(resume=True) re-runs it exactly-once (journals
+        """Seen-shard claim from Ray tasks, which first moves the set to its
+        actors (a no-op once it is there). Claims are side effects on the
+        shards: a silently retried task would find its URLs already claimed
+        and drop them (lost work). Fail-stop instead — a worker death fails
+        the wave, and crawl(resume=True) re-runs it exactly-once (journals
         checkpoint only at wave completion, so a failed wave's claims never
         persist)."""
+        seen.distribute()
         return ds.map_batches(
             claim_batch,
-            fn_kwargs=dict(shard_handles=seen.shards, num_shards=seen.num_shards),
+            fn_kwargs=dict(seen=seen),
             batch_format="pyarrow",
             max_retries=0,
         )
@@ -483,7 +500,8 @@ class CrawlEngine:
     # which flatlines scaling. Below ``driver_sort_limit`` rows the sort is
     # a driver-side pyarrow take (~100ms for 300k rows) spilled as aligned
     # chunk files; Ray's distributed sort (multi-second barrier per wave)
-    # only pays for itself on frontiers too big for one process.
+    # only pays for itself on frontiers too big for one process. The same
+    # limit caps the seen set kept in the driver (see SeenSet.distribute).
     driver_sort_limit = 5_000_000
 
     def _clustered_frontier(self, frontier_path: str, n_frontier: int, wdir: str):
@@ -741,7 +759,7 @@ class CrawlEngine:
         results, flatten/claim, carry deferred+retry rows — all pure
         pyarrow, no Dataset execution. Semantics are identical to the
         fused distributed tail by construction (same gate output, same
-        batch functions, same claim shards)."""
+        batch functions, same seen set, in the driver or on its actors)."""
         fetched = _fetch_gated(
             gated,
             pages_dir=self.corpus.pages_path,
@@ -767,7 +785,7 @@ class CrawlEngine:
                 partitions=self.corpus.partitions,
             )
         )
-        survivors = claim_batch(cands, shard_handles=seen.shards, num_shards=seen.num_shards)
+        survivors = claim_batch(cands, seen=seen)
         deferred = results.filter(pc.equal(results.column("verdict"), "defer")).select(
             ["url", "depth", "host", "bucket", "attempt"]
         )
@@ -879,36 +897,50 @@ class CrawlEngine:
             if d == 0
             else os.path.join(self._wave_dir(d - 1), "manifest.json"),
         }
-        with open(os.path.join(wdir, "manifest.json"), "w") as f:
+        # The manifest is the wave's commit point: write it whole or not at all.
+        path = os.path.join(wdir, "manifest.json")
+        tmp = f"{path}.tmp"
+        with open(tmp, "w") as f:
             json.dump(manifest, f, indent=1)
+        os.replace(tmp, path)
 
     # -- resume ------------------------------------------------------------
 
     def _restore(self, seen: SeenSet, outcome: CrawlOutcome) -> int:
         """Rebuild seen shards from checkpointed deltas; return next wave.
 
-        Shard-local: the driver only enumerates the per-wave seen dirs and
-        ships PATHS to the shard actors (seen.restore_from_journals) — the
-        URL lists never pass through the driver, so restore memory is
-        per-shard, not corpus-wide."""
-        last = -1
-        while os.path.exists(os.path.join(self._wave_dir(last + 1), "manifest.json")):
-            last += 1
-        if last < 0:
-            return 0
-        seen_dirs: list[str] = []
-        written_shards: int | None = None
-        for d in range(last + 1):
-            seen_dirs.append(os.path.join(self._wave_dir(d), "seen"))
-            with open(os.path.join(self._wave_dir(d), "manifest.json")) as fh:
-                m = json.load(fh)
-            outcome.waves.append(WaveStats(**m["stats"]))
-            written_shards = m.get("seen_shards", written_shards)
-        incomplete = self._wave_dir(last + 1)
+        A wave is complete when its manifest parses; the first missing or
+        unparsable (torn) one marks the incomplete wave. Checkpoints whose
+        journals hold at most ``driver_sort_limit`` URLs are loaded in the
+        driver; larger ones distribute the set first and restore
+        shard-locally — the driver only ships PATHS to the shard actors
+        (seen.restore_from_journals), so restore memory is per-shard, not
+        corpus-wide."""
+        manifests: list[dict] = []
+        while True:
+            path = os.path.join(self._wave_dir(len(manifests)), "manifest.json")
+            try:
+                with open(path) as fh:
+                    manifests.append(json.load(fh))
+            except (FileNotFoundError, ValueError):
+                break
+        incomplete = self._wave_dir(len(manifests))
         if os.path.exists(incomplete):
             shutil.rmtree(incomplete)
-        seen.restore_from_journals(seen_dirs, written_shards)
-        return last + 1
+        if not manifests:
+            return 0
+        written_shards: int | None = None
+        for m in manifests:
+            outcome.waves.append(WaveStats(**m["stats"]))
+            written_shards = m.get("seen_shards", written_shards)
+        n_seen = sum(m["outputs"]["seen_delta"]["rows"] for m in manifests)
+        if n_seen > self.driver_sort_limit:
+            seen.distribute()
+        seen.restore_from_journals(
+            [os.path.join(self._wave_dir(d), "seen") for d in range(len(manifests))],
+            written_shards,
+        )
+        return len(manifests)
 
     # -- outputs -----------------------------------------------------------
 

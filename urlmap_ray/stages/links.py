@@ -210,16 +210,14 @@ def flatten_candidates(
     return out
 
 
-def claim_batch(batch: pa.Table, *, shard_handles, num_shards: int) -> pa.Table:
-    """Seen-set claim (distributed LoadOrStore): keeps only first-time URLs.
+def claim_batch(batch: pa.Table, *, seen: SeenSet) -> pa.Table:
+    """Seen-set claim (LoadOrStore): keeps only first-time URLs.
 
-    A plain task function — the mutable state lives in the SeenShard actors,
-    whose handles ride along in fn_kwargs; nothing to warm up per wave."""
+    A plain function over the engine's ``SeenSet``: the driver-side wave
+    tail calls it with the set in whichever place it lives; the distributed
+    claim stage ships the distributed set (actor handles) in fn_kwargs, so
+    there is nothing to warm up per wave."""
     urls = batch.column("url").to_pylist()
     if not urls:
         return batch
-    seen = SeenSet.__new__(SeenSet)
-    seen.num_shards = num_shards
-    seen.shards = shard_handles
-    mask = seen.contains_and_add(urls)
-    return batch.filter(pa.array(mask))
+    return batch.filter(pa.array(seen.contains_and_add(urls)))
