@@ -172,10 +172,41 @@ def test_trustrank_modes_identical_and_match_reference(ray_session, corpus, trut
         pagerank_reference(urls, links, seed_urls=["https://nope.example/x"])
 
 
-def test_hits_matches_reference_any_actor_count(ray_session, corpus, truth):
-    """Distributed HITS must be bit-identical to the single-process
-    reference at 1 actor AND at several actors (the per-bucket hub
-    partial fold is what makes actor count irrelevant)."""
+def _bucketed_edge_table(corpus, per_bucket):
+    """The broadcast regime's materialized dst-bucketed edge blocks as one
+    (dst_id, src_id)-sorted table, plus each row's dst bucket."""
+    import numpy as np
+    import pyarrow as pa
+    import ray
+
+    from urlmap_ray.functions import graph as gr
+
+    urls_ref = gr._sorted_urls_ref(_nodes_ds(corpus))
+    edges_b = gr._bucketed_edge_ids(
+        gr._edges_broadcast(_pages_ds(corpus), urls_ref), urls_ref, per_bucket
+    )
+    tabs = [t for t in ray.get(edges_b.to_arrow_refs()) if t.num_rows]
+    t = pa.concat_tables(tabs).sort_by([("dst_id", "ascending"), ("src_id", "ascending")])
+    return t, t.column("dst_id").to_numpy() // per_bucket
+
+
+def _uniform_teleport(n):
+    from urlmap_ray.functions import graph as gr
+
+    v = gr._teleport_vectors(n, gr._DAMPING, None, None)
+    return v["base_vec"], v["rank0_vec"]
+
+
+def test_hits_matches_reference_any_block_layout(ray_session, corpus, truth):
+    """Distributed HITS (and PageRank) must be bit-identical to the
+    single-process references whether all dst buckets arrive in one
+    edge block or each bucket is its own block: each per-block task
+    folds whole buckets, and the driver folds hub partials in bucket
+    order, so the block layout cannot move a float."""
+    import numpy as np
+    import ray.data
+
+    from urlmap_ray.functions import graph as gr
     from urlmap_ray.functions.graph import hits, hits_reference
 
     urls, links, _ = truth
@@ -188,16 +219,78 @@ def test_hits_matches_reference_any_actor_count(ray_session, corpus, truth):
             exp.column("hub_ppb").to_pylist(),
         )
     }
-    for n_actors in (1, 3):
-        rows = hits(_pages_ds(corpus), _nodes_ds(corpus), n_actors=n_actors).take_all()
-        got = {r["url"]: (r["auth_ppb"], r["hub_ppb"]) for r in rows}
-        assert got == exp_rows, f"mismatch at n_actors={n_actors}"
-    # sanity: scores are L1-normalized (ppb sums ≈ 1e9) and non-trivial
-    import numpy as np
+    rows = hits(_pages_ds(corpus), _nodes_ds(corpus)).take_all()
+    assert {r["url"]: (r["auth_ppb"], r["hub_ppb"]) for r in rows} == exp_rows
 
+    n = len(urls)
+    per_bucket = gr._graph_buckets(n)
+    t, bucket = _bucketed_edge_table(corpus, per_bucket)
+    layouts = {
+        "one_block": ray.data.from_arrow(t),
+        "block_per_bucket": ray.data.from_arrow(
+            [t.filter(bucket == b) for b in np.unique(bucket)]
+        ),
+    }
+    assert layouts["block_per_bucket"].num_blocks() > 1
+    sorted_urls = sorted(urls)
+    exp_pr = pagerank_reference(urls, links)
+    for name, edges_b in layouts.items():
+        auth, hub = gr._hits_broadcast(
+            edges_b, n, n_iters=gr._N_ITERS, per_bucket=per_bucket
+        )
+        got = dict(
+            zip(
+                sorted_urls,
+                zip(
+                    np.round(auth * 1e9).astype(np.int64).tolist(),
+                    np.round(hub * 1e9).astype(np.int64).tolist(),
+                ),
+            )
+        )
+        assert got == exp_rows, f"hits mismatch with layout {name}"
+        (ranks,) = gr._broadcast_rank_vectors(
+            edges_b,
+            n,
+            n_iters=gr._N_ITERS,
+            damping=gr._DAMPING,
+            variants=[_uniform_teleport(n)],
+            per_bucket=per_bucket,
+        )
+        got_pr = dict(zip(sorted_urls, np.round(ranks * 1e9).astype(np.int64).tolist()))
+        assert got_pr == exp_pr, f"pagerank mismatch with layout {name}"
+    # sanity: scores are L1-normalized (ppb sums ≈ 1e9) and non-trivial
     assert abs(sum(exp.column("auth_ppb").to_pylist()) - 1_000_000_000) < 1000
     assert abs(sum(exp.column("hub_ppb").to_pylist()) - 1_000_000_000) < 1000
     assert np.count_nonzero(exp.column("auth_ppb").to_numpy()) > N_PAGES // 2
+
+
+def test_rank_refuses_a_bucket_split_across_blocks(ray_session, corpus, truth):
+    """The per-block fold needs every dst bucket whole in one block; an
+    edge Dataset that cuts a bucket in two must fail loudly, not return
+    ranks summed in a different float order."""
+    import numpy as np
+    import ray.data
+
+    from urlmap_ray.functions import graph as gr
+
+    n = len(truth[0])
+    per_bucket = gr._graph_buckets(n)
+    t, bucket = _bucketed_edge_table(corpus, per_bucket)
+    # cut the first bucket that has at least two edges after its first edge
+    b0 = next(b for b in np.unique(bucket) if np.count_nonzero(bucket == b) >= 2)
+    k = int(np.flatnonzero(bucket == b0)[0]) + 1
+    split = ray.data.from_arrow([t[:k], t[k:]])
+    with pytest.raises(ValueError, match="two edge blocks"):
+        gr._broadcast_rank_vectors(
+            split,
+            n,
+            n_iters=1,
+            damping=gr._DAMPING,
+            variants=[_uniform_teleport(n)],
+            per_bucket=per_bucket,
+        )
+    with pytest.raises(ValueError, match="two edge blocks"):
+        gr._hits_broadcast(split, n, n_iters=1, per_bucket=per_bucket)
 
 
 def test_hits_shuffle_mode_identical(ray_session, corpus, truth):

@@ -13,12 +13,14 @@ by their own pytest golden suites and the driver gate itself.
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
 
-sys.path.insert(0, "/root/repo")
-sys.path.insert(0, "/root/repo/tools")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 SF_DIR = "/root/testdata/sf0.001"
 

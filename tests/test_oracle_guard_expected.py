@@ -25,12 +25,14 @@ while iterating.
 from __future__ import annotations
 
 import re
+import os
 import sys
 
 import pytest
 
-sys.path.insert(0, "/root/repo")
-sys.path.insert(0, "/root/repo/tools")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 SF_DIR = "/root/testdata/sf0.001"
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pyarrow.parquet as pq
 import pytest
 
 SF = "/root/testdata/sf0.001"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_parse_fractions():
@@ -61,7 +63,7 @@ def test_prep_cli_end_to_end_and_resume(tmp_path):
         str(out_dir),
         "-q",
     ]
-    subprocess.run(cmd, check=True, cwd="/root/repo", timeout=240)
+    subprocess.run(cmd, check=True, cwd=ROOT, timeout=240)
     parts = sorted(p.name for p in out_dir.iterdir())
     assert parts == ["split=test", "split=train", "split=val"]
     val_before = pq.read_table(out_dir / "split=val" / "data.parquet")
@@ -70,7 +72,7 @@ def test_prep_cli_end_to_end_and_resume(tmp_path):
 
     shutil.rmtree(out_dir / "split=val")
     train_mtime = (out_dir / "split=train" / "data.parquet").stat().st_mtime
-    subprocess.run(cmd, check=True, cwd="/root/repo", timeout=240)
+    subprocess.run(cmd, check=True, cwd=ROOT, timeout=240)
     val_after = pq.read_table(out_dir / "split=val" / "data.parquet")
     # row-set equality: within-partition order is not part of the sink's
     # contract (the prep CLI skips the global sort — the groupby reshuffles)
@@ -100,7 +102,7 @@ def test_prep_cli_warc_input(tmp_path):
             "--min-words", "5",
             "-q",
         ],
-        check=True, cwd="/root/repo", timeout=240,
+        check=True, cwd=ROOT, timeout=240,
     )
     rows = []
     for d in out_dir.iterdir():

@@ -12,11 +12,14 @@ re-deriving the projection from Dataset stats per query.
 
 from __future__ import annotations
 
+import os
 import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _entry_source() -> str:
-    with open("/root/repo/__ray_entry__.py") as f:
+    with open(os.path.join(ROOT, "__ray_entry__.py")) as f:
         return f.read()
 
 
@@ -50,7 +53,7 @@ def test_library_pages_reads_are_pruned():
     import glob
 
     bad = []
-    for path in glob.glob("/root/repo/urlmap_ray/**/*.py", recursive=True):
+    for path in glob.glob(os.path.join(ROOT, "urlmap_ray", "**", "*.py"), recursive=True):
         with open(path) as f:
             src = f.read()
         for m in re.finditer(r"read_parquet\(\s*([a-z_]*pages[a-z_]*)\s*(.)", src):

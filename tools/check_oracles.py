@@ -9,6 +9,7 @@ re-check this round still fails CI.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -16,7 +17,7 @@ import duckdb
 import pandas as pd
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 TABLES = (
     "region nation customer supplier part orders lineitem events "

@@ -39,10 +39,14 @@ Scale shapes:
   only in-degree crosses blocks. Per-batch partial counts pre-aggregate
   before the ``groupby(url)``.
 - **PageRank iterates over a once-materialized, dst-bucketed edge
-  dataset.** ``mode="broadcast"``: bucketed edge blocks are pinned once
-  into ``_EdgeShard`` actors and each iteration is one RPC round
-  against the O(nodes) rank vector shipped via ``ray.put`` (the
-  Spark/GraphX broadcast formulation). ``mode="shuffle"`` (the
+  dataset.** ``mode="broadcast"``: one prep task per bucketed edge
+  block pins its numpy arrays in the object store (and returns its
+  out-degree partial); each iteration is one round of stateless tasks,
+  one per pinned block, against the O(nodes) rank vector shipped via
+  ``ray.put`` (the Spark/GraphX broadcast formulation). No actor pool:
+  tasks run on the pooled workers, retry on worker death, and a lost
+  pinned block is rebuilt from lineage. Every dst bucket must sit
+  whole in one block (checked at pin time). ``mode="shuffle"`` (the
   ≥``SHUFFLE_MODE_NODES`` path): ranks live in a Dataset as
   (node_id, rank, inv) rows; each iteration is (1) a pad→union→
   ``groupby(src_bucket)`` exchange scattering each node's row-local
@@ -54,12 +58,15 @@ Scale shapes:
   (dst, src)-sorted contribution run, so float summation order is
   fixed by the data, not by partitioning, and the per-edge
   contribution is the same single ``rank*inv`` product either way.
-- **HITS has the same two modes.** Broadcast pins ``_HitsShard``
-  actors; shuffle runs four bucketed exchanges per iteration (two per
-  direction). The L1 normalization total is pinned to a two-level
-  tree — per-bucket ``np.sum`` partials folded by ``np.sum`` in bucket
-  order (:func:`_l1_total`) — computed identically by the reference,
-  the actor mode and the shuffle mode, so all three are bit-identical.
+- **HITS has the same two modes.** Broadcast pins the same blocks
+  (plus their (bucket, src, dst) order) and runs one task round per
+  direction per iteration; shuffle runs four bucketed exchanges per
+  iteration (two per direction) and reads the per-bucket L1 partials
+  with one small task per score block. The L1 normalization total is
+  pinned to a two-level tree — per-bucket ``np.sum`` partials folded by
+  ``np.sum`` in bucket order (:func:`_l1_total`) — computed identically
+  by the reference, the broadcast mode and the shuffle mode, so all
+  three are bit-identical.
 
 Dangling-node mass (pages with no outlinks) is dropped, not
 redistributed — ranks sum to < 1 but the relative ordering follows the
@@ -625,74 +632,74 @@ def _edge_ids_shuffle(
 # PageRank
 
 
-class _EdgeShard:
-    """Iteration-state actor for broadcast-mode PageRank: pins a set of
-    WHOLE dst-buckets (materialized edge blocks travel object-store →
-    actor, never through the driver) sorted by (dst_id, src_id), so
-    every per-dst contribution run stays intact and ``_contrib_sums``
-    keeps float summation bit-deterministic. One actor round per
-    iteration replaces a fresh Dataset job (~1s launch overhead each on
-    a busy driver; pure RPC here)."""
+def _pin_block(t: pa.Table, per_bucket: int, hub_order: bool):
+    """Prep task of the broadcast regime: one materialized edge block →
+    (arrays, meta), both left in the object store.
 
-    def __init__(self, block_refs):
-        import ray
-
-        # drop empty-schema blocks (an edgeless graph materializes one)
-        tables = [t for t in map(ray.get, block_refs) if "dst_id" in t.column_names]
-        t = pa.concat_tables(tables) if tables else pa.table(
-            {"src_id": pa.array([], pa.int64()), "dst_id": pa.array([], pa.int64())}
-        )
-        t = t.sort_by([("dst_id", "ascending"), ("src_id", "ascending")])
-        self.dst = t.column("dst_id").to_numpy(zero_copy_only=False)
-        self.src = t.column("src_id").to_numpy(zero_copy_only=False)
-        # optional integer edge weight (host graph); None = unweighted
-        self.w = (
+    ``arrays`` holds the block as numpy, sorted by (dst, src): ``dst``,
+    ``src`` and the optional integer weight ``w`` (host graph), plus, for
+    HITS (``hub_order``), the same edges in (bucket, src, dst) order as
+    ``h_bucket`` / ``h_src`` / ``h_dst``. Every iteration task takes it
+    by ref, zero-copy from plasma. ``meta`` is (the block's dst buckets,
+    unique src ids, out-degree or out-weight per src) — integer
+    partials, so the out-degree fold is summation-order-free."""
+    if "dst_id" in t.column_names:  # an edgeless graph materializes an empty-schema block
+        dst = t.column("dst_id").to_numpy(zero_copy_only=False)
+        src = t.column("src_id").to_numpy(zero_copy_only=False)
+        w = (
             t.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
             if "w" in t.column_names
             else None
         )
+    else:
+        dst = src = np.empty(0, np.int64)
+        w = None
+    order = np.lexsort((src, dst))
+    dst, src = dst[order], src[order]
+    arrays = {"dst": dst, "src": src, "w": None if w is None else w[order]}
+    bucket = dst // per_bucket
+    if hub_order:
+        h = np.lexsort((dst, src, bucket))
+        arrays.update(h_bucket=bucket[h], h_src=src[h], h_dst=dst[h])
+    if w is None:
+        uniq, out = np.unique(src, return_counts=True)
+    else:
+        uniq, inv_idx = np.unique(src, return_inverse=True)
+        out = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(out, inv_idx, arrays["w"])
+    return arrays, (np.unique(bucket), uniq, out)
 
-    def out_partial(self) -> tuple[np.ndarray, np.ndarray]:
-        """(unique src ids, counts or weight sums) — integer partials,
-        summation-order-free."""
-        if self.w is None:
-            return np.unique(self.src, return_counts=True)
-        uniq, inv_idx = np.unique(self.src, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv_idx, self.w)
-        return uniq, sums
 
-    def contribs(self, ranks, inv_out) -> tuple[np.ndarray, np.ndarray]:
-        # called with ObjectRefs — Ray auto-derefs zero-copy from plasma
-        return _contrib_sums(self.dst, self.src, ranks, inv_out, self.w)
+def _pin_edge_blocks(edges_b, per_bucket: int, *, hub_order: bool = False):
+    """Pin the materialized dst-bucketed edge Dataset for the broadcast
+    regime: one :func:`_pin_block` task per block → (refs to the pinned
+    arrays, the blocks' metas on the driver). The blocks stay in the
+    object store across iterations; a lost one is rebuilt from lineage.
 
+    Each iteration task folds its own block's dst runs (and, for HITS,
+    (bucket, src) runs), so the result is bit-identical to the
+    references only if every dst bucket sits whole in one block. A
+    ``map_groups`` group table is split only above the 128MB block
+    target; if that happens, this raises instead of summing the split
+    bucket in a different float order."""
+    import ray
 
-def _out_degree_vector(edges_b, n: int) -> np.ndarray:
-    """Exact out-degree per node id from the bucketed edge Dataset: one
-    streaming pass of per-batch partial counts + a single-key groupby
-    (integer sums are summation-order-free). Broadcast-regime helper
-    (O(n) driver vector, documented ≤ SHUFFLE_MODE_NODES)."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        src = t.column("src_id").to_numpy(zero_copy_only=False)
-        uniq, cnt = np.unique(src, return_counts=True)
-        return pa.table(
-            {"src_id": pa.array(uniq, pa.int64()), "n": pa.array(cnt, pa.int64())}
+    pin = ray.remote(num_cpus=1)(_pin_block).options(num_returns=2)
+    block_refs = edges_b.to_arrow_refs() or [ray.put(pa.table({}))]
+    refs = [pin.remote(b, per_bucket, hub_order) for b in block_refs]
+    metas = ray.get([m for _, m in refs])
+    buckets = np.concatenate([m[0] for m in metas])
+    if len(np.unique(buckets)) != len(buckets):
+        raise ValueError(
+            "a dst bucket came back from two edge blocks; the broadcast rank "
+            "iteration needs every bucket whole in one block"
         )
+    return [a for a, _ in refs], metas
 
-    out = np.zeros(n, dtype=np.int64)
-    agg = (
-        edges_b.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("src_id")
-        .aggregate(Sum("n", alias_name="out"))
-    )
-    for t in agg.iter_batches(batch_size=None, batch_format="pyarrow"):
-        if "src_id" in t.column_names and t.num_rows:
-            out[t.column("src_id").to_numpy(zero_copy_only=False)] = (
-                t.column("out").to_numpy(zero_copy_only=False)
-            )
-    return out
+
+def _block_contribs(arrays, ranks, inv_out) -> tuple[np.ndarray, np.ndarray]:
+    """PageRank iteration task over one pinned block."""
+    return _contrib_sums(arrays["dst"], arrays["src"], ranks, inv_out, arrays["w"])
 
 
 def pagerank(
@@ -789,93 +796,66 @@ def pagerank(
         )
 
     # ---- broadcast mode --------------------------------------------------
-    # Pin whole-bucket edge blocks into a round-robin actor pool ONCE;
-    # each iteration is a round of actor calls (no per-iteration Dataset
-    # job). Blocks hold whole dst-buckets (a map_groups group table only
-    # splits above the 128MB block target), so per-dst runs stay intact
-    # per actor and ranks remain bit-identical to pagerank_reference.
+    # Pin whole-bucket edge blocks in the object store ONCE; each
+    # iteration is a round of stateless tasks (no per-iteration Dataset
+    # job, no actor pool). Blocks hold whole dst-buckets (checked), so
+    # per-dst runs stay intact per task and ranks remain bit-identical
+    # to pagerank_reference.
     urls_ref = _sorted_urls_ref(nodes)
     edges_b = _bucketed_edge_ids(_edges_broadcast(pages_ds, urls_ref), urls_ref, per_bucket)
-    base = (1.0 - damping) / n
-    if seed_urls is None:
-        base_vec = np.full(n, base, dtype=np.float64)
-        rank0_vec = np.full(n, 1.0 / n, dtype=np.float64)
-    else:
-
-        @ray.remote(num_cpus=1)
-        def _seed_positions(urls_arr: pa.Array, seeds: list[str]) -> np.ndarray:
-            pos = pc.index_in(pa.array(seeds, pa.string()), value_set=urls_arr)
-            if pos.null_count:
-                missing = [
-                    s for s, p in zip(seeds, pos.to_pylist()) if p is None
-                ]
-                raise ValueError(f"seed_urls not in node set: {missing[:3]}")
-            return pos.to_numpy(zero_copy_only=False).astype(np.int64)
-
-        pos = ray.get(_seed_positions.remote(urls_ref, sorted(set(seed_urls))))
-        rank0_vec = np.zeros(n, dtype=np.float64)
-        rank0_vec[pos] = 1.0 / len(pos)
-        base_vec = np.zeros(n, dtype=np.float64)
-        base_vec[pos] = (1.0 - damping) / len(pos)
     return _broadcast_rank_loop(
         edges_b,
         urls_ref,
         n,
         n_iters=n_iters,
         damping=damping,
-        base_vec=base_vec,
-        rank0_vec=rank0_vec,
+        per_bucket=per_bucket,
+        **_teleport_vectors(n, damping, urls_ref, seed_urls),
     )
 
 
 def _broadcast_rank_vectors(
-    edges_b, n, *, n_iters, damping, variants
+    edges_b, n, *, n_iters, damping, variants, per_bucket
 ) -> list[np.ndarray]:
     """Broadcast-regime power iteration core: whole-dst-bucket edge
-    blocks pinned into ONE round-robin :class:`_EdgeShard` actor pool
-    (weight-aware when the blocks carry ``w``), one RPC round per
-    iteration. ``variants`` is a list of (base_vec, rank0_vec) teleport
-    personalizations iterated over the SAME pinned shards — running
+    blocks pinned once (:func:`_pin_edge_blocks`, weight-aware when the
+    blocks carry ``w``; the pin tasks also return the out-degree
+    partials), then one round of stateless :func:`_block_contribs`
+    tasks per iteration against the ``ray.put`` rank vector.
+    ``variants`` is a list of (base_vec, rank0_vec) teleport
+    personalizations iterated over the SAME pinned blocks — running
     uniform and seeded ranks together (spam mass, TrustRank seed-set
     sweeps) pays the edge build and out-degree pass once."""
     import ray
 
-    block_refs = edges_b.to_arrow_refs()
-    shard_cls = ray.remote(num_cpus=1)(_EdgeShard)
-    n_actors = max(1, min(len(block_refs), int(ray.cluster_resources().get("CPU", 8))))
-    actors = [shard_cls.remote(block_refs[i::n_actors]) for i in range(n_actors)]
+    blocks, metas = _pin_edge_blocks(edges_b, per_bucket)
+    step = ray.remote(num_cpus=1)(_block_contribs)
+    out_vec = np.zeros(n, dtype=np.int64)
+    for _, uniq, cnt in metas:
+        out_vec[uniq] += cnt
+    inv_out = np.zeros(n, dtype=np.float64)
+    nz = out_vec > 0
+    inv_out[nz] = 1.0 / out_vec[nz]
+    inv_ref = ray.put(inv_out)
     results = []
-    try:
-        out_vec = np.zeros(n, dtype=np.int64)
-        for uniq, cnt in ray.get([a.out_partial.remote() for a in actors]):
-            out_vec[uniq] += cnt
-        inv_out = np.zeros(n, dtype=np.float64)
-        nz = out_vec > 0
-        inv_out[nz] = 1.0 / out_vec[nz]
-        inv_ref = ray.put(inv_out)
-        for base_vec, rank0_vec in variants:
-            ranks = rank0_vec.copy()
-            for _ in range(n_iters):
-                ranks_ref = ray.put(ranks)
-                parts = ray.get(
-                    [a.contribs.remote(ranks_ref, inv_ref) for a in actors]
-                )
-                new = base_vec.copy()
-                dsts = np.concatenate([p[0] for p in parts])
-                if len(dsts):
-                    sums = np.concatenate([p[1] for p in parts])
-                    order = np.argsort(dsts, kind="stable")
-                    np.add.at(new, dsts[order], damping * sums[order])
-                ranks = new
-            results.append(ranks)
-    finally:
-        for a in actors:
-            ray.kill(a)
+    for base_vec, rank0_vec in variants:
+        ranks = rank0_vec.copy()
+        for _ in range(n_iters):
+            ranks_ref = ray.put(ranks)
+            parts = ray.get([step.remote(b, ranks_ref, inv_ref) for b in blocks])
+            new = base_vec.copy()
+            dsts = np.concatenate([p[0] for p in parts])
+            if len(dsts):
+                sums = np.concatenate([p[1] for p in parts])
+                order = np.argsort(dsts, kind="stable")
+                np.add.at(new, dsts[order], damping * sums[order])
+            ranks = new
+        results.append(ranks)
     return results
 
 
 def _broadcast_rank_loop(
-    edges_b, urls_ref, n, *, n_iters, damping, base_vec, rank0_vec
+    edges_b, urls_ref, n, *, n_iters, damping, per_bucket, base_vec, rank0_vec
 ):
     """Broadcast-regime power iteration shared by :func:`pagerank` and
     :func:`weighted_pagerank`: one teleport variant through
@@ -890,6 +870,7 @@ def _broadcast_rank_loop(
         n_iters=n_iters,
         damping=damping,
         variants=[(base_vec, rank0_vec)],
+        per_bucket=per_bucket,
     )
 
     @ray.remote(num_cpus=1)
@@ -1192,52 +1173,28 @@ def _pagerank_shuffle(
 # HITS
 
 
-class _HitsShard:
-    """Iteration-state actor for HITS: pins whole dst-buckets in TWO sort
-    orders — (dst, src) for the authority update (per-dst runs, same as
-    PageRank) and (bucket, src, dst) for the hub update. A src's edges
-    span buckets, so hub sums are returned as PER-BUCKET partials keyed
-    (bucket, src); the driver folds them in (src, bucket) order. Both
-    stages are therefore independent of actor count and bucket→actor
-    placement — bit-identical on any cluster size (cf. module
-    docstring's _contrib_sums argument)."""
+def _block_auth(arrays, hub) -> tuple[np.ndarray, np.ndarray]:
+    """HITS authority task over one pinned block: per-dst sums of
+    hub[src] — dsts are unique to the block (whole buckets)."""
+    dst, src = arrays["dst"], arrays["src"]
+    if len(dst) == 0:
+        return np.empty(0, np.int64), np.empty(0, np.float64)
+    starts = np.flatnonzero(np.r_[True, np.diff(dst) != 0])
+    return dst[starts], np.add.reduceat(hub[src], starts)
 
-    def __init__(self, block_refs, per_bucket: int):
-        import ray
 
-        tables = [t for t in map(ray.get, block_refs) if "dst_id" in t.column_names]
-        t = pa.concat_tables(tables) if tables else pa.table(
-            {"src_id": pa.array([], pa.int64()), "dst_id": pa.array([], pa.int64())}
-        )
-        td = t.sort_by([("dst_id", "ascending"), ("src_id", "ascending")])
-        self.dst = td.column("dst_id").to_numpy(zero_copy_only=False)
-        self.src = td.column("src_id").to_numpy(zero_copy_only=False)
-        bucket = self.dst // per_bucket
-        order = np.lexsort((self.dst, self.src, bucket))
-        self.h_dst = self.dst[order]
-        self.h_src = self.src[order]
-        self.h_bucket = bucket[order]
-
-    def auth_partial(self, hub) -> tuple[np.ndarray, np.ndarray]:
-        """Per-dst sums of hub[src] — dsts are unique to this actor."""
-        if len(self.dst) == 0:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        c = hub[self.src]
-        starts = np.flatnonzero(np.r_[True, np.diff(self.dst) != 0])
-        return self.dst[starts], np.add.reduceat(c, starts)
-
-    def hub_partial(self, auth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-(bucket, src) sums of auth[dst] — partials, not totals."""
-        if len(self.h_src) == 0:
-            return (np.empty(0, np.int64),) * 2 + (np.empty(0, np.float64),)
-        c = auth[self.h_dst]
-        run = np.r_[True, (np.diff(self.h_src) != 0) | (np.diff(self.h_bucket) != 0)]
-        starts = np.flatnonzero(run)
-        return (
-            self.h_bucket[starts],
-            self.h_src[starts],
-            np.add.reduceat(c, starts),
-        )
+def _block_hub(arrays, auth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """HITS hub task over one pinned block: per-(bucket, src) sums of
+    auth[dst] — partials, not totals. A src's edges span buckets, so the
+    driver folds them in (src, bucket) order (:func:`_fold_hub_partials`):
+    independent of how buckets are laid out in blocks, hence
+    bit-identical on any cluster size."""
+    h_bucket, h_src, h_dst = arrays["h_bucket"], arrays["h_src"], arrays["h_dst"]
+    if len(h_src) == 0:
+        return (np.empty(0, np.int64),) * 2 + (np.empty(0, np.float64),)
+    run = np.r_[True, (np.diff(h_src) != 0) | (np.diff(h_bucket) != 0)]
+    starts = np.flatnonzero(run)
+    return h_bucket[starts], h_src[starts], np.add.reduceat(auth[h_dst], starts)
 
 
 def _fold_hub_partials(
@@ -1292,7 +1249,6 @@ def hits(
     *,
     n_iters: int = _N_ITERS,
     mode: str = "auto",
-    n_actors: int | None = None,
     n_buckets: int | None = None,
 ):
     """HITS hubs/authorities over the corpus link graph → Dataset of
@@ -1301,14 +1257,14 @@ def hits(
 
     ``nodes`` is the node set as a Dataset with a distinct ``url``
     column. ``mode="broadcast"`` is the ≤``SHUFFLE_MODE_NODES`` regime
-    (dst-bucketed edges pinned once into an actor pool; each iteration
-    is one RPC round per direction with the O(nodes) score vector via
-    ``ray.put``). ``mode="shuffle"`` keeps scores as Datasets — four
-    bucketed exchanges per iteration (two per direction), per-task
-    state one bucket slice, driver state two floats + O(buckets)
-    partials. Determinism: per-bucket hub partials folded in bucket
-    order and the two-level ``_l1_total`` normalization make the result
-    bit-identical to :func:`hits_reference` at any actor count, any
+    (dst-bucketed edge blocks pinned once in the object store; each
+    iteration is one round of stateless tasks per direction with the
+    O(nodes) score vector via ``ray.put``). ``mode="shuffle"`` keeps
+    scores as Datasets — four bucketed exchanges per iteration (two per
+    direction), per-task state one bucket slice, driver state two floats
+    + O(buckets) partials. Determinism: per-bucket hub partials folded in
+    bucket order and the two-level ``_l1_total`` normalization make the
+    result bit-identical to :func:`hits_reference` at any block layout, any
     bucketing, either mode (test-asserted).
     """
     import ray
@@ -1350,34 +1306,7 @@ def hits(
 
     urls_ref = _sorted_urls_ref(nodes)
     edges_b = _bucketed_edge_ids(_edges_broadcast(pages_ds, urls_ref), urls_ref, per_bucket)
-    block_refs = edges_b.to_arrow_refs()
-    shard_cls = ray.remote(num_cpus=1)(_HitsShard)
-    if n_actors is None:
-        n_actors = max(1, min(len(block_refs), int(ray.cluster_resources().get("CPU", 8))))
-    actors = [
-        shard_cls.remote(block_refs[i::n_actors], per_bucket) for i in range(n_actors)
-    ]
-    try:
-        def auth_sums(hub):
-            ref = ray.put(hub)
-            parts = ray.get([a.auth_partial.remote(ref) for a in actors])
-            d = np.concatenate([p[0] for p in parts])
-            s = np.concatenate([p[1] for p in parts])
-            return d, s  # dsts unique across actors (whole buckets)
-
-        def hub_parts(auth):
-            ref = ray.put(auth)
-            parts = ray.get([a.hub_partial.remote(ref) for a in actors])
-            return (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-                np.concatenate([p[2] for p in parts]),
-            )
-
-        auth, hub = _hits_iterate(n, n_iters, auth_sums, hub_parts, per_bucket)
-    finally:
-        for a in actors:
-            ray.kill(a)
+    auth, hub = _hits_broadcast(edges_b, n, n_iters=n_iters, per_bucket=per_bucket)
 
     @ray.remote(num_cpus=1)
     def finish(urls_arr: pa.Array, a_vec: np.ndarray, h_vec: np.ndarray) -> pa.Table:
@@ -1390,6 +1319,45 @@ def hits(
         )
 
     return ray.data.from_arrow_refs([finish.remote(urls_ref, auth, hub)])
+
+
+def _hits_broadcast(edges_b, n, *, n_iters, per_bucket) -> tuple[np.ndarray, np.ndarray]:
+    """Broadcast-regime HITS core: whole-bucket edge blocks pinned once
+    in both sort orders (:func:`_pin_edge_blocks`), then per iteration
+    one round of :func:`_block_auth` and one of :func:`_block_hub` tasks
+    against the ``ray.put`` score vector, folded by the
+    :func:`_hits_iterate` the reference shares."""
+    import ray
+
+    blocks, _ = _pin_edge_blocks(edges_b, per_bucket, hub_order=True)
+    auth_task = ray.remote(num_cpus=1)(_block_auth)
+    hub_task = ray.remote(num_cpus=1)(_block_hub)
+
+    def auth_sums(hub):
+        ref = ray.put(hub)
+        parts = ray.get([auth_task.remote(b, ref) for b in blocks])
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    def hub_parts(auth):
+        ref = ray.put(auth)
+        parts = ray.get([hub_task.remote(b, ref) for b in blocks])
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    return _hits_iterate(n, n_iters, auth_sums, hub_parts, per_bucket)
+
+
+def _drop_markers(t: pa.Table) -> pa.Table:
+    """Score rows without the shuffle-mode HITS bucket-sum markers."""
+    return t.filter(pc.greater_equal(t.column("node_id"), 0))
+
+
+def _marker_rows(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """(node_id, val) of one score block's bucket-sum marker rows."""
+    m = t.filter(pc.less(t.column("node_id"), 0))
+    return (
+        m.column("node_id").to_numpy(zero_copy_only=False),
+        m.column("val").to_numpy(zero_copy_only=False),
+    )
 
 
 def _hits_shuffle(edges_b, index_ds, *, n, n_iters, per_bucket):
@@ -1411,14 +1379,18 @@ def _hits_shuffle(edges_b, index_ds, *, n, n_iters, per_bucket):
 
     Normalization is applied lazily (raw rows ÷ the driver scalar when
     a lookup or the final output is built) — the same single IEEE
-    division the reference applies eagerly, so floats are bit-equal."""
-    import ray.data
+    division the reference applies eagerly, so floats are bit-equal.
+    Marker rows stay in the materialized score Datasets; the pads that
+    read them next drop them."""
+    import ray
 
     nb = -(-n // per_bucket)
 
     def _score_pad(key_div: str):
-        # score rows → (gb = node_id // per_bucket, src_id=-1, dst_id=node_id, c=val)
+        # score rows (bucket-sum markers dropped) →
+        # (gb = node_id // per_bucket, src_id=-1, dst_id=node_id, c=val)
         def f(t: pa.Table) -> pa.Table:
+            t = _drop_markers(t)
             nid = t.column("node_id").to_numpy(zero_copy_only=False)
             return pa.table(
                 {
@@ -1445,23 +1417,20 @@ def _hits_shuffle(edges_b, index_ds, *, n, n_iters, per_bucket):
 
         return f
 
+    markers = ray.remote(num_cpus=1)(_marker_rows)
+
     def _bucket_totals(score_ds) -> float:
         """Fold the marker rows (node_id = -1-bucket, val = bucket sum)
-        into the pinned two-level L1 total."""
-        rows = score_ds.map_batches(
-            lambda t: t.filter(pc.less(t.column("node_id"), 0)),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).take_all()
+        into the pinned two-level L1 total. ``score_ds`` is materialized:
+        one small task per block reads them, no Dataset job."""
         parts = np.zeros(nb, dtype=np.float64)
-        for r in rows:
-            parts[-(int(r["node_id"]) + 1)] = r["val"]
+        for ids, vals in ray.get([markers.remote(b) for b in score_ds.to_arrow_refs()]):
+            parts[-(ids + 1)] = vals
         return float(np.sum(parts))
 
-    def _drop_markers(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater_equal(t.column("node_id"), 0))
-
-    # initial hub: 1/n for every node, tot=1.0 (x/1.0 is bit-exact x)
+    # initial hub: 1/n for every node, tot=1.0 (x/1.0 is bit-exact x);
+    # read once, by the first auth exchange, so it is left lazy (index_ds
+    # already holds nb blocks)
     h0 = 1.0 / n
     hub_ds = index_ds.map_batches(
         lambda t: pa.table(
@@ -1472,7 +1441,7 @@ def _hits_shuffle(edges_b, index_ds, *, n, n_iters, per_bucket):
         ),
         batch_format="pyarrow",
         zero_copy_batch=True,
-    ).repartition(nb, shuffle=False).materialize()
+    )
     tot_h = 1.0
     auth_ds = None
     tot_a = 1.0
@@ -1546,9 +1515,6 @@ def _hits_shuffle(edges_b, index_ds, *, n, n_iters, per_bucket):
             .materialize()
         )
         tot_a = _bucket_totals(auth_ds)
-        auth_ds = auth_ds.map_batches(
-            _drop_markers, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
 
         # ---- hub update ----------------------------------------------------
         div_a = tot_a if tot_a > 0 else 1.0
@@ -1632,9 +1598,6 @@ def _hits_shuffle(edges_b, index_ds, *, n, n_iters, per_bucket):
             .materialize()
         )
         tot_h = _bucket_totals(hub_ds)
-        hub_ds = hub_ds.map_batches(
-            _drop_markers, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
 
     # ---- finish: dense (url, auth_ppb, hub_ppb) per bucket ----------------
     div_a = tot_a if tot_a > 0 else 1.0
@@ -1642,6 +1605,7 @@ def _hits_shuffle(edges_b, index_ds, *, n, n_iters, per_bucket):
 
     def pad_score(which: str):
         def f(t: pa.Table) -> pa.Table:
+            t = _drop_markers(t)
             nid = t.column("node_id").to_numpy(zero_copy_only=False)
             return pa.table(
                 {
@@ -3222,6 +3186,7 @@ def weighted_pagerank(
         n,
         n_iters=n_iters,
         damping=damping,
+        per_bucket=prep["per_bucket"],
         **_teleport_vectors(n, damping, prep["urls_ref"], seed_urls),
     )
 
@@ -3414,6 +3379,7 @@ def weighted_spam_mass(
             (uniform["base_vec"], uniform["rank0_vec"]),
             (seeded["base_vec"], seeded["rank0_vec"]),
         ],
+        per_bucket=prep["per_bucket"],
     )
     # ppb quantization first (the rank contract), then the integer rule —
     # identical to spam_mass() over the two finished rank tables
