@@ -1206,9 +1206,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return label_propagation(pages, nodes).sort("url")
 
     def page_hits_shuffle(sf_dir):
-        # the >SHUFFLE_MODE_NODES HITS formulation: scores stay Datasets,
-        # four bucketed exchanges per iteration, driver state two floats +
-        # O(buckets) markers; bit-identical to broadcast mode
+        # the >SHUFFLE_MODE_NODES HITS formulation: per-bucket edge and
+        # score slices pinned in the object store, an authority and a hub
+        # map/reduce task round per iteration, driver state refs, two
+        # floats + O(buckets) bucket sums; bit-identical to broadcast mode
         # (test_hits_shuffle_mode_identical). Registered at 3 iterations
         # against a 3-iteration reference oracle (same rationale as
         # pagerank_shuffle: pay 3 rounds of toy-scale job overhead, not 10)
@@ -1220,8 +1221,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return gr.hits(pages, nodes, mode="shuffle", n_iters=3).sort("url")
 
     def pagerank_shuffle(sf_dir):
-        # the >SHUFFLE_MODE_NODES 100-TB formulation (ranks stay a Dataset,
-        # two single-key exchanges per iteration, no O(nodes) broadcast);
+        # the >SHUFFLE_MODE_NODES 100-TB formulation (per-bucket edge and
+        # rank slices pinned in the object store, one map/reduce task round
+        # per iteration, no O(nodes) broadcast);
         # bit-identical to broadcast mode per iteration
         # (test_pagerank_shuffle_mode_identical), registered at 3 iterations
         # against a 3-iteration reference oracle so the bench pays 3×2

@@ -2652,3 +2652,28 @@ def test_topk_ivf_multi_assignment_recall(ray_session, emb_tbl):
     assert st["assign_cells"] == 3
     # the honesty stats record the actual candidate fraction scanned
     assert 0 < st["scan_row_frac"] <= 1.0
+
+
+def test_topk_ivf_multi_assignment_sample_smaller_than_cells(ray_session, emb_tbl):
+    # a 2-row dataset trains 2 centroids: assign_cells=3 is clamped to the
+    # trained count instead of raising "kth out of bounds"
+    import ray.data
+
+    from urlmap_ray.functions.similarity import topk_cosine_ivf
+
+    tiny = emb_tbl.slice(0, 2)
+    q = np.asarray(tiny.column("embedding").to_pylist(), dtype=np.float64)[:1]
+    exact = topk_cosine(ray.data.from_arrow(tiny), q, k=2)
+    st: dict = {}
+    approx = topk_cosine_ivf(
+        ray.data.from_arrow(tiny),
+        q,
+        k=2,
+        n_centroids=8,
+        nprobe=3,
+        assign_cells=3,
+        stats=st,
+    )
+    assert st["assign_cells"] == 2
+    assert st["scan_row_frac"] == 1.0  # every row sits in one of the 2 cells probed
+    assert approx.column("vec_id").to_pylist() == exact.column("vec_id").to_pylist()

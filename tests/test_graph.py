@@ -13,8 +13,10 @@ O(blocks) integers (shuffle regime's node_index), never the url column.
 from __future__ import annotations
 
 import inspect
+import sys
 from collections import Counter
 
+import pyarrow as pa
 import pyarrow.dataset as pads
 import pytest
 
@@ -291,6 +293,221 @@ def test_rank_refuses_a_bucket_split_across_blocks(ray_session, corpus, truth):
         )
     with pytest.raises(ValueError, match="two edge blocks"):
         gr._hits_broadcast(split, n, n_iters=1, per_bucket=per_bucket)
+
+
+def _id_edges(urls, links, weighted=False):
+    """The corpus link graph as one (src_id, dst_id[, w]) table over the
+    sorted node ids, plus n; ``weighted`` gives each edge a weight 1..3
+    and returns the (src, dst, w) url triples for the weighted reference,
+    whose node set is the edge endpoints."""
+    import pyarrow as pa
+
+    node_set = set(urls)
+    pairs = sorted({(u, v) for u, vs in links.items() for v in vs if v in node_set and v != u})
+    nodes = sorted({x for p in pairs for x in p}) if weighted else sorted(urls)
+    idx = {u: i for i, u in enumerate(nodes)}
+    cols = {
+        "src_id": pa.array([idx[u] for u, _ in pairs], pa.int64()),
+        "dst_id": pa.array([idx[v] for _, v in pairs], pa.int64()),
+    }
+    triples = [(u, v, 1 + (idx[u] + idx[v]) % 3) for u, v in pairs]
+    if weighted:
+        cols["w"] = pa.array([w for *_, w in triples], pa.int64())
+    return pa.table(cols), nodes, triples
+
+
+def _shuffle_layouts(t, per_bucket, n):
+    """The same id-mapped edges in the block layouts the shuffle kernel
+    must not care about."""
+    import numpy as np
+    import ray.data
+
+    t = t.sort_by([("dst_id", "ascending"), ("src_id", "ascending")])
+    bucket = t.column("dst_id").to_numpy() // per_bucket
+    b0 = next(b for b in np.unique(bucket) if np.count_nonzero(bucket == b) >= 2)
+    k = int(np.flatnonzero(bucket == b0)[0]) + 1
+    return {
+        "one_block": ray.data.from_arrow(t),
+        "block_per_bucket": ray.data.from_arrow(
+            [t.filter(bucket == b) for b in np.unique(bucket)]
+        ),
+        "split_bucket": ray.data.from_arrow([t[:k], t[k:]]),
+    }
+
+
+def test_shuffle_kernel_any_layout_and_bucket_count(ray_session, corpus, truth):
+    """The shuffle-regime PageRank, weighted PageRank and HITS kernels are
+    bit-identical to the references whatever the edge block layout: all
+    edges in one block, one block per bucket, a bucket split across two
+    blocks; and with a single bucket (Ray's single-return case) and an
+    edgeless graph. With one bucket the HITS L1 tree changes shape, so it
+    is compared with the broadcast kernel at that bucketing (the
+    reference's own fold, ``_hits_iterate``)."""
+    import numpy as np
+    import ray
+    import ray.data
+
+    from urlmap_ray.functions import graph as gr
+
+    urls, links, _ = truth
+    n_iters = 3
+
+    def ranks(edges_ds, n, per_bucket, weighted=False):
+        (refs,) = gr._shuffle_rank_slices(
+            edges_ds,
+            n,
+            n_iters=n_iters,
+            damping=gr._DAMPING,
+            teleports=[None],
+            per_bucket=per_bucket,
+            weighted=weighted,
+        )
+        return gr._ppb(np.concatenate(ray.get(refs))).tolist()
+
+    def hits_rows(edges_ds, n, per_bucket):
+        auth, div_a, hub, div_h = gr._hits_shuffle_slices(
+            edges_ds, n, n_iters=n_iters, per_bucket=per_bucket
+        )
+        a = gr._ppb(np.concatenate(ray.get(auth)) / div_a)
+        h = gr._ppb(np.concatenate(ray.get(hub)) / div_h)
+        return list(zip(a.tolist(), h.tolist()))
+
+    t, nodes, _ = _id_edges(urls, links)
+    n = len(nodes)
+    exp_pr = gr.pagerank_reference(urls, links, n_iters=n_iters)
+    exp_pr = [exp_pr[u] for u in nodes]
+    exp_h = gr.hits_reference(urls, links, n_iters=n_iters)
+    exp_h = list(zip(exp_h.column("auth_ppb").to_pylist(), exp_h.column("hub_ppb").to_pylist()))
+    wt, w_nodes, triples = _id_edges(urls, links, weighted=True)
+    exp_w = gr.weighted_pagerank_reference(triples, n_iters=n_iters)
+    exp_w = [exp_w[u] for u in w_nodes]
+
+    per_bucket = gr._graph_buckets(n)
+    w_per_bucket = gr._graph_buckets(len(w_nodes))
+    w_layouts = _shuffle_layouts(wt, w_per_bucket, len(w_nodes))
+    for name, edges_ds in _shuffle_layouts(t, per_bucket, n).items():
+        assert ranks(edges_ds, n, per_bucket) == exp_pr, name
+        assert hits_rows(edges_ds, n, per_bucket) == exp_h, name
+        assert ranks(w_layouts[name], len(w_nodes), w_per_bucket, True) == exp_w, name
+
+    # n_buckets=1: every map task has a single return
+    one = ray.data.from_arrow(t)
+    assert ranks(one, n, n) == exp_pr
+    assert ranks(ray.data.from_arrow(wt), len(w_nodes), len(w_nodes), True) == exp_w
+    a, h = gr._hits_broadcast(one, n, n_iters=n_iters, per_bucket=n)
+    assert hits_rows(one, n, n) == list(zip(gr._ppb(a).tolist(), gr._ppb(h).tolist()))
+
+    # edgeless: the kernels, and the public calls whose edge build yields no rows
+    empty = ray.data.from_arrow(t.slice(0, 0))
+    no_links = {u: [] for u in urls}
+    exp_pr0 = gr.pagerank_reference(urls, no_links, n_iters=n_iters)
+    exp_h0 = gr.hits_reference(urls, no_links, n_iters=n_iters)
+    assert ranks(empty, n, per_bucket) == [exp_pr0[u] for u in nodes]
+    assert hits_rows(empty, n, per_bucket) == list(
+        zip(exp_h0.column("auth_ppb").to_pylist(), exp_h0.column("hub_ppb").to_pylist())
+    )
+    pages = _pages_ds(corpus).map_batches(
+        lambda b: b.set_column(1, "html", pa.nulls(b.num_rows, pa.string())),
+        batch_format="pyarrow",
+    )
+    got = pagerank(pages, _nodes_ds(corpus), mode="shuffle", n_iters=n_iters, n_buckets=7)
+    assert {r["url"]: r["rank_ppb"] for r in got.take_all()} == exp_pr0
+    got = gr.hits(pages, _nodes_ds(corpus), mode="shuffle", n_iters=n_iters, n_buckets=7)
+    assert sorted((r["url"], r["auth_ppb"], r["hub_ppb"]) for r in got.take_all()) == list(
+        zip(*(exp_h0.column(c).to_pylist() for c in ("url", "auth_ppb", "hub_ppb")))
+    )
+    empty_w = ray.data.from_arrow(
+        pa.table({c: pa.array([], pa.string()) for c in ("src_host", "dst_host")}).append_column(
+            "weight", pa.array([], pa.int64())
+        )
+    )
+    assert gr.weighted_pagerank(empty_w, mode="shuffle").take_all() == []
+
+
+def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
+    """The shuffle regime holds no O(nodes) object on the driver: every
+    array the engine's driver code puts or gets (summed over the values
+    of one multi-ref get) has at most max(per_bucket, buckets) elements.
+    Ray Data's own exchanges (their sort samples) are not counted. And its iterations are task rounds, not Dataset jobs: the
+    Ray Data executions a call makes do not grow with ``n_iters``."""
+    import numpy as np
+    import ray
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from urlmap_ray.functions.graph import hits
+
+    urls, links, _ = truth
+    n, nb = len(urls), 7
+    bound = max(-(-n // nb), nb)
+    sizes = []
+
+    def size_of(v):
+        if isinstance(v, np.ndarray):
+            return v.size
+        if isinstance(v, (pa.Array, pa.ChunkedArray)):
+            return len(v)
+        if isinstance(v, pa.Table):
+            return v.num_rows
+        if isinstance(v, (list, tuple)):  # a multi-ref get holds all of it at once
+            return sum(map(size_of, v))
+        return 0
+
+    real_put, real_get = ray.put, ray.get
+
+    def caller():
+        return sys._getframe(2).f_globals.get("__name__", "")
+
+    def put(value, *a, **kw):
+        sizes.append((caller(), "put", size_of(value)))
+        return real_put(value, *a, **kw)
+
+    def get(refs, *a, **kw):
+        out = real_get(refs, *a, **kw)
+        sizes.append((caller(), "get", size_of(out)))
+        return out
+
+    runs = []
+    real_execute = StreamingExecutor.execute
+
+    def execute(self, *a, **kw):
+        runs.append(1)
+        return real_execute(self, *a, **kw)
+
+    monkeypatch.setattr(ray, "put", put)
+    monkeypatch.setattr(ray, "get", get)
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    seeds = sorted(urls)[:3]
+    calls = {
+        "pagerank": lambda k: pagerank(
+            _pages_ds(corpus), _nodes_ds(corpus), mode="shuffle", n_iters=k, n_buckets=nb
+        ),
+        "trustrank": lambda k: pagerank(
+            _pages_ds(corpus), _nodes_ds(corpus), mode="shuffle", n_iters=k, n_buckets=nb,
+            seed_urls=seeds,
+        ),
+        "hits": lambda k: hits(
+            _pages_ds(corpus), _nodes_ds(corpus), mode="shuffle", n_iters=k, n_buckets=nb
+        ),
+    }
+    results = {}
+    for name, call in calls.items():
+        jobs = []
+        for k in (1, 4):
+            runs.clear()
+            ds = call(k)
+            jobs.append(len(runs))
+            results[(name, k)] = ds.materialize()
+        assert jobs[0] == jobs[1], f"{name}: Dataset executions grow with n_iters: {jobs}"
+    monkeypatch.undo()
+    ours = [(op, size) for who, op, size in sizes if who.startswith("urlmap_ray.")]
+    assert ("get", 0) in ours  # the HITS bucket sums (scalars)
+    assert max(size for _, size in ours) <= bound, sorted(ours, key=lambda x: -x[1])[:3]
+    assert {r["url"]: r["rank_ppb"] for r in results[("pagerank", 4)].take_all()} == (
+        pagerank_reference(urls, links, n_iters=4)
+    )
+    assert {r["url"]: r["rank_ppb"] for r in results[("trustrank", 4)].take_all()} == (
+        pagerank_reference(urls, links, n_iters=4, seed_urls=seeds)
+    )
 
 
 def test_hits_shuffle_mode_identical(ray_session, corpus, truth):

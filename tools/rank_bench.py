@@ -1,4 +1,4 @@
-"""Microbench for the broadcast-regime rank iterations (functions/graph.py).
+"""Microbench for the rank iterations of both regimes (functions/graph.py).
 
     python tools/rank_bench.py [--pages 1000] [--seed 1] [--reps 3]
 
@@ -14,6 +14,16 @@ each, for ``pagerank`` and ``hits`` in broadcast mode:
   authority and one hub round);
 - ``<alg>_total_s``: the public call (``graph.pagerank`` / ``graph.hits``
   with ``mode="broadcast"``, edge build included), materialized.
+
+and the same three for the shuffle regime (``mode="shuffle", n_iters=3,
+n_buckets=2``, as the perfbench ``link_rank`` workload runs it):
+
+- ``<alg>_shuffle_pin_s``: the pin round over the materialized id-mapped
+  edges (``_pin_buckets``; HITS pins both bucket layouts), until every
+  pinned slice exists;
+- ``<alg>_shuffle_round_s``: one map/reduce task round (HITS: one
+  authority and one hub round, with the driver's fold of the bucket sums);
+- ``<alg>_shuffle_total_s``: the public call, materialized.
 
 Each call is checked against ``pagerank_reference`` / ``hits_reference``.
 Timings are medians over ``--reps`` repetitions; the session is shut down
@@ -64,9 +74,14 @@ def main(argv=None) -> int:
         u: extract_links(u, h) if h is not None else []
         for u, h in zip(urls, tbl.column("html").to_pylist())
     }
+    def hits_rows(t):
+        return list(zip(*(t.column(c).to_pylist() for c in ("url", "auth_ppb", "hub_ppb"))))
+
     exp_pr = gr.pagerank_reference(urls, links)
-    exp_hits = gr.hits_reference(urls, links)
-    exp_hits = list(zip(*(exp_hits.column(c).to_pylist() for c in ("url", "auth_ppb", "hub_ppb"))))
+    exp_hits = hits_rows(gr.hits_reference(urls, links))
+    shuffle = {"mode": "shuffle", "n_iters": 3, "n_buckets": 2}
+    exp_pr3 = gr.pagerank_reference(urls, links, n_iters=3)
+    exp_hits3 = hits_rows(gr.hits_reference(urls, links, n_iters=3))
 
     def inputs():
         pages = ray.data.read_parquet(info.pages_path, columns=["url", "html"])
@@ -79,7 +94,23 @@ def main(argv=None) -> int:
     os.environ.setdefault("RAY_DATA_DISABLE_PROGRESS_BARS", "1")
     ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
     logging.getLogger("ray.data").setLevel(logging.WARNING)
-    times = {f"{a}_{m}": [] for a in ("pagerank", "hits") for m in ("pin", "round", "total")}
+    times = {
+        f"{a}{r}_{m}": []
+        for r in ("", "_shuffle")
+        for a in ("pagerank", "hits")
+        for m in ("pin", "round", "total")
+    }
+
+    def done(refs):  # wait for task outputs without fetching them
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        return refs
+
+    def check_pr(ds, exp):
+        assert {r["url"]: r["rank_ppb"] for r in ds.take_all()} == exp
+
+    def check_hits(ds, exp):
+        assert sorted((r["url"], r["auth_ppb"], r["hub_ppb"]) for r in ds.take_all()) == exp
+
     try:
         n = len(urls)
         per_bucket = gr._graph_buckets(n)
@@ -110,11 +141,52 @@ def main(argv=None) -> int:
 
             s, ds = _timed(lambda: gr.pagerank(*inputs(), mode="broadcast").materialize())
             times["pagerank_total"].append(s)
-            assert {r["url"]: r["rank_ppb"] for r in ds.take_all()} == exp_pr
+            check_pr(ds, exp_pr)
             s, ds = _timed(lambda: gr.hits(*inputs(), mode="broadcast").materialize())
             times["hits_total"].append(s)
-            got = sorted((r["url"], r["auth_ppb"], r["hub_ppb"]) for r in ds.take_all())
-            assert got == exp_hits
+            check_hits(ds, exp_hits)
+
+        sb = -(-n // shuffle["n_buckets"])  # the shuffle calls' per_bucket
+        nb = -(-n // sb)
+        _, edges = gr._shuffle_prep(*inputs(), n, sb)
+        rank_step = ray.remote(num_cpus=1)(gr._rank_map).options(num_returns=nb)
+        rank_fold = ray.remote(num_cpus=1)(gr._rank_reduce)
+        auth_step = ray.remote(num_cpus=1)(gr._auth_map).options(num_returns=nb)
+        hub_step = ray.remote(num_cpus=1)(gr._hub_map).options(num_returns=nb)
+        score_fold = ray.remote(num_cpus=1)(gr._score_reduce).options(num_returns=2)
+        bounds = [(b * sb, min((b + 1) * sb, n)) for b in range(nb)]
+
+        def pin(hits=False):
+            src_pins, dst_pins, inits = gr._pin_buckets(edges, n, sb, hits=hits)
+            done(src_pins + dst_pins + inits[0][1])
+            return src_pins, dst_pins, inits[0]
+
+        def hits_round(src_pins, dst_pins, hubs):
+            out = gr._shuffle_round(auth_step, score_fold, src_pins, hubs, (1.0,), bounds)
+            tot = float(np.sum(ray.get([t for _, t in out])))
+            auths = [a for a, _ in out]
+            out = gr._shuffle_round(hub_step, score_fold, dst_pins, auths, (tot,), bounds)
+            return float(np.sum(ray.get([t for _, t in out])))
+
+        for _ in range(args.reps):
+            s, (pins, _, (bases, ranks)) = _timed(pin)
+            times["pagerank_shuffle_pin"].append(s)
+            fold_args = [(lo, gr._DAMPING, base) for (lo, _), base in zip(bounds, bases)]
+            s, _ = _timed(
+                lambda: done(gr._shuffle_round(rank_step, rank_fold, pins, ranks, (), fold_args))
+            )
+            times["pagerank_shuffle_round"].append(s)
+            s, (srcs, dsts, (_, hubs)) = _timed(lambda: pin(hits=True))
+            times["hits_shuffle_pin"].append(s)
+            s, _ = _timed(lambda: hits_round(srcs, dsts, hubs))
+            times["hits_shuffle_round"].append(s)
+
+            s, ds = _timed(lambda: gr.pagerank(*inputs(), **shuffle).materialize())
+            times["pagerank_shuffle_total"].append(s)
+            check_pr(ds, exp_pr3)
+            s, ds = _timed(lambda: gr.hits(*inputs(), **shuffle).materialize())
+            times["hits_shuffle_total"].append(s)
+            check_hits(ds, exp_hits3)
     finally:
         ray.shutdown()
         tmp.cleanup()

@@ -38,35 +38,37 @@ Scale shapes:
 - **Degrees are ONE single-key shuffle.** Out-degree is row-local;
   only in-degree crosses blocks. Per-batch partial counts pre-aggregate
   before the ``groupby(url)``.
-- **PageRank iterates over a once-materialized, dst-bucketed edge
-  dataset.** ``mode="broadcast"``: one prep task per bucketed edge
-  block pins its numpy arrays in the object store (and returns its
-  out-degree partial); each iteration is one round of stateless tasks,
-  one per pinned block, against the O(nodes) rank vector shipped via
-  ``ray.put`` (the Spark/GraphX broadcast formulation). No actor pool:
-  tasks run on the pooled workers, retry on worker death, and a lost
-  pinned block is rebuilt from lineage. Every dst bucket must sit
-  whole in one block (checked at pin time). ``mode="shuffle"`` (the
-  ≥``SHUFFLE_MODE_NODES`` path): ranks live in a Dataset as
-  (node_id, rank, inv) rows; each iteration is (1) a pad→union→
-  ``groupby(src_bucket)`` exchange scattering each node's row-local
-  ``rank·inv`` contribution onto its bucket's out-edges, then (2) a
-  ``groupby(dst_bucket)`` reduce folding per-dst sums AND carrying the
-  inv column forward — per-task state is one bucket slice, the driver
-  holds two scalars. Both modes produce BIT-IDENTICAL ranks
-  (test-asserted): every per-dst sum is ``np.add.reduceat`` over the
-  (dst, src)-sorted contribution run, so float summation order is
-  fixed by the data, not by partitioning, and the per-edge
-  contribution is the same single ``rank*inv`` product either way.
+- **PageRank pins its edges once, then iterates in rounds of stateless
+  tasks — in both modes.** No actor pool and no Dataset job per
+  iteration: tasks run on the pooled workers, retry on worker death,
+  and a lost pinned array is rebuilt from lineage.
+  ``mode="broadcast"``: one prep task per block of the dst-bucketed
+  edge Dataset pins its numpy arrays in the object store (and returns
+  its out-degree partial); each iteration is one task per pinned block
+  against the O(nodes) rank vector shipped via ``ray.put`` (the
+  Spark/GraphX broadcast formulation). Every dst bucket must sit whole
+  in one block (checked at pin time). ``mode="shuffle"`` (the
+  ≥``SHUFFLE_MODE_NODES`` path): a pin round cuts the id-mapped edges
+  into per-src-bucket slices (each with its ``inv`` slice and initial
+  rank slice); each iteration is a map task per src bucket returning
+  its out-edges' ``rank·inv`` contributions as one part per dst bucket,
+  and a reduce task per dst bucket folding them — the exchange is
+  object refs, per-task state is one bucket slice, and the driver holds
+  refs only. Both modes produce BIT-IDENTICAL ranks (test-asserted):
+  every per-dst sum is ``np.add.reduceat`` over the (dst, src)-sorted
+  contribution run, so float summation order is fixed by the data, not
+  by partitioning, and the per-edge contribution is the same single
+  ``rank*inv`` product either way.
 - **HITS has the same two modes.** Broadcast pins the same blocks
   (plus their (bucket, src, dst) order) and runs one task round per
-  direction per iteration; shuffle runs four bucketed exchanges per
-  iteration (two per direction) and reads the per-bucket L1 partials
-  with one small task per score block. The L1 normalization total is
-  pinned to a two-level tree — per-bucket ``np.sum`` partials folded by
-  ``np.sum`` in bucket order (:func:`_l1_total`) — computed identically
-  by the reference, the broadcast mode and the shuffle mode, so all
-  three are bit-identical.
+  direction per iteration; shuffle pins src- and dst-bucket slices and
+  runs an authority and a hub map/reduce round per iteration, each
+  reduce returning its bucket's L1 partial. The L1 normalization total
+  is pinned to a two-level tree — per-bucket ``np.sum`` partials folded
+  by ``np.sum`` in bucket order (:func:`_l1_total`) — computed
+  identically by the reference, the broadcast mode and the shuffle
+  mode (whose driver folds the O(buckets) partials), so all three are
+  bit-identical.
 
 Dangling-node mass (pages with no outlinks) is dropped, not
 redistributed — ranks sum to < 1 but the relative ordering follows the
@@ -491,22 +493,14 @@ def _bucketed_edge_ids(edges_ds, urls_ref, per_bucket: int):
     )
 
 
-def _edge_ids_shuffle(
-    pairs_ds,
-    index_ds,
-    *,
-    per_bucket: int,
-    n_buckets: int = _MAP_BUCKETS,
-    weighted: bool = False,
-):
+def _edge_id_pairs(pairs_ds, index_ds, *, n_buckets: int = _MAP_BUCKETS, weighted: bool = False):
     """Shuffle-regime edge identity: (src, dst) string candidates →
     (src_id, dst_id) int64 rows via TWO bucketed pad→union exchanges
     against the node index (endpoints absent from the index are dropped —
-    this doubles as the membership semi-join), then one dst-bucket
-    grouping that sorts each bucket by (dst_id, src_id). Materialized
-    once; no O(nodes) object anywhere. ``weighted=True`` (host graph)
-    carries the pairs' int64 ``w`` column through both exchanges into
-    the output."""
+    this doubles as the membership semi-join). Lazy, in no particular
+    order or block layout; no O(nodes) object anywhere. ``weighted=True``
+    (host graph) carries the pairs' int64 ``w`` column through both
+    exchanges into the output."""
     from .sketch import hash64_column
 
     # --- exchange 1: dst → dst_id (and membership filter) ---------------
@@ -602,14 +596,26 @@ def _edge_ids_shuffle(
             cols["w"] = e.column("w")
         return pa.table(cols)
 
-    stage2 = (
+    return (
         stage1.map_batches(pad_pairs_src, batch_format="pyarrow", zero_copy_batch=True)
         .union(index_ds.map_batches(pad_index2, batch_format="pyarrow", zero_copy_batch=True))
         .groupby("bk")
         .map_groups(map_src, batch_format="pyarrow")
     )
 
-    # --- dst-bucket grouping + in-bucket (dst, src) sort ------------------
+
+def _edge_ids_shuffle(
+    pairs_ds,
+    index_ds,
+    *,
+    per_bucket: int,
+    n_buckets: int = _MAP_BUCKETS,
+    weighted: bool = False,
+):
+    """:func:`_edge_id_pairs` plus one dst-bucket grouping that sorts each
+    bucket by (dst_id, src_id), materialized once — the edge layout the
+    Dataset-exchange iterations (label propagation, SCC) read."""
+
     def with_bucket(t: pa.Table) -> pa.Table:
         return t.append_column(
             "bucket", pc.divide(t.column("dst_id"), per_bucket).cast(pa.int32())
@@ -621,7 +627,8 @@ def _edge_ids_shuffle(
         ).drop_columns(["bucket"])
 
     return (
-        stage2.map_batches(with_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        _edge_id_pairs(pairs_ds, index_ds, n_buckets=n_buckets, weighted=weighted)
+        .map_batches(with_bucket, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bucket")
         .map_groups(sort_group, batch_format="pyarrow")
         .materialize()
@@ -702,6 +709,26 @@ def _block_contribs(arrays, ranks, inv_out) -> tuple[np.ndarray, np.ndarray]:
     return _contrib_sums(arrays["dst"], arrays["src"], ranks, inv_out, arrays["w"])
 
 
+def _rank_regime(n: int, mode: str, n_buckets: int | None) -> tuple[str, int]:
+    """(mode, per_bucket) of a rank call over n > 0 nodes."""
+    if mode == "auto":
+        mode = "shuffle" if n > SHUFFLE_MODE_NODES else "broadcast"
+    if mode not in ("broadcast", "shuffle"):
+        raise ValueError(f"mode must be 'auto', 'broadcast' or 'shuffle', got {mode!r}")
+    if n_buckets is None:
+        return mode, _graph_buckets(n)
+    return mode, max(1, -(-n // n_buckets))  # ceil(n / n_buckets)
+
+
+def _empty_scores(*cols):
+    """The result of a rank call over an empty node set."""
+    import ray.data
+
+    return ray.data.from_arrow(
+        pa.table({"url": pa.array([], pa.string()), **{c: pa.array([], pa.int64()) for c in cols}})
+    )
+
+
 def pagerank(
     pages_ds,
     nodes,
@@ -718,10 +745,11 @@ def pagerank(
     ``rank_ppb`` is the rank quantized to parts-per-billion (int64) so
     the correctness gate compares integers; the underlying floats are
     already bit-deterministic (see ``_contrib_sums``). ``mode``:
-    "broadcast" (O(nodes) rank vector on the driver + one RPC round per
-    iteration — the ≤``SHUFFLE_MODE_NODES`` regime), "shuffle" (ranks
-    stay a Dataset, two single-key exchanges per iteration, no O(nodes)
-    state on the driver or in any single object), or "auto".
+    "broadcast" (O(nodes) rank vector on the driver + one task round per
+    iteration — the ≤``SHUFFLE_MODE_NODES`` regime), "shuffle" (edge
+    and rank state pinned per bucket in the object store, one map/reduce
+    task round per iteration, no O(nodes) state on the driver or in any
+    single object), or "auto".
 
     ``seed_urls`` personalizes the teleport (TrustRank, Gyöngyi et al.
     2004): restart mass lands only on the seed set (p = 1/|S| on seeds,
@@ -730,69 +758,23 @@ def pagerank(
     list), so holding one as a Python list is the same contract as
     crawl seeds; every seed must be in the node set.
     """
-    import ray
-    import ray.data
-
     if seed_urls is not None and not seed_urls:
         raise ValueError("seed_urls must be non-empty when given")
     n = nodes.count()
     if n == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {"url": pa.array([], pa.string()), "rank_ppb": pa.array([], pa.int64())}
-            )
-        )
-    if mode == "auto":
-        mode = "shuffle" if n > SHUFFLE_MODE_NODES else "broadcast"
-    if mode not in ("broadcast", "shuffle"):
-        raise ValueError(f"mode must be 'auto', 'broadcast' or 'shuffle', got {mode!r}")
-    if n_buckets is None:
-        per_bucket = _graph_buckets(n)
-    else:
-        per_bucket = max(1, -(-n // n_buckets))  # ceil(n / n_buckets)
+        return _empty_scores("rank_ppb")
+    mode, per_bucket = _rank_regime(n, mode, n_buckets)
 
     if mode == "shuffle":
-        nb = -(-n // per_bucket)
-        # materialize ONCE and pin block counts: the iteration loop reuses
-        # these blocks every round, and each Sort's output-partition count
-        # (and the driver's shuffle metadata) tracks its INPUT block count
-        # — without the coalescing repartition the per-iteration block
-        # count compounds geometrically and the driver melts down on sort
-        # metadata (observed: 2GB→8GB driver estimates by iteration 2)
-        index_ds = node_index(nodes)[0].repartition(nb, shuffle=False).materialize()
-        pairs = _extracted(pages_ds).map_batches(
-            _candidate_pairs_batch, batch_format="pyarrow", zero_copy_batch=True
-        )
-        edges_b = (
-            _edge_ids_shuffle(pairs, index_ds, per_bucket=per_bucket)
-            .repartition(nb, shuffle=False)
-            .materialize()
-        )
-        teleport = None
-        if seed_urls is not None:
-            ss = sorted(set(seed_urls))
-            seeds_arr = pa.array(ss, pa.string())
-            id_rows = index_ds.map_batches(
-                lambda t, _sa=seeds_arr: t.filter(
-                    pc.is_in(t.column("url"), value_set=_sa)
-                ),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            ).take_all()  # ≤ |seed_urls| rows — seed lists are config-sized
-            ids = np.sort(
-                np.array([r["node_id"] for r in id_rows], dtype=np.int64)
-            )
-            if len(ids) != len(ss):
-                raise ValueError("seed_urls not all present in the node set")
-            teleport = (ray.put(ids), len(ids))
-        return _pagerank_shuffle(
-            edges_b,
+        index_ds, edges = _shuffle_prep(pages_ds, nodes, n, per_bucket)
+        return _shuffle_rank_loop(
+            edges,
             index_ds,
-            n=n,
+            n,
             n_iters=n_iters,
             damping=damping,
             per_bucket=per_bucket,
-            teleport=teleport,
+            seeds=None if seed_urls is None else _shuffle_teleport(index_ds, seed_urls),
         )
 
     # ---- broadcast mode --------------------------------------------------
@@ -859,11 +841,7 @@ def _broadcast_rank_loop(
 ):
     """Broadcast-regime power iteration shared by :func:`pagerank` and
     :func:`weighted_pagerank`: one teleport variant through
-    :func:`_broadcast_rank_vectors`, ranks quantized to ppb in a remote
-    finish task."""
-    import ray
-    import ray.data
-
+    :func:`_broadcast_rank_vectors`, ranks quantized to ppb."""
     (ranks,) = _broadcast_rank_vectors(
         edges_b,
         n,
@@ -872,301 +850,320 @@ def _broadcast_rank_loop(
         variants=[(base_vec, rank0_vec)],
         per_bucket=per_bucket,
     )
-
-    @ray.remote(num_cpus=1)
-    def finish(urls_arr: pa.Array, rank_vec: np.ndarray) -> pa.Table:
-        return pa.table(
-            {
-                "url": urls_arr,
-                "rank_ppb": pa.array(
-                    np.round(rank_vec * 1e9).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
-    return ray.data.from_arrow_refs([finish.remote(urls_ref, ranks)])
+    return _broadcast_output(urls_ref, rank_ppb=_ppb(ranks))
 
 
-def _pagerank_shuffle(
-    edges_b,
-    index_ds,
-    *,
-    n,
-    n_iters,
-    damping,
-    per_bucket,
-    teleport=None,
-    weighted=False,
-):
-    """Fully-distributed PageRank: no O(nodes) state on the driver OR in
-    any single broadcast object. Rank state is a Dataset of
-    (node_id, rank, inv) rows — ``inv`` (1/out-degree) rides along so the
-    reduce stage can emit complete next-iteration rows without a separate
-    lookup side. Each iteration is exactly two bucketed exchanges:
+def _url_table(urls_arr: pa.Array, names, *cols) -> pa.Table:
+    return pa.table({"url": urls_arr, **{k: pa.array(c, pa.int64()) for k, c in zip(names, cols)}})
 
-    1. ``groupby(src_bucket)`` over rank rows ∪ edge rows: each node's
-       row-local contribution ``rank·inv`` is scattered onto its
-       bucket's out-edges (vectorized slice lookup).
-    2. ``groupby(dst_bucket)`` over contribution rows ∪ rank rows: per-
-       dst ``np.add.reduceat`` over the (dst, src)-sorted run (the shared
-       deterministic primitive), then the bucket's dense next-rank slice
-       is rebuilt with the carried ``inv``.
 
-    Every bucket is covered in stage 2 because every node's rank row is
-    routed there — no separate uncovered-bucket bookkeeping."""
+def _broadcast_output(urls_ref, **cols):
+    """The broadcast regime's result Dataset: one remote task sets the
+    int64 score columns beside the shared sorted url array, so the
+    strings never reach the driver."""
+    import ray
     import ray.data
-    from ray.data.aggregate import Sum  # noqa: F401  (documents the family)
 
-    base = (1.0 - damping) / n
-    r0 = 1.0 / n
-    seed_ref, n_seeds = teleport if teleport is not None else (None, 0)
+    task = ray.remote(num_cpus=1)(_url_table)
+    return ray.data.from_arrow_refs([task.remote(urls_ref, list(cols), *cols.values())])
 
-    def _teleport_slices(lo: int, hi: int):
-        """(base, rank0) dense slices for node ids [lo, hi): uniform
-        without teleport (the pinned one-division floats), else mass only
-        on the broadcast seed-id set (TrustRank personalization)."""
-        if seed_ref is None:
-            return (
-                np.full(hi - lo, base, dtype=np.float64),
-                np.full(hi - lo, r0, dtype=np.float64),
-            )
-        import ray
 
-        ids = ray.get(seed_ref)
-        sel = ids[(ids >= lo) & (ids < hi)]
-        b = np.zeros(hi - lo, dtype=np.float64)
-        r = np.zeros(hi - lo, dtype=np.float64)
-        b[sel - lo] = (1.0 - damping) / n_seeds
-        r[sel - lo] = 1.0 / n_seeds
-        return b, r
+# ---------------------------------------------------------------------------
+# shuffle regime: bucket slices pinned once, iterations as map/reduce rounds
+#
+# Node ids are range-bucketed (bucket b = ids [b·per_bucket, (b+1)·per_bucket)).
+# A pin round cuts the id-mapped edges into per-bucket numpy arrays that stay
+# in the object store; every iteration is then one round of stateless tasks:
+# a map task per pinned bucket returns one part per destination bucket
+# (``num_returns=nb``), and reduce task b folds part b of every map task.
+# The exchange is object refs passed from map to reduce tasks — M×R objects,
+# the same as the all-to-all Sort it replaces — never a Dataset job. Score
+# state is one dense slice per bucket, held by ref; the driver holds refs and
+# O(buckets) floats. Reduces re-sort what they receive, so results do not
+# depend on how edges or buckets are split into blocks.
 
-    # --- initial (node_id, rank, inv) rows: out-degree partials + the
-    # dense node range from the index, ONE groupby(db) ---------------------
-    def out_partials(t: pa.Table) -> pa.Table:
-        src = t.column("src_id").to_numpy(zero_copy_only=False)
-        if weighted:
-            # out-WEIGHT per src: integer sums, summation-order-free
-            w = t.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
-            uniq, inv_idx = np.unique(src, return_inverse=True)
-            cnt = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(cnt, inv_idx, w)
-        else:
-            uniq, cnt = np.unique(src, return_counts=True)
-        return pa.table(
-            {
-                "db": pa.array((uniq // per_bucket).astype(np.int64), pa.int64()),
-                "node_id": pa.array(uniq, pa.int64()),
-                "out_partial": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
 
-    def index_zeros(t: pa.Table) -> pa.Table:
-        nid = t.column("node_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "db": pa.array((nid // per_bucket).astype(np.int64), pa.int64()),
-                "node_id": t.column("node_id"),
-                "out_partial": pa.array(np.full(len(nid), -1, np.int64), pa.int64()),
-            }
-        )
+def _task_parts(parts: list):
+    """Per-bucket parts as a task's return value: Ray hands back the value
+    of a ``num_returns=1`` task whole, so a single part goes unwrapped."""
+    return parts[0] if len(parts) == 1 else tuple(parts)
 
-    def rank0_group(g: pa.Table) -> pa.Table:
-        nid = g.column("node_id").to_numpy(zero_copy_only=False)
-        outp = g.column("out_partial").to_numpy(zero_copy_only=False)
-        b = int(g.column("db")[0].as_py())
-        lo = b * per_bucket
-        hi = min(lo + per_bucket, n)
-        out = np.zeros(hi - lo, np.int64)
-        is_partial = outp >= 0
-        np.add.at(out, nid[is_partial] - lo, outp[is_partial])
-        inv = np.zeros(hi - lo, np.float64)
-        nz = out > 0
-        inv[nz] = 1.0 / out[nz]
-        return pa.table(
-            {
-                "node_id": pa.array(np.arange(lo, hi, dtype=np.int64), pa.int64()),
-                "rank": pa.array(_teleport_slices(lo, hi)[1], pa.float64()),
-                "inv": pa.array(inv, pa.float64()),
-            }
-        )
+
+def _part_refs(refs, k: int) -> list:
+    """The refs of a ``num_returns=k`` call as a list (bare ref if k == 1)."""
+    return [refs] if k == 1 else list(refs)
+
+
+def _bucket_cuts(key: np.ndarray, per_bucket: int, nb: int) -> np.ndarray:
+    """Row offsets where each bucket of an ascending node-id ``key`` starts
+    (plus the end), so bucket b is rows ``cuts[b]:cuts[b + 1]``."""
+    return np.searchsorted(key, np.arange(nb + 1, dtype=np.int64) * per_bucket)
+
+
+def _cut(cuts: np.ndarray, *cols) -> list:
+    """Bucket-sorted columns → one column tuple per bucket."""
+    return [tuple(c[a:b] for c in cols) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _concat_parts(parts, k: int) -> list:
+    """Column-wise concatenation of part tuples (k int64 empties if none)."""
+    if not parts:
+        return [np.empty(0, np.int64) for _ in range(k)]
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+def _sorted_run_sums(key, tie, vals) -> tuple[np.ndarray, np.ndarray]:
+    """Per-key sums of ``vals`` over rows sorted by (key, tie) — the fixed
+    summation order the references use, whatever order rows arrive in."""
+    order = np.lexsort((tie, key))
+    key, vals = key[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, np.diff(key) != 0])
+    return key[starts], np.add.reduceat(vals, starts)
+
+
+def _pin_split(t: pa.Table, per_bucket: int, nb: int, weighted: bool, both: bool):
+    """Pin-round map task over one block of id-mapped edges: its
+    (src, dst[, w]) columns cut into one part per SRC bucket and, for HITS
+    (``both``), one more per DST bucket."""
+    names = ("src_id", "dst_id", "w")[: 2 + weighted]
+    if "src_id" in t.column_names:
+        cols = [t.column(c).to_numpy(zero_copy_only=False).astype(np.int64) for c in names]
+    else:  # an edgeless graph materializes an empty-schema block
+        cols = [np.empty(0, np.int64) for _ in names]
+    parts = []
+    for key in cols[:2] if both else cols[:1]:
+        order = np.argsort(key, kind="stable")
+        parts += _cut(_bucket_cuts(key[order], per_bucket, nb), *(c[order] for c in cols))
+    return _task_parts(parts)
+
+
+def _teleport_slices(lo: int, hi: int, n: int, damping: float, ids):
+    """(base, rank0) slices for node ids [lo, hi): uniform (the pinned
+    one-division floats) or, given the seed ids, mass 1/|S| only on the
+    seeds (TrustRank personalization)."""
+    if ids is None:
+        return np.full(hi - lo, (1.0 - damping) / n), np.full(hi - lo, 1.0 / n)
+    sel = ids[(ids >= lo) & (ids < hi)] - lo
+    base = np.zeros(hi - lo, dtype=np.float64)
+    rank0 = np.zeros(hi - lo, dtype=np.float64)
+    base[sel] = (1.0 - damping) / len(ids)
+    rank0[sel] = 1.0 / len(ids)
+    return base, rank0
+
+
+def _pin_src(lo, hi, per_bucket, nb, n, damping, teleports, *parts):
+    """Pin-round reduce task for the src bucket [lo, hi): its out-edges
+    sorted by (dst, src) and cut by dst bucket, the bucket's ``inv``
+    slice (1 / integer out-degree or out-weight — every out-edge of these
+    srcs is here), then each teleport variant's (base, rank0) slices."""
+    src, dst, *w = _concat_parts(parts, 2)
+    order = np.lexsort((src, dst))
+    src, dst = src[order], dst[order]
+    w = w[0][order] if w else None
+    out = np.zeros(hi - lo, dtype=np.int64)
+    np.add.at(out, src - lo, 1 if w is None else w)
+    inv = np.zeros(hi - lo, dtype=np.float64)
+    nz = out > 0
+    inv[nz] = 1.0 / out[nz]
+    pin = {
+        "lo": lo,
+        "src": src,
+        "dst": dst,
+        "w": w,
+        "inv": inv,
+        "cuts": _bucket_cuts(dst, per_bucket, nb),
+    }
+    import ray
+
+    slices = []
+    for seeds in teleports:  # None or a seed-id ref
+        ids = None if seeds is None else ray.get(seeds)
+        slices += _teleport_slices(lo, hi, n, damping, ids)
+    return (pin, *slices)
+
+
+def _pin_buckets(edges, n, per_bucket, *, weighted=False, hits=False, damping=_DAMPING,
+                 teleports=(None,)):
+    """The shuffle regime's pin round over the materialized
+    :func:`_edge_id_pairs` blocks: one :func:`_pin_split` task per block,
+    one :func:`_pin_src` (and for HITS one :func:`_pin_dst`) task per
+    bucket. Returns (src pins, dst pins, per teleport variant the
+    (base, rank0) slice refs), one ref per bucket each; nothing reaches
+    the driver."""
+    import ray
 
     nb = -(-n // per_bucket)
-    ranks_ds = (
-        edges_b.map_batches(out_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .union(index_ds.map_batches(index_zeros, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("db")
-        .map_groups(rank0_group, batch_format="pyarrow")
-        .repartition(nb, shuffle=False)
-        .materialize()
+    k = 2 * nb if hits else nb
+    split = ray.remote(num_cpus=1)(_pin_split).options(num_returns=k)
+    parts = [
+        _part_refs(split.remote(b, per_bucket, nb, weighted, hits), k)
+        for b in edges.to_arrow_refs()
+    ]
+    pin_src = ray.remote(num_cpus=1)(_pin_src).options(num_returns=1 + 2 * len(teleports))
+    pin_dst = ray.remote(num_cpus=1)(_pin_dst)
+    src_pins, dst_pins, slices = [], [], []
+    for b in range(nb):
+        lo, hi = b * per_bucket, min((b + 1) * per_bucket, n)
+        pin, *sl = pin_src.remote(
+            lo, hi, per_bucket, nb, n, damping, list(teleports), *(p[b] for p in parts)
+        )
+        src_pins.append(pin)
+        slices.append(sl)
+        if hits:
+            dst_pins.append(pin_dst.remote(lo, per_bucket, nb, *(p[nb + b] for p in parts)))
+    inits = [([s[2 * v] for s in slices], [s[2 * v + 1] for s in slices])
+             for v in range(len(teleports))]
+    return src_pins, dst_pins, inits
+
+
+def _shuffle_round(step, fold, pins, states, step_args, fold_args) -> list:
+    """One map/reduce round: ``step`` (``num_returns=nb``) per pinned bucket
+    with its state slice returns a part per destination bucket; ``fold``
+    for bucket b takes its ``fold_args[b]`` and part b of every step, in
+    bucket order. Returns the fold refs; nothing is fetched."""
+    nb = len(pins)
+    parts = [_part_refs(step.remote(p, s, *step_args), nb) for p, s in zip(pins, states)]
+    return [fold.remote(*fold_args[b], *(row[b] for row in parts)) for b in range(nb)]
+
+
+def _rank_map(pin, rank):
+    """PageRank map task over one src bucket: each out-edge's contribution
+    ``(rank·inv)[src]·w`` — the ``_contrib_sums`` product — cut by dst
+    bucket into (dst, src, c) parts."""
+    c = (rank * pin["inv"])[pin["src"] - pin["lo"]]
+    if pin["w"] is not None:
+        c = c * pin["w"]
+    return _task_parts(_cut(pin["cuts"], pin["dst"], pin["src"], c))
+
+
+def _rank_reduce(lo, damping, base, *parts) -> np.ndarray:
+    """PageRank reduce task for the dst bucket at ``lo``: per-dst sums over
+    the (dst, src)-sorted contributions, then ``base + damping·sums`` —
+    the broadcast fold, slice by slice."""
+    dst, src, c = _concat_parts(parts, 3)
+    new = base.copy()
+    if len(dst):
+        d, s = _sorted_run_sums(dst, src, c)
+        np.add.at(new, d - lo, damping * s)
+    return new
+
+
+def _shuffle_rank_slices(edges, n, *, n_iters, damping, teleports, per_bucket, weighted):
+    """Shuffle-regime PageRank core: pin once (:func:`_pin_buckets`), then
+    ``n_iters`` rounds of :func:`_rank_map` / :func:`_rank_reduce` tasks.
+    ``teleports`` lists the variants (None = uniform, else a seed-id ref)
+    iterated over the SAME pinned buckets — spam mass pins once for both
+    ranks. Returns per variant the refs to each bucket's final rank slice.
+    Bit-identical to :func:`_broadcast_rank_vectors`: same products, same
+    (dst, src) summation order, same fold onto the teleport base."""
+    import ray
+
+    nb = -(-n // per_bucket)
+    pins, _, inits = _pin_buckets(
+        edges, n, per_bucket, weighted=weighted, damping=damping, teleports=teleports
     )
+    step = ray.remote(num_cpus=1)(_rank_map).options(num_returns=nb)
+    fold = ray.remote(num_cpus=1)(_rank_reduce)
+    results = []
+    for bases, ranks in inits:
+        args = [(b * per_bucket, damping, base) for b, base in enumerate(bases)]
+        for _ in range(n_iters):
+            ranks = _shuffle_round(step, fold, pins, ranks, (), args)
+        results.append(ranks)
+    return results
 
-    # --- iterate -----------------------------------------------------------
-    def rank_pad(t: pa.Table) -> pa.Table:
-        nid = t.column("node_id").to_numpy(zero_copy_only=False)
-        c = t.column("rank").to_numpy(zero_copy_only=False) * t.column("inv").to_numpy(
-            zero_copy_only=False
-        )
-        return pa.table(
-            {
-                "gb": pa.array((nid // per_bucket).astype(np.int64), pa.int64()),
-                "src_id": pa.array(np.full(len(nid), -1, np.int64), pa.int64()),
-                "dst_id": pa.array(nid, pa.int64()),
-                "c": pa.array(c, pa.float64()),
-            }
-        )
 
-    def edge_pad(t: pa.Table) -> pa.Table:
-        src = t.column("src_id").to_numpy(zero_copy_only=False)
-        if weighted:
-            # the edge's weight rides in the c slot (nan filler otherwise)
-            cvals = pa.array(
-                t.column("w").to_numpy(zero_copy_only=False).astype(np.float64),
-                pa.float64(),
-            )
-        else:
-            cvals = pa.array(np.full(len(src), np.nan), pa.float64())
-        return pa.table(
-            {
-                "gb": pa.array((src // per_bucket).astype(np.int64), pa.int64()),
-                "src_id": t.column("src_id"),
-                "dst_id": t.column("dst_id"),
-                "c": cvals,
-            }
-        )
+def _ppb(v: np.ndarray) -> np.ndarray:
+    return np.round(v * 1e9).astype(np.int64)
 
-    def join_group(g: pa.Table) -> pa.Table:
-        src = g.column("src_id").to_numpy(zero_copy_only=False)
-        dst = g.column("dst_id").to_numpy(zero_copy_only=False)
-        c = g.column("c").to_numpy(zero_copy_only=False)
-        is_rank = src < 0
-        b = int(g.column("gb")[0].as_py())
-        lo = b * per_bucket
-        hi = min(lo + per_bucket, n)
-        lookup = np.zeros(hi - lo, dtype=np.float64)
-        lookup[dst[is_rank] - lo] = c[is_rank]
-        e_src = src[~is_rank]
-        e_dst = dst[~is_rank]
-        contrib = lookup[e_src - lo]
-        if weighted:
-            # (rank·inv)·w — same pinned ordering as _contrib_sums
-            contrib = contrib * c[~is_rank]
-        return pa.table(
-            {
-                "db": pa.array((e_dst // per_bucket).astype(np.int64), pa.int64()),
-                "dst_id": pa.array(e_dst, pa.int64()),
-                "src_id": pa.array(e_src, pa.int64()),
-                "c": pa.array(contrib, pa.float64()),
-            }
-        )
 
-    def inv_pad(t: pa.Table) -> pa.Table:
+def _ppb_block(lo: int, names, divs, *vecs) -> pa.Table:
+    """One bucket's final score slices → (node_id, *names) rows, each slice
+    divided by its normalization total (1.0 for PageRank) and quantized
+    to ppb."""
+    cols = {"node_id": pa.array(np.arange(lo, lo + len(vecs[0]), dtype=np.int64))}
+    for name, div, v in zip(names, divs, vecs):
+        cols[name] = pa.array(_ppb(v / div), pa.int64())
+    return pa.table(cols)
+
+
+def _attach_urls(blocks, index_ds, per_bucket: int, cols):
+    """Per-bucket score blocks ((node_id, *cols) int64 rows, dense over the
+    bucket) → Dataset of (url, *cols): ONE bucketed exchange against the
+    node index; no O(nodes) object anywhere."""
+    import ray.data
+
+    def pad_scores(t: pa.Table) -> pa.Table:
         nid = t.column("node_id").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "db": pa.array((nid // per_bucket).astype(np.int64), pa.int64()),
-                "dst_id": pa.array(nid, pa.int64()),
-                "src_id": pa.array(np.full(len(nid), -1, np.int64), pa.int64()),
-                "c": t.column("inv"),
-            }
-        )
-
-    def reduce_group(g: pa.Table) -> pa.Table:
-        src = g.column("src_id").to_numpy(zero_copy_only=False)
-        dst = g.column("dst_id").to_numpy(zero_copy_only=False)
-        c = g.column("c").to_numpy(zero_copy_only=False)
-        is_inv = src < 0
-        b = int(g.column("db")[0].as_py())
-        lo = b * per_bucket
-        hi = min(lo + per_bucket, n)
-        inv_dense = np.zeros(hi - lo, dtype=np.float64)
-        inv_dense[dst[is_inv] - lo] = c[is_inv]
-        e_src = src[~is_inv]
-        e_dst = dst[~is_inv]
-        ranks = _teleport_slices(lo, hi)[0]
-        if len(e_dst):
-            order = np.lexsort((e_src, e_dst))
-            e_dst = e_dst[order]
-            e_c = c[~is_inv][order]
-            starts = np.flatnonzero(np.r_[True, np.diff(e_dst) != 0])
-            sums = np.add.reduceat(e_c, starts)
-            np.add.at(ranks, e_dst[starts] - lo, damping * sums)
-        return pa.table(
-            {
-                "node_id": pa.array(np.arange(lo, hi, dtype=np.int64), pa.int64()),
-                "rank": pa.array(ranks, pa.float64()),
-                "inv": pa.array(inv_dense, pa.float64()),
-            }
-        )
-
-    for _ in range(n_iters):
-        contribs = (
-            ranks_ds.map_batches(rank_pad, batch_format="pyarrow", zero_copy_batch=True)
-            .union(edges_b.map_batches(edge_pad, batch_format="pyarrow", zero_copy_batch=True))
-            .groupby("gb")
-            .map_groups(join_group, batch_format="pyarrow")
-        )
-        ranks_ds = (
-            contribs.union(
-                ranks_ds.map_batches(inv_pad, batch_format="pyarrow", zero_copy_batch=True)
-            )
-            .groupby("db")
-            .map_groups(reduce_group, batch_format="pyarrow")
-            # coalesce back to O(buckets) blocks: the next iteration's Sort
-            # sizes its output (and driver metadata) from input block count
-            .repartition(nb, shuffle=False)
-            .materialize()
-        )
-
-    # --- attach urls: ONE bucketed exchange against the index -------------
-    def rank_fin_pad(t: pa.Table) -> pa.Table:
-        nid = t.column("node_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "db": pa.array((nid // per_bucket).astype(np.int64), pa.int64()),
+                "db": pa.array(nid // per_bucket, pa.int64()),
                 "node_id": t.column("node_id"),
-                "rank": t.column("rank"),
-                "url": pa.array([None] * len(nid), pa.string()),
+                "url": pa.nulls(t.num_rows, pa.string()),
+                **{c: t.column(c) for c in cols},
             }
         )
 
-    def idx_fin_pad(t: pa.Table) -> pa.Table:
+    def pad_index(t: pa.Table) -> pa.Table:
         nid = t.column("node_id").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "db": pa.array((nid // per_bucket).astype(np.int64), pa.int64()),
+                "db": pa.array(nid // per_bucket, pa.int64()),
                 "node_id": t.column("node_id"),
-                "rank": pa.array(np.full(len(nid), np.nan), pa.float64()),
-                "url": t.column("url"),
+                "url": t.column("url").cast(pa.string()),
+                **{c: pa.nulls(t.num_rows, pa.int64()) for c in cols},
             }
         )
 
     def fin_group(g: pa.Table) -> pa.Table:
-        nid = g.column("node_id").to_numpy(zero_copy_only=False)
-        is_idx = pc.is_valid(g.column("url")).to_numpy(zero_copy_only=False)
-        b = int(g.column("db")[0].as_py())
-        lo = b * per_bucket
-        hi = min(lo + per_bucket, n)
-        urls = np.empty(hi - lo, dtype=object)
-        urls[nid[is_idx] - lo] = np.asarray(
-            g.filter(pa.array(is_idx)).column("url").to_pylist(), dtype=object
-        )
-        ranks = np.zeros(hi - lo, dtype=np.float64)
-        ranks[nid[~is_idx] - lo] = g.column("rank").to_numpy(zero_copy_only=False)[
-            ~is_idx
-        ]
-        return pa.table(
-            {
-                "url": pa.array(urls.tolist(), pa.string()),
-                "rank_ppb": pa.array(np.round(ranks * 1e9).astype(np.int64), pa.int64()),
-            }
-        )
+        is_idx = pc.is_valid(g.column("url"))
+        urls = g.filter(is_idx).sort_by("node_id")
+        scores = g.filter(pc.invert(is_idx)).sort_by("node_id")
+        return pa.table({"url": urls.column("url"), **{c: scores.column(c) for c in cols}})
 
     return (
-        ranks_ds.map_batches(rank_fin_pad, batch_format="pyarrow", zero_copy_batch=True)
-        .union(index_ds.map_batches(idx_fin_pad, batch_format="pyarrow", zero_copy_batch=True))
+        ray.data.from_arrow_refs(blocks)
+        .map_batches(pad_scores, batch_format="pyarrow", zero_copy_batch=True)
+        .union(index_ds.map_batches(pad_index, batch_format="pyarrow", zero_copy_batch=True))
         .groupby("db")
         .map_groups(fin_group, batch_format="pyarrow")
     )
+
+
+def _shuffle_prep(pages_ds, nodes, n: int, per_bucket: int):
+    """Shuffle-regime inputs of :func:`pagerank` / :func:`hits`: the node
+    index (coalesced to one block per bucket; read by the id exchanges,
+    the seed lookup and the url attach) and the id-mapped edges,
+    materialized once for the pin round."""
+    nb = -(-n // per_bucket)
+    index_ds = node_index(nodes)[0].repartition(nb, shuffle=False).materialize()
+    pairs = _extracted(pages_ds).map_batches(
+        _candidate_pairs_batch, batch_format="pyarrow", zero_copy_batch=True
+    )
+    return index_ds, _edge_id_pairs(pairs, index_ds).materialize()
+
+
+def _shuffle_rank_loop(
+    edges, index_ds, n, *, n_iters, damping, per_bucket, seeds=None, weighted=False
+):
+    """Shuffle-regime power iteration shared by :func:`pagerank` and
+    :func:`weighted_pagerank`: one teleport variant through
+    :func:`_shuffle_rank_slices`, ranks quantized to ppb per bucket, urls
+    attached."""
+    import ray
+
+    (ranks,) = _shuffle_rank_slices(
+        edges,
+        n,
+        n_iters=n_iters,
+        damping=damping,
+        teleports=[seeds],
+        per_bucket=per_bucket,
+        weighted=weighted,
+    )
+    ppb = ray.remote(num_cpus=1)(_ppb_block)
+    blocks = [ppb.remote(b * per_bucket, ("rank_ppb",), (1.0,), r) for b, r in enumerate(ranks)]
+    return _attach_urls(blocks, index_ds, per_bucket, ("rank_ppb",))
 
 
 # ---------------------------------------------------------------------------
@@ -1204,13 +1201,9 @@ def _fold_hub_partials(
     adding each src's partials in ascending BUCKET order — the pinned
     deterministic fold shared with :func:`hits_reference`."""
     hub = np.zeros(n, dtype=np.float64)
-    if len(srcs) == 0:
-        return hub
-    order = np.lexsort((buckets, srcs))
-    s_sorted = srcs[order]
-    c_sorted = sums[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(s_sorted) != 0])
-    hub[s_sorted[starts]] = np.add.reduceat(c_sorted, starts)
+    if len(srcs):
+        s, v = _sorted_run_sums(srcs, buckets, sums)
+        hub[s] = v
     return hub
 
 
@@ -1259,10 +1252,11 @@ def hits(
     column. ``mode="broadcast"`` is the ≤``SHUFFLE_MODE_NODES`` regime
     (dst-bucketed edge blocks pinned once in the object store; each
     iteration is one round of stateless tasks per direction with the
-    O(nodes) score vector via ``ray.put``). ``mode="shuffle"`` keeps
-    scores as Datasets — four bucketed exchanges per iteration (two per
-    direction), per-task state one bucket slice, driver state two floats
-    + O(buckets) partials. Determinism: per-bucket hub partials folded in
+    O(nodes) score vector via ``ray.put``). ``mode="shuffle"`` pins
+    src- and dst-bucket edge slices once and keeps scores as per-bucket
+    slices in the object store — an authority and a hub map/reduce task
+    round per iteration, per-task state one bucket slice, driver state
+    refs, two floats and O(buckets) partials. Determinism: per-bucket hub partials folded in
     bucket order and the two-level ``_l1_total`` normalization make the
     result bit-identical to :func:`hits_reference` at any block layout, any
     bucketing, either mode (test-asserted).
@@ -1272,53 +1266,26 @@ def hits(
 
     n = nodes.count()
     if n == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {"url": pa.array([], pa.string()),
-                 "auth_ppb": pa.array([], pa.int64()),
-                 "hub_ppb": pa.array([], pa.int64())}
-            )
-        )
-    if mode == "auto":
-        mode = "shuffle" if n > SHUFFLE_MODE_NODES else "broadcast"
-    if mode not in ("broadcast", "shuffle"):
-        raise ValueError(f"mode must be 'auto', 'broadcast' or 'shuffle', got {mode!r}")
-    per_bucket = (
-        _graph_buckets(n) if n_buckets is None else max(1, -(-n // n_buckets))
-    )
+        return _empty_scores("auth_ppb", "hub_ppb")
+    mode, per_bucket = _rank_regime(n, mode, n_buckets)
 
     if mode == "shuffle":
-        nb = -(-n // per_bucket)
-        # materialized ONCE with pinned block counts — reused by all four
-        # exchanges of every iteration (see the same note in pagerank())
-        index_ds = node_index(nodes)[0].repartition(nb, shuffle=False).materialize()
-        pairs = _extracted(pages_ds).map_batches(
-            _candidate_pairs_batch, batch_format="pyarrow", zero_copy_batch=True
+        index_ds, edges = _shuffle_prep(pages_ds, nodes, n, per_bucket)
+        auth, div_a, hub, div_h = _hits_shuffle_slices(
+            edges, n, n_iters=n_iters, per_bucket=per_bucket
         )
-        edges_b = (
-            _edge_ids_shuffle(pairs, index_ds, per_bucket=per_bucket)
-            .repartition(nb, shuffle=False)
-            .materialize()
-        )
-        return _hits_shuffle(
-            edges_b, index_ds, n=n, n_iters=n_iters, per_bucket=per_bucket
-        )
+        ppb = ray.remote(num_cpus=1)(_ppb_block)
+        cols = ("auth_ppb", "hub_ppb")
+        blocks = [
+            ppb.remote(b * per_bucket, cols, (div_a, div_h), a, h)
+            for b, (a, h) in enumerate(zip(auth, hub))
+        ]
+        return _attach_urls(blocks, index_ds, per_bucket, cols)
 
     urls_ref = _sorted_urls_ref(nodes)
     edges_b = _bucketed_edge_ids(_edges_broadcast(pages_ds, urls_ref), urls_ref, per_bucket)
     auth, hub = _hits_broadcast(edges_b, n, n_iters=n_iters, per_bucket=per_bucket)
-
-    @ray.remote(num_cpus=1)
-    def finish(urls_arr: pa.Array, a_vec: np.ndarray, h_vec: np.ndarray) -> pa.Table:
-        return pa.table(
-            {
-                "url": urls_arr,
-                "auth_ppb": pa.array(np.round(a_vec * 1e9).astype(np.int64), pa.int64()),
-                "hub_ppb": pa.array(np.round(h_vec * 1e9).astype(np.int64), pa.int64()),
-            }
-        )
-
-    return ray.data.from_arrow_refs([finish.remote(urls_ref, auth, hub)])
+    return _broadcast_output(urls_ref, auth_ppb=_ppb(auth), hub_ppb=_ppb(hub))
 
 
 def _hits_broadcast(edges_b, n, *, n_iters, per_bucket) -> tuple[np.ndarray, np.ndarray]:
@@ -1346,333 +1313,89 @@ def _hits_broadcast(edges_b, n, *, n_iters, per_bucket) -> tuple[np.ndarray, np.
     return _hits_iterate(n, n_iters, auth_sums, hub_parts, per_bucket)
 
 
-def _drop_markers(t: pa.Table) -> pa.Table:
-    """Score rows without the shuffle-mode HITS bucket-sum markers."""
-    return t.filter(pc.greater_equal(t.column("node_id"), 0))
+def _pin_dst(lo, per_bucket, nb, *parts):
+    """HITS pin-round reduce task for the dst bucket at ``lo``: its
+    in-edges sorted by (src, dst), where each src's run starts, and the
+    runs cut by src bucket."""
+    src, dst = _concat_parts(parts, 2)
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    starts = np.flatnonzero(np.r_[True, np.diff(src) != 0]) if len(src) else np.empty(0, np.int64)
+    run_src = src[starts]
+    return {
+        "lo": lo,
+        "bucket": lo // per_bucket,
+        "dst": dst,
+        "starts": starts,
+        "run_src": run_src,
+        "cuts": _bucket_cuts(run_src, per_bucket, nb),
+    }
 
 
-def _marker_rows(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-    """(node_id, val) of one score block's bucket-sum marker rows."""
-    m = t.filter(pc.less(t.column("node_id"), 0))
-    return (
-        m.column("node_id").to_numpy(zero_copy_only=False),
-        m.column("val").to_numpy(zero_copy_only=False),
-    )
+def _auth_map(pin, hub, div):
+    """HITS authority map task over one src bucket: each out-edge carries
+    its src's normalized hub score (raw slice ÷ the previous L1 total —
+    the reference's single division), cut by dst bucket into
+    (dst, src, value) parts."""
+    v = (hub / div)[pin["src"] - pin["lo"]]
+    return _task_parts(_cut(pin["cuts"], pin["dst"], pin["src"], v))
 
 
-def _hits_shuffle(edges_b, index_ds, *, n, n_iters, per_bucket):
-    """Fully-distributed HITS: score state is sparse (node_id, val) row
-    Datasets (absent rows = 0, matching the reference's zero-init) plus
-    two driver scalars (the L1 totals). Four bucketed exchanges per
-    iteration:
+def _hub_map(pin, auth, div):
+    """HITS hub map task over one dst bucket: per-(src, this bucket)
+    partial sums of normalized authority over the (src, dst)-sorted
+    in-edges — :func:`_block_hub`'s partials — cut by src bucket into
+    (src, bucket, partial) parts."""
+    a = (auth / div)[pin["dst"] - pin["lo"]]
+    sums = np.add.reduceat(a, pin["starts"]) if len(a) else np.empty(0, np.float64)
+    bucket = np.full(len(sums), pin["bucket"], dtype=np.int64)
+    return _task_parts(_cut(pin["cuts"], pin["run_src"], bucket, sums))
 
-    - auth: (A) ``groupby(src_bucket)`` scatters normalized hub onto
-      out-edges; (B) ``groupby(dst_bucket)`` does the per-dst
-      ``reduceat`` AND emits its bucket's dense-slice ``np.sum`` as a
-      marker row (node_id = -1-bucket) — the driver folds ≤O(buckets)
-      markers with ``np.sum`` in bucket order, reproducing
-      :func:`_l1_total` exactly.
-    - hub: (C) ``groupby(dst_bucket)`` scatters normalized auth and
-      emits per-(src, dst_bucket) partials; (D) ``groupby(src_bucket)``
-      folds each src's partials in ascending dst-bucket order (the
-      :func:`_fold_hub_partials` contract) + bucket-sum markers.
 
-    Normalization is applied lazily (raw rows ÷ the driver scalar when
-    a lookup or the final output is built) — the same single IEEE
-    division the reference applies eagerly, so floats are bit-equal.
-    Marker rows stay in the materialized score Datasets; the pads that
-    read them next drop them."""
+def _score_reduce(lo, hi, *parts) -> tuple[np.ndarray, float]:
+    """HITS reduce task for the bucket [lo, hi): (key, tie, value) parts
+    summed per key in (key, tie) order — authority: per dst over srcs;
+    hub: per src over ascending dst buckets (:func:`_fold_hub_partials`)
+    — into the bucket's raw dense slice, plus its ``np.sum`` (the
+    :func:`_l1_total` bucket partial)."""
+    key, tie, val = _concat_parts(parts, 3)
+    dense = np.zeros(hi - lo, dtype=np.float64)
+    if len(key):
+        k, s = _sorted_run_sums(key, tie, val)
+        dense[k - lo] = s
+    return dense, np.sum(dense)
+
+
+def _hits_shuffle_slices(edges, n, *, n_iters, per_bucket):
+    """Shuffle-regime HITS core: pin once (src- and dst-bucket layouts;
+    the initial hub is the uniform 1/n rank0 slice), then per iteration an
+    authority round (:func:`_auth_map` per src bucket) and a hub round
+    (:func:`_hub_map` per dst bucket), each folded by
+    :func:`_score_reduce`. Scores stay raw per-bucket slices; the driver
+    folds each round's O(buckets) bucket sums in bucket order into the
+    :func:`_l1_total` total and passes it to the next round as the
+    divisor, so floats are bit-identical to :func:`hits_reference`.
+    Returns (auth slice refs, auth divisor, hub slice refs, hub divisor);
+    a zero total divides by 1.0, as the reference skips the division."""
     import ray
 
     nb = -(-n // per_bucket)
+    src_pins, dst_pins, [(_, hub)] = _pin_buckets(edges, n, per_bucket, hits=True)
+    auth_step = ray.remote(num_cpus=1)(_auth_map).options(num_returns=nb)
+    hub_step = ray.remote(num_cpus=1)(_hub_map).options(num_returns=nb)
+    fold = ray.remote(num_cpus=1)(_score_reduce).options(num_returns=2)
+    bounds = [(b * per_bucket, min((b + 1) * per_bucket, n)) for b in range(nb)]
 
-    def _score_pad(key_div: str):
-        # score rows (bucket-sum markers dropped) →
-        # (gb = node_id // per_bucket, src_id=-1, dst_id=node_id, c=val)
-        def f(t: pa.Table) -> pa.Table:
-            t = _drop_markers(t)
-            nid = t.column("node_id").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "gb": pa.array((nid // per_bucket).astype(np.int64), pa.int64()),
-                    "src_id": pa.array(np.full(len(nid), -1, np.int64), pa.int64()),
-                    "dst_id": pa.array(nid, pa.int64()),
-                    "c": t.column("val"),
-                }
-            )
+    def half_step(step, pins, scores, div):
+        out = _shuffle_round(step, fold, pins, scores, (div,), bounds)
+        tot = float(np.sum(ray.get([s for _, s in out])))
+        return [d for d, _ in out], tot if tot > 0 else 1.0
 
-        return f
-
-    def _edge_pad(by: str):
-        def f(t: pa.Table) -> pa.Table:
-            key = t.column(by).to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "gb": pa.array((key // per_bucket).astype(np.int64), pa.int64()),
-                    "src_id": t.column("src_id"),
-                    "dst_id": t.column("dst_id"),
-                    "c": pa.array(np.full(len(key), np.nan), pa.float64()),
-                }
-            )
-
-        return f
-
-    markers = ray.remote(num_cpus=1)(_marker_rows)
-
-    def _bucket_totals(score_ds) -> float:
-        """Fold the marker rows (node_id = -1-bucket, val = bucket sum)
-        into the pinned two-level L1 total. ``score_ds`` is materialized:
-        one small task per block reads them, no Dataset job."""
-        parts = np.zeros(nb, dtype=np.float64)
-        for ids, vals in ray.get([markers.remote(b) for b in score_ds.to_arrow_refs()]):
-            parts[-(ids + 1)] = vals
-        return float(np.sum(parts))
-
-    # initial hub: 1/n for every node, tot=1.0 (x/1.0 is bit-exact x);
-    # read once, by the first auth exchange, so it is left lazy (index_ds
-    # already holds nb blocks)
-    h0 = 1.0 / n
-    hub_ds = index_ds.map_batches(
-        lambda t: pa.table(
-            {
-                "node_id": t.column("node_id"),
-                "val": pa.array(np.full(t.num_rows, h0), pa.float64()),
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    tot_h = 1.0
-    auth_ds = None
-    tot_a = 1.0
-
+    auth, div_a, div_h = None, 1.0, 1.0  # x / 1.0 is bit-exact x
     for _ in range(n_iters):
-        # ---- auth update -------------------------------------------------
-        div_h = tot_h if tot_h > 0 else 1.0
-
-        def scatter_hub(g: pa.Table, _div=div_h) -> pa.Table:
-            src = g.column("src_id").to_numpy(zero_copy_only=False)
-            dst = g.column("dst_id").to_numpy(zero_copy_only=False)
-            c = g.column("c").to_numpy(zero_copy_only=False)
-            is_score = src < 0
-            b = int(g.column("gb")[0].as_py())
-            lo = b * per_bucket
-            hi = min(lo + per_bucket, n)
-            lookup = np.zeros(hi - lo, dtype=np.float64)
-            lookup[dst[is_score] - lo] = c[is_score] / _div
-            e_src = src[~is_score]
-            e_dst = dst[~is_score]
-            return pa.table(
-                {
-                    "gb": pa.array((e_dst // per_bucket).astype(np.int64), pa.int64()),
-                    "dst_id": pa.array(e_dst, pa.int64()),
-                    "src_id": pa.array(e_src, pa.int64()),
-                    "c": pa.array(lookup[e_src - lo], pa.float64()),
-                }
-            )
-
-        def reduce_auth(g: pa.Table) -> pa.Table:
-            dst = g.column("dst_id").to_numpy(zero_copy_only=False)
-            src = g.column("src_id").to_numpy(zero_copy_only=False)
-            c = g.column("c").to_numpy(zero_copy_only=False)
-            b = int(g.column("gb")[0].as_py())
-            lo = b * per_bucket
-            hi = min(lo + per_bucket, n)
-            order = np.lexsort((src, dst))
-            dst = dst[order]
-            c = c[order]
-            starts = np.flatnonzero(np.r_[True, np.diff(dst) != 0])
-            sums = np.add.reduceat(c, starts)
-            dense = np.zeros(hi - lo, dtype=np.float64)
-            dense[dst[starts] - lo] = sums
-            bsum = np.sum(dense)
-            return pa.table(
-                {
-                    "node_id": pa.array(
-                        np.r_[dst[starts], np.int64(-1 - b)], pa.int64()
-                    ),
-                    "val": pa.array(np.r_[sums, bsum], pa.float64()),
-                }
-            )
-
-        auth_ds = (
-            hub_ds.map_batches(
-                _score_pad("src"), batch_format="pyarrow", zero_copy_batch=True
-            )
-            .union(
-                edges_b.map_batches(
-                    _edge_pad("src_id"), batch_format="pyarrow", zero_copy_batch=True
-                )
-            )
-            .groupby("gb")
-            .map_groups(scatter_hub, batch_format="pyarrow")
-            .groupby("gb")
-            .map_groups(reduce_auth, batch_format="pyarrow")
-            # pin to O(buckets) blocks so the next exchange's Sort (whose
-            # output-partition count and driver metadata track input block
-            # count) cannot compound across iterations
-            .repartition(nb, shuffle=False)
-            .materialize()
-        )
-        tot_a = _bucket_totals(auth_ds)
-
-        # ---- hub update ----------------------------------------------------
-        div_a = tot_a if tot_a > 0 else 1.0
-
-        def scatter_auth(g: pa.Table, _div=div_a) -> pa.Table:
-            src = g.column("src_id").to_numpy(zero_copy_only=False)
-            dst = g.column("dst_id").to_numpy(zero_copy_only=False)
-            c = g.column("c").to_numpy(zero_copy_only=False)
-            is_score = src < 0
-            b = int(g.column("gb")[0].as_py())
-            lo = b * per_bucket
-            hi = min(lo + per_bucket, n)
-            lookup = np.zeros(hi - lo, dtype=np.float64)
-            lookup[dst[is_score] - lo] = c[is_score] / _div
-            e_src = src[~is_score]
-            e_dst = dst[~is_score]
-            # per-(src, THIS dst bucket) partials: (src, dst)-sorted reduceat
-            if len(e_src) == 0:
-                return pa.table(
-                    {
-                        "gb": pa.array([], pa.int64()),
-                        "src_id": pa.array([], pa.int64()),
-                        "db": pa.array([], pa.int64()),
-                        "part": pa.array([], pa.float64()),
-                    }
-                )
-            order = np.lexsort((e_dst, e_src))
-            e_src = e_src[order]
-            e_dst = e_dst[order]
-            vals = lookup[e_dst - lo]
-            starts = np.flatnonzero(np.r_[True, np.diff(e_src) != 0])
-            parts = np.add.reduceat(vals, starts)
-            srcs = e_src[starts]
-            return pa.table(
-                {
-                    "gb": pa.array((srcs // per_bucket).astype(np.int64), pa.int64()),
-                    "src_id": pa.array(srcs, pa.int64()),
-                    "db": pa.array(np.full(len(srcs), b, np.int64), pa.int64()),
-                    "part": pa.array(parts, pa.float64()),
-                }
-            )
-
-        def fold_hub(g: pa.Table) -> pa.Table:
-            srcs = g.column("src_id").to_numpy(zero_copy_only=False)
-            dbs = g.column("db").to_numpy(zero_copy_only=False)
-            parts = g.column("part").to_numpy(zero_copy_only=False)
-            b = int(g.column("gb")[0].as_py())
-            lo = b * per_bucket
-            hi = min(lo + per_bucket, n)
-            order = np.lexsort((dbs, srcs))
-            s_sorted = srcs[order]
-            p_sorted = parts[order]
-            starts = np.flatnonzero(np.r_[True, np.diff(s_sorted) != 0])
-            sums = np.add.reduceat(p_sorted, starts)
-            dense = np.zeros(hi - lo, dtype=np.float64)
-            dense[s_sorted[starts] - lo] = sums
-            bsum = np.sum(dense)
-            return pa.table(
-                {
-                    "node_id": pa.array(
-                        np.r_[s_sorted[starts], np.int64(-1 - b)], pa.int64()
-                    ),
-                    "val": pa.array(np.r_[sums, bsum], pa.float64()),
-                }
-            )
-
-        hub_ds = (
-            auth_ds.map_batches(
-                _score_pad("dst"), batch_format="pyarrow", zero_copy_batch=True
-            )
-            .union(
-                edges_b.map_batches(
-                    _edge_pad("dst_id"), batch_format="pyarrow", zero_copy_batch=True
-                )
-            )
-            .groupby("gb")
-            .map_groups(scatter_auth, batch_format="pyarrow")
-            .groupby("gb")
-            .map_groups(fold_hub, batch_format="pyarrow")
-            .repartition(nb, shuffle=False)
-            .materialize()
-        )
-        tot_h = _bucket_totals(hub_ds)
-
-    # ---- finish: dense (url, auth_ppb, hub_ppb) per bucket ----------------
-    div_a = tot_a if tot_a > 0 else 1.0
-    div_h = tot_h if tot_h > 0 else 1.0
-
-    def pad_score(which: str):
-        def f(t: pa.Table) -> pa.Table:
-            t = _drop_markers(t)
-            nid = t.column("node_id").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "db": pa.array((nid // per_bucket).astype(np.int64), pa.int64()),
-                    "node_id": t.column("node_id"),
-                    "val": t.column("val"),
-                    "which": pa.array([which] * len(nid), pa.string()),
-                    "url": pa.array([None] * len(nid), pa.string()),
-                }
-            )
-
-        return f
-
-    def pad_idx(t: pa.Table) -> pa.Table:
-        nid = t.column("node_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "db": pa.array((nid // per_bucket).astype(np.int64), pa.int64()),
-                "node_id": t.column("node_id"),
-                "val": pa.array(np.full(len(nid), np.nan), pa.float64()),
-                "which": pa.array(["u"] * len(nid), pa.string()),
-                "url": t.column("url"),
-            }
-        )
-
-    def fin_group(g: pa.Table) -> pa.Table:
-        nid = g.column("node_id").to_numpy(zero_copy_only=False)
-        which = g.column("which").to_pylist()
-        val = g.column("val").to_numpy(zero_copy_only=False)
-        b = int(g.column("db")[0].as_py())
-        lo = b * per_bucket
-        hi = min(lo + per_bucket, n)
-        urls = np.empty(hi - lo, dtype=object)
-        a_dense = np.zeros(hi - lo, dtype=np.float64)
-        h_dense = np.zeros(hi - lo, dtype=np.float64)
-        w = np.asarray(which, dtype=object)
-        is_u = w == "u"
-        is_a = w == "a"
-        is_h = w == "h"
-        urls[nid[is_u] - lo] = np.asarray(
-            g.filter(pa.array(is_u)).column("url").to_pylist(), dtype=object
-        )
-        a_dense[nid[is_a] - lo] = val[is_a]
-        h_dense[nid[is_h] - lo] = val[is_h]
-        a_norm = a_dense / div_a
-        h_norm = h_dense / div_h
-        return pa.table(
-            {
-                "url": pa.array(urls.tolist(), pa.string()),
-                "auth_ppb": pa.array(
-                    np.round(a_norm * 1e9).astype(np.int64), pa.int64()
-                ),
-                "hub_ppb": pa.array(
-                    np.round(h_norm * 1e9).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
-    return (
-        auth_ds.map_batches(pad_score("a"), batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            hub_ds.map_batches(pad_score("h"), batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .union(index_ds.map_batches(pad_idx, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("db")
-        .map_groups(fin_group, batch_format="pyarrow")
-    )
+        auth, div_a = half_step(auth_step, src_pins, hub, div_h)
+        hub, div_h = half_step(hub_step, dst_pins, auth, div_a)
+    return auth, div_a, hub, div_h
 
 
 def hits_reference(
@@ -3130,9 +2853,9 @@ def weighted_pagerank(
 
     Both regimes of the unweighted engine apply, picked by node count:
     broadcast (≤ ``SHUFFLE_MODE_NODES``: sorted node array folded into
-    the object store, edge shards pinned in an actor pool, weights ride
-    the blocks) and shuffle (the two-exchange-per-iteration Dataset
-    formulation with the weight folded into the contribution slot).
+    the object store, edge blocks pinned there, weights ride the blocks)
+    and shuffle (per-bucket edge slices pinned, map/reduce task rounds,
+    the weight riding each pinned out-edge).
     Ranks are bit-identical across regimes and to
     :func:`weighted_pagerank_reference` — the shared ``_contrib_sums``
     primitive computes ``(rank·inv)·w`` in pinned order.
@@ -3142,9 +2865,6 @@ def weighted_pagerank(
     config-sized trusted-host list): restart mass 1/|S| on seeds, 0
     elsewhere; every seed must be an edge endpoint.
     """
-    import ray
-    import ray.data
-
     if seed_urls is not None and not seed_urls:
         raise ValueError("seed_urls must be non-empty when given")
     prep = _weighted_prepared(
@@ -3156,26 +2876,17 @@ def weighted_pagerank(
         n_buckets=n_buckets,
     )
     if prep is None:
-        return ray.data.from_arrow(
-            pa.table(
-                {"url": pa.array([], pa.string()), "rank_ppb": pa.array([], pa.int64())}
-            )
-        )
+        return _empty_scores("rank_ppb")
 
     if prep["mode"] == "shuffle":
-        teleport = (
-            None
-            if seed_urls is None
-            else _shuffle_teleport(prep["index_ds"], seed_urls)
-        )
-        return _pagerank_shuffle(
-            prep["edges_b"],
+        return _shuffle_rank_loop(
+            prep["edges"],
             prep["index_ds"],
-            n=prep["n"],
+            prep["n"],
             n_iters=n_iters,
             damping=damping,
             per_bucket=prep["per_bucket"],
-            teleport=teleport,
+            seeds=None if seed_urls is None else _shuffle_teleport(prep["index_ds"], seed_urls),
             weighted=True,
         )
 
@@ -3223,29 +2934,17 @@ def _weighted_prepared(
     n = nodes.count()
     if n == 0:
         return None
-    if mode == "auto":
-        mode = "shuffle" if n > SHUFFLE_MODE_NODES else "broadcast"
-    if mode not in ("broadcast", "shuffle"):
-        raise ValueError(f"mode must be 'auto', 'broadcast' or 'shuffle', got {mode!r}")
-    if n_buckets is None:
-        per_bucket = _graph_buckets(n)
-    else:
-        per_bucket = max(1, -(-n // n_buckets))
+    mode, per_bucket = _rank_regime(n, mode, n_buckets)
 
     if mode == "shuffle":
         nb = -(-n // per_bucket)
         index_ds = node_index(nodes)[0].repartition(nb, shuffle=False).materialize()
-        edges_b = (
-            _edge_ids_shuffle(pairs, index_ds, per_bucket=per_bucket, weighted=True)
-            .repartition(nb, shuffle=False)
-            .materialize()
-        )
         return {
             "mode": mode,
             "n": n,
             "per_bucket": per_bucket,
             "index_ds": index_ds,
-            "edges_b": edges_b,
+            "edges": _edge_id_pairs(pairs, index_ds, weighted=True).materialize(),
         }
 
     urls_ref = _sorted_urls_ref(nodes)
@@ -3259,23 +2958,35 @@ def _weighted_prepared(
     }
 
 
+def _seed_ids(t: pa.Table, seeds: list[str]) -> np.ndarray:
+    """Node ids of the seed urls found in one node-index block."""
+    hit = t.filter(pc.is_in(t.column("url"), value_set=pa.array(seeds, pa.string())))
+    return hit.column("node_id").to_numpy(zero_copy_only=False).astype(np.int64)
+
+
 def _shuffle_teleport(index_ds, seed_urls: list[str]):
-    """(seed-id ObjectRef, |seeds|) for the shuffle regime: seed ids come
-    from a filtered pass over the node index — ≤ |seed_urls| rows reach
-    the driver (seed lists are config-sized)."""
+    """Seed-id ObjectRef for the shuffle regime: one small task per block
+    of the materialized node index finds the seeds' ids, so no Dataset job
+    runs and ≤ |seed_urls| ids reach the driver (seed lists are
+    config-sized)."""
     import ray
 
     ss = sorted(set(seed_urls))
-    seeds_arr = pa.array(ss, pa.string())
-    id_rows = index_ds.map_batches(
-        lambda t, _sa=seeds_arr: t.filter(pc.is_in(t.column("url"), value_set=_sa)),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).take_all()
-    ids = np.sort(np.array([r["node_id"] for r in id_rows], dtype=np.int64))
+    find = ray.remote(num_cpus=1)(_seed_ids)
+    found = ray.get([find.remote(b, ss) for b in index_ds.to_arrow_refs()])
+    ids = np.sort(np.concatenate([np.empty(0, np.int64), *found]))
     if len(ids) != len(ss):
         raise ValueError("seed_urls not all present in the node set")
-    return (ray.put(ids), len(ids))
+    return ray.put(ids)
+
+
+def _seed_positions(urls_arr: pa.Array, seeds: list[str]) -> np.ndarray:
+    """Positions of the seed urls in the shared sorted node array."""
+    pos = pc.index_in(pa.array(seeds, pa.string()), value_set=urls_arr)
+    if pos.null_count:
+        missing = [s for s, p in zip(seeds, pos.to_pylist()) if p is None]
+        raise ValueError(f"seed_urls not in node set: {missing[:3]}")
+    return pos.to_numpy(zero_copy_only=False).astype(np.int64)
 
 
 def _teleport_vectors(n: int, damping: float, urls_ref, seed_urls):
@@ -3284,26 +2995,12 @@ def _teleport_vectors(n: int, damping: float, urls_ref, seed_urls):
     resolved against the shared sorted node array in a remote task."""
     import ray
 
-    if seed_urls is None:
-        return {
-            "base_vec": np.full(n, (1.0 - damping) / n, dtype=np.float64),
-            "rank0_vec": np.full(n, 1.0 / n, dtype=np.float64),
-        }
-
-    @ray.remote(num_cpus=1)
-    def _seed_pos(urls_arr: pa.Array, seeds: list[str]) -> np.ndarray:
-        pos = pc.index_in(pa.array(seeds, pa.string()), value_set=urls_arr)
-        if pos.null_count:
-            missing = [s for s, p in zip(seeds, pos.to_pylist()) if p is None]
-            raise ValueError(f"seed_urls not in node set: {missing[:3]}")
-        return pos.to_numpy(zero_copy_only=False).astype(np.int64)
-
-    pos = ray.get(_seed_pos.remote(urls_ref, sorted(set(seed_urls))))
-    rank0_vec = np.zeros(n, dtype=np.float64)
-    rank0_vec[pos] = 1.0 / len(pos)
-    base_vec = np.zeros(n, dtype=np.float64)
-    base_vec[pos] = (1.0 - damping) / len(pos)
-    return {"base_vec": base_vec, "rank0_vec": rank0_vec}
+    pos = None
+    if seed_urls is not None:
+        find = ray.remote(num_cpus=1)(_seed_positions)
+        pos = ray.get(find.remote(urls_ref, sorted(set(seed_urls))))
+    base, rank0 = _teleport_slices(0, n, n, damping, pos)
+    return {"base_vec": base, "rank0_vec": rank0}
 
 
 def weighted_spam_mass(
@@ -3321,14 +3018,13 @@ def weighted_spam_mass(
     """Spam mass over a weighted edge list in ONE prepared pass →
     (url, spam_mass_ppb): the uniform and seed-personalized ranks share
     the graph preparation (node derivation, identity/bucketing
-    exchanges) and — in the broadcast regime — the same pinned edge-shard
-    actor pool, so the capstone costs one graph build plus two cheap
-    iteration sweeps instead of two full rank jobs. Ranks and the
-    integer mass rule are bit-identical to composing
-    :func:`weighted_pagerank` × 2 + :func:`spam_mass` (the broadcast
-    fast path computes the mass driver-side on the two O(n≤
-    SHUFFLE_MODE_NODES) vectors instead of a join; the shuffle regime
-    keeps the node-sized hash join)."""
+    exchanges) and, in either regime, one pin of the edges, so the
+    capstone costs one graph build plus two cheap iteration sweeps
+    instead of two full rank jobs. Ranks and the integer mass rule are
+    bit-identical to composing :func:`weighted_pagerank` × 2 +
+    :func:`spam_mass`, without its join: the broadcast regime applies the
+    rule driver-side to the two O(n≤SHUFFLE_MODE_NODES) vectors, the
+    shuffle regime per bucket to the two rank slices."""
     import ray
     import ray.data
 
@@ -3343,29 +3039,22 @@ def weighted_spam_mass(
         n_buckets=n_buckets,
     )
     if prep is None:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "url": pa.array([], pa.string()),
-                    "spam_mass_ppb": pa.array([], pa.int64()),
-                }
-            )
-        )
+        return _empty_scores("spam_mass_ppb")
 
     if prep["mode"] == "shuffle":
-        teleport = _shuffle_teleport(prep["index_ds"], seed_urls)
-        common = dict(
-            n=prep["n"],
+        per_bucket = prep["per_bucket"]
+        pr, tr = _shuffle_rank_slices(
+            prep["edges"],
+            prep["n"],
             n_iters=n_iters,
             damping=damping,
-            per_bucket=prep["per_bucket"],
+            teleports=[None, _shuffle_teleport(prep["index_ds"], seed_urls)],
+            per_bucket=per_bucket,
             weighted=True,
         )
-        pr = _pagerank_shuffle(prep["edges_b"], prep["index_ds"], **common)
-        tr = _pagerank_shuffle(
-            prep["edges_b"], prep["index_ds"], teleport=teleport, **common
-        )
-        return spam_mass(pr, tr)
+        mass = ray.remote(num_cpus=1)(_mass_block)
+        blocks = [mass.remote(b * per_bucket, p, t) for b, (p, t) in enumerate(zip(pr, tr))]
+        return _attach_urls(blocks, prep["index_ds"], per_bucket, ("spam_mass_ppb",))
 
     n = prep["n"]
     uniform = _teleport_vectors(n, damping, prep["urls_ref"], None)
@@ -3381,22 +3070,30 @@ def weighted_spam_mass(
         ],
         per_bucket=prep["per_bucket"],
     )
-    # ppb quantization first (the rank contract), then the integer rule —
-    # identical to spam_mass() over the two finished rank tables
-    pr_ppb = np.round(pr_vec * 1e9).astype(np.int64)
-    tr_ppb = np.round(tr_vec * 1e9).astype(np.int64)
+    return _broadcast_output(prep["urls_ref"], spam_mass_ppb=_mass_rule(pr_vec, tr_vec))
+
+
+def _mass_rule(pr_vec: np.ndarray, tr_vec: np.ndarray) -> np.ndarray:
+    """Spam mass from the uniform and seeded rank vectors (or bucket
+    slices): ppb quantization first (the rank contract), then the integer
+    rule — identical to :func:`spam_mass` over the two finished rank
+    tables."""
+    pr_ppb, tr_ppb = _ppb(pr_vec), _ppb(tr_vec)
     num = np.maximum(pr_ppb - tr_ppb, 0) * np.int64(1_000_000_000)
-    out = np.zeros(n, dtype=np.int64)
+    out = np.zeros(len(pr_ppb), dtype=np.int64)
     nz = pr_ppb > 0
     out[nz] = num[nz] // pr_ppb[nz]
+    return out
 
-    @ray.remote(num_cpus=1)
-    def finish(urls_arr: pa.Array, mass_vec: np.ndarray) -> pa.Table:
-        return pa.table(
-            {"url": urls_arr, "spam_mass_ppb": pa.array(mass_vec, pa.int64())}
-        )
 
-    return ray.data.from_arrow_refs([finish.remote(prep["urls_ref"], out)])
+def _mass_block(lo: int, pr: np.ndarray, tr: np.ndarray) -> pa.Table:
+    """One bucket's (node_id, spam_mass_ppb) rows from its two rank slices."""
+    return pa.table(
+        {
+            "node_id": pa.array(np.arange(lo, lo + len(pr), dtype=np.int64)),
+            "spam_mass_ppb": pa.array(_mass_rule(pr, tr), pa.int64()),
+        }
+    )
 
 
 def weighted_pagerank_reference(

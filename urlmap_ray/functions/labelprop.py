@@ -318,8 +318,9 @@ def _lpa_shuffle(edges_b, index_ds, *, n, n_iters, per_bucket):
             .union(labels_ds.map_batches(old_pad, batch_format="pyarrow", zero_copy_batch=True))
             .groupby("db")
             .map_groups(reduce_group, batch_format="pyarrow")
-            # pin block count: each Sort sizes its output from input blocks
-            # (see the same note in graph._pagerank_shuffle)
+            # pin block count: each Sort sizes its output partitions (and
+            # the driver's shuffle metadata) from its input block count, so
+            # without this the count compounds from round to round
             .repartition(nb, shuffle=False)
             .materialize()
         )

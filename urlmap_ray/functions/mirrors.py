@@ -294,11 +294,14 @@ def mirror_hosts(
     # dominate wall time at test scale, and at 100 TB host cardinality
     # (~10^7) still sits under the bound. Above the bound the shuffle
     # attach below is unchanged (the graph.py membership-regime split).
-    if sizes_ds.count() <= broadcast_max_size_rows:
+    # one collect, capped one row past the bound, decides the regime and
+    # (under the bound) is the table — never an unbounded driver collect
+    size_rows = sizes_ds.limit(broadcast_max_size_rows + 1).take_all()
+    if len(size_rows) <= broadcast_max_size_rows:
         import ray as _ray
 
         folded_sizes: dict[str, int] = {}
-        for r in sizes_ds.take_all():  # bounded by the regime test above
+        for r in size_rows:
             folded_sizes[r["host"]] = folded_sizes.get(r["host"], 0) + int(
                 r["n_part"]
             )

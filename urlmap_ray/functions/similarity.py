@@ -177,7 +177,8 @@ def topk_cosine_ivf(
     train = ds.limit(sample_rows).take_all()
     sample = np.asarray([r[emb_col] for r in train], dtype=np.float64)
     cent = _kmeans_cosine(sample, n_centroids, seed=seed)
-    a = max(1, min(assign_cells, n_centroids))
+    # a sample smaller than n_centroids trains fewer cells
+    a = max(1, min(assign_cells, len(cent)))
 
     q = _unit(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
     probe_cells = np.argsort(-(q @ cent.T), axis=1)[:, :nprobe]
