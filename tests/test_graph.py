@@ -296,12 +296,10 @@ def test_rank_refuses_a_bucket_split_across_blocks(ray_session, corpus, truth):
 
 
 def _id_edges(urls, links, weighted=False):
-    """The corpus link graph as one (src_id, dst_id[, w]) table over the
-    sorted node ids, plus n; ``weighted`` gives each edge a weight 1..3
-    and returns the (src, dst, w) url triples for the weighted reference,
-    whose node set is the edge endpoints."""
-    import pyarrow as pa
-
+    """The corpus link graph as (one (src_id, dst_id[, w]) table over the
+    sorted node ids, the node urls, the (src, dst, w) url triples). Each
+    edge weighs 1..3; ``weighted`` adds the ``w`` column and takes the
+    edge endpoints as the node set, as the weighted reference does."""
     node_set = set(urls)
     pairs = sorted({(u, v) for u, vs in links.items() for v in vs if v in node_set and v != u})
     nodes = sorted({x for p in pairs for x in p}) if weighted else sorted(urls)
@@ -316,7 +314,7 @@ def _id_edges(urls, links, weighted=False):
     return pa.table(cols), nodes, triples
 
 
-def _shuffle_layouts(t, per_bucket, n):
+def _shuffle_layouts(t, per_bucket):
     """The same id-mapped edges in the block layouts the shuffle kernel
     must not care about."""
     import numpy as np
@@ -384,8 +382,8 @@ def test_shuffle_kernel_any_layout_and_bucket_count(ray_session, corpus, truth):
 
     per_bucket = gr._graph_buckets(n)
     w_per_bucket = gr._graph_buckets(len(w_nodes))
-    w_layouts = _shuffle_layouts(wt, w_per_bucket, len(w_nodes))
-    for name, edges_ds in _shuffle_layouts(t, per_bucket, n).items():
+    w_layouts = _shuffle_layouts(wt, w_per_bucket)
+    for name, edges_ds in _shuffle_layouts(t, per_bucket).items():
         assert ranks(edges_ds, n, per_bucket) == exp_pr, name
         assert hits_rows(edges_ds, n, per_bucket) == exp_h, name
         assert ranks(w_layouts[name], len(w_nodes), w_per_bucket, True) == exp_w, name
