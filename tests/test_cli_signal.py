@@ -30,7 +30,7 @@ def small_corpus(tmp_path_factory):
 
 
 def _cli(info, ck, *extra):
-    env = dict(os.environ, URLMAP_STATS="1", PYTHONPATH=REPO, PYTHONUNBUFFERED="1")
+    env = dict(os.environ, PYTHONPATH=REPO, PYTHONUNBUFFERED="1")
     return subprocess.Popen(
         [
             sys.executable,

@@ -9,6 +9,7 @@ per-row byte-identical text invariant.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 
@@ -234,12 +235,55 @@ def test_driver_side_crawl_never_distributes(
 
 
 def test_wave_stats_consistency(ray_session, corpus_info, corpus_dict, tmp_path):
-    eng = _engine(ray_session, corpus_info, CrawlConfig(), str(tmp_path / "ck"))
+    ck = str(tmp_path / "ck")
+    eng = _engine(ray_session, corpus_info, CrawlConfig(), ck)
     out = eng.crawl(corpus_info.seeds[0])
     oracle = crawl_sequential(corpus_dict, corpus_info.seeds[0])
     assert out.total_results == len(oracle.results)
     failed = sum(w.failed for w in out.waves)
     assert failed == sum(1 for r in oracle.results if r.status != 200)
+    # The step seconds cover the wave: plan + execute + finalize lie inside
+    # ``seconds``, and the seen checkpoint is timed after it.
+    steps = {"plan", "execute", "finalize", "checkpoint"}
+    assert all(set(w.stages) == steps for w in out.waves)
+    staged = sum(sum(w.stages.values()) for w in out.waves)
+    total = sum(w.seconds + w.stages["checkpoint"] for w in out.waves)
+    assert 0.9 * total <= staged <= total
+    # They reach the manifests, and manifests written without them restore.
+    manifests = [os.path.join(ck, f"wave-{w.wave:04d}", "manifest.json") for w in out.waves]
+    for path, w in zip(manifests, out.waves):
+        with open(path) as f:
+            m = json.load(f)
+        assert m["stats"]["stages"] == w.stages
+        del m["stats"]["stages"]
+        with open(path, "w") as f:
+            json.dump(m, f)
+    resumed = _engine(ray_session, corpus_info, CrawlConfig(), ck).crawl(
+        corpus_info.seeds[0], resume=True
+    )
+    assert len(resumed.waves) == len(out.waves)
+    assert all(w.stages == {} for w in resumed.waves)
+
+
+def test_driver_side_waves_record_stage_spans(ray_session, corpus_info, tmp_path):
+    """In-process counterpart of perfbench's worker-side span test: with
+    every wave folded in the driver, the traced stage functions record their
+    spans in the driver process. A stage function bound before the tracer
+    patched the module would record nothing."""
+    from perfbench import trace
+
+    trace_dir = str(tmp_path / "trace")
+    os.makedirs(trace_dir)
+    cfg = CrawlConfig(per_host_budget=20, respect_robots=True)
+    uninstall = trace.install(trace.Recorder(trace_dir))
+    try:
+        eng = _engine(ray_session, corpus_info, cfg, str(tmp_path / "ck"), wave_seconds=1e9)
+        out = eng.crawl(corpus_info.seeds[0])
+    finally:
+        uninstall()
+    assert {w.mode for w in out.waves} == {"local"}
+    driver = {s["name"] for s in trace.load_spans(trace_dir) if s["pid"] == os.getpid()}
+    assert {"gate", "fetch", "extract", "flatten", "claim"} <= driver
 
 
 def test_multi_seed(ray_session, corpus_info, corpus_dict, tmp_path):
@@ -452,23 +496,39 @@ def test_transient_oracles_agree(transient_dict, transient_info):
     assert exhausted and recovered
 
 
-@pytest.mark.parametrize("small_wave_rows", [1000, 0])
-def test_transient_engine_matches_oracle(
-    ray_session, transient_info, transient_dict, tmp_path, small_wave_rows
-):
+@pytest.fixture(scope="module")
+def transient_info_1600(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus_transient_1600")
+    return generate_corpus(str(out), 1600, transient_rate=0.10)
+
+
+@pytest.mark.parametrize(
+    "corpus,small_wave_rows",
+    [
+        pytest.param("transient_info", 1000, id="1000"),
+        pytest.param("transient_info", 0, id="0"),
+        # Retries re-enter the frontier at their original depth, so Ray waves
+        # mix depths; at this size some URLs are proposed by two blocks at
+        # different depths, and only the wave min-depth groupby keeps the
+        # oracle's (claim order alone leaves them one or two levels deeper).
+        pytest.param("transient_info_1600", 0, id="0-1600"),
+    ],
+)
+def test_transient_engine_matches_oracle(ray_session, request, tmp_path, corpus, small_wave_rows):
     """Engine (driver-local and distributed paths) reproduces the wave
     oracle exactly on a flaky corpus: same visited set, per-URL depth,
     final status AND final attempt count."""
+    info = request.getfixturevalue(corpus)
     cfg = CrawlConfig()
-    oracle = crawl_waves(transient_dict, transient_info.seeds[0], cfg)
+    oracle = crawl_waves(load_corpus_dict(info.pages_path), info.seeds[0], cfg)
     eng = _engine(
         ray_session,
-        transient_info,
+        info,
         cfg,
         str(tmp_path / f"ck{small_wave_rows}"),
         small_wave_rows=small_wave_rows,
     )
-    out = eng.crawl(transient_info.seeds[0])
+    out = eng.crawl(info.seeds[0])
     got = {
         r["url"]: (r["depth"], r["status"], r["attempt"])
         for r in eng.visited_dataset(with_attempt=True).take_all()

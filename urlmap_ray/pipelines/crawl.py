@@ -1,29 +1,35 @@
 """The crawl engine: BFS waves as iterative Ray Data passes.
 
-One wave (cf. SURVEY.md §3 E1 restatement; reference loop crawler.go:481-551):
+One wave (cf. SURVEY.md §3 E1 restatement; reference loop crawler.go:481-551)
+is three steps of ``CrawlEngine._run_wave``, the only wave method:
 
-    frontier_d (Parquet, url/depth/host/bucket)
-      → politeness gate   row-local (no budget) / driver-side or bucketed
-                          groupby(hash(key)).map_groups (budget)   [A2-A3]
-      → corpus fetch      map_batches(fetch_batch)               [selective bucket read]
-      → link extraction   map_batches(extract_links_batch)       [zero-copy Arrow]
-      → results_d         deterministic per-block side-effect write
-      → candidates        map_batches(flatten_candidates)        [admission filter M5]
-      → wave dedup        groupby(url).min(depth)  [G1 — only when depths mix]
-      → seen claim        map_batches(claim_batch → SeenSet)     [A1 LoadOrStore]
-      → frontier_{d+1}    (∪ deferred) write_parquet checkpoint
+    frontier_d (Parquet, url/depth/host/bucket/attempt)
+    plan      politeness gate    driver-side, or above driver_sort_limit a
+                                 row-local map_batches (no budget) / bucketed
+                                 groupby(hash(key)).map_groups (budget) [A2-A3]
+              cluster            admitted rows sorted by (bucket, url)
+    execute   corpus fetch       fetch_batch               [selective bucket read]
+              link extraction    extract_links_batch       [zero-copy Arrow]
+              results_d          deterministic per-block write (part-<md5>)
+              candidates         flatten_candidates        [admission filter M5]
+              wave dedup         groupby(url).min(depth)   [G1 — when depths mix]
+              seen claim         claim_batch → SeenSet     [A1 LoadOrStore]
+    finalize  one scan of results_d: verdict tally, and the defer and retry
+              rows (retries at attempt+1, same depth) carried into frontier_{d+1}
 
-Physical strategies (see SURVEY.md §3): the no-budget fast path fuses the
-whole wave into ONE shuffle-free streaming execution; budgeted waves under
-``driver_sort_limit`` rows gate + sort driver-side then run the same fused
-chain (_run_wave_budget_hybrid); larger budgeted frontiers use the fully
-distributed bucketed-groupby + sort path. All bulk data streams through
-Datasets with backpressure. Waves smaller than ``small_wave_rows`` run the
-*same pure stage functions* driver-side (pyarrow only) — the BFS head and
-tail are a handful of rows and don't justify distributed scheduling
-overhead; the artifacts written are byte-compatible either way, so resume
-and output don't care which path produced a wave. At 10^10-URL scale every
-interesting wave takes the distributed path.
+Plan gates frontiers of at most ``driver_sort_limit`` rows in the driver (pure
+pyarrow) and writes the non-admitted rows' results there; bigger frontiers are
+gated and sorted as a Dataset. Execute runs one stage list two ways: folded
+in-process over the Arrow table when the wave admits at most
+``small_wave_rows`` rows (the BFS head and tail and a budget crawl's drain
+waves: too few rows to pay for distributed scheduling; ``WaveStats.mode``
+"local"), otherwise as chained ``map_batches`` over the sorted rows (mode
+"ray"). Same stage functions, same artifacts, so resume and output don't care
+which route produced a wave. Deferred and retried rows re-enter at their own
+depth, so a frontier can mix depths; the fold sees the whole wave in one
+batch, and the Dataset route runs the wave min-depth groupby whenever the
+admitted depths mix (always above ``driver_sort_limit``, where the driver does
+not see them). Each step's seconds land in ``WaveStats.stages``.
 
 Every wave checkpoints frontier, results and seen-set delta as Parquet with
 a lineage manifest, written last and atomically (temp file + rename), so a
@@ -52,7 +58,9 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import threading
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -72,8 +80,6 @@ from ..stages.links import claim_batch, flatten_candidates, frontier_columns
 from ..stages.politeness import PolitenessGate, gate_group, gate_rows
 from ..urlnorm import URLError, is_valid_url, normalize_url
 
-RESULTS_COLS = ["url", "depth", "attempt", "host", "bucket", "verdict", "status", "links"]
-
 
 @dataclass
 class WaveStats:
@@ -92,6 +98,10 @@ class WaveStats:
     retried: int = 0
     seconds: float = 0.0
     mode: str = "ray"
+    #: wall seconds of the wave's steps: "plan", "execute" and "finalize"
+    #: (together nearly all of ``seconds``) and "checkpoint", the seen-journal
+    #: write that follows ``seconds``
+    stages: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -114,10 +124,7 @@ class CrawlOutcome:
 
 
 def _count_rows(path: str) -> int:
-    files = _files(path)
-    if not files:
-        return 0
-    return sum(pq.read_metadata(f).num_rows for f in files)
+    return sum(pq.read_metadata(f).num_rows for f in _files(path))
 
 
 class _WaveTicker:
@@ -166,8 +173,6 @@ class _WaveTicker:
 
     def __enter__(self):
         if self.emit is not None:
-            import threading
-
             self._stop = threading.Event()
             self._thread = threading.Thread(
                 target=self._run, args=(time.time(),), daemon=True
@@ -253,7 +258,7 @@ class CrawlEngine:
         return self.cfg.respect_robots or self.cfg.per_host_budget is not None
 
     def _gate_kwargs(self) -> dict:
-        return dict(
+        kw = dict(
             user_agent=self.cfg.user_agent,
             per_host_budget=self.cfg.per_host_budget,
             respect_robots=self.cfg.respect_robots,
@@ -261,9 +266,6 @@ class CrawlEngine:
             wave_seconds=self.wave_seconds,
             priority=self.cfg.priority,
         )
-
-    def _salted_gate_kwargs(self) -> dict:
-        kw = self._gate_kwargs()
         k = self.cfg.hot_host_salt
         if k > 0:
             if kw["per_host_budget"] is not None:
@@ -328,19 +330,9 @@ class CrawlEngine:
                 wdir = self._wave_dir(d)
                 if os.path.exists(wdir):
                     shutil.rmtree(wdir)
-                os.makedirs(wdir)
-                if n_frontier <= self.small_wave_rows:
-                    stats = self._run_wave_local(d, frontier_path, n_frontier, seeds, seen)
-                else:
-                    stats = self._run_wave_ray(d, frontier_path, n_frontier, seeds, seen)
+                stats = self._run_wave(d, frontier_path, n_frontier, seeds, seen)
                 stats.seconds = time.time() - t0
-                t_ck = time.time()
                 self._checkpoint_seen_and_manifest(d, frontier_path, stats, seeds, seen)
-                if os.environ.get("URLMAP_STATS"):
-                    print(
-                        f"wave {d}: total {stats.seconds:.2f}s ckpt {time.time() - t_ck:.2f}s mode={stats.mode}",
-                        flush=True,
-                    )
                 outcome.waves.append(stats)
                 if self.on_wave is not None:
                     try:
@@ -357,7 +349,201 @@ class CrawlEngine:
             seen.shutdown()
         return outcome
 
-    # -- shared fused stages ----------------------------------------------
+    # -- one wave: plan → execute → finalize --------------------------------
+
+    def _run_wave(self, d, frontier_path, n_frontier, seeds, seen) -> WaveStats:
+        """Run wave ``d`` and return its stats; the only wave method, so the
+        routing and the wave min-depth rule are decided here and nowhere
+        else (see the module docstring)."""
+        stats = WaveStats(wave=d, frontier=n_frontier)
+        wdir = self._wave_dir(d)
+        results_path = os.path.join(wdir, "results")
+        next_path = os.path.join(wdir, "next_frontier")
+        os.makedirs(results_path)
+        os.makedirs(next_path)
+        t0 = time.time()
+        admitted = self._plan(frontier_path, n_frontier, results_path)
+        t1 = time.time()
+        stats.mode = self._execute(d, admitted, n_frontier, results_path, next_path, seeds, seen)
+        t2 = time.time()
+        self._finalize(stats, results_path, next_path)
+        stats.stages = {"plan": t1 - t0, "execute": t2 - t1, "finalize": time.time() - t2}
+        return stats
+
+    # Frontier rows must reach fetch tasks clustered by (bucket, url): each
+    # task then reads one contiguous, row-group-pruned slice of one bucket
+    # file. Without clustering, hash-spread URLs make every task touch
+    # nearly every row group — N_tasks full-corpus decompressions per wave,
+    # which flatlines scaling. Up to ``driver_sort_limit`` rows the gate and
+    # the sort run in the driver (a pyarrow take is ~100ms for 300k rows);
+    # Ray's distributed sort (multi-second barrier per wave) only pays for
+    # itself on frontiers too big for one process. The same limit caps the
+    # seen set kept in the driver (see SeenSet.distribute).
+    driver_sort_limit = 5_000_000
+
+    def _plan(self, frontier_path: str, n_frontier: int, results_path: str):
+        """Gate the frontier. Returns the admitted rows sorted by (bucket,
+        url) as an Arrow table, after writing the other rows' results (no
+        fetch), or, above ``driver_sort_limit``, the whole gated frontier as
+        a sorted Dataset."""
+        if n_frontier > self.driver_sort_limit:
+            return self._gate_dataset(frontier_path).sort(["bucket", "url"])
+        gated = self._gate_local(pads.dataset(frontier_path, format="parquet").to_table())
+        admit_mask = pc.equal(gated.column("verdict"), "admit")
+        rest = gated.filter(pc.invert(admit_mask))
+        if rest.num_rows:
+            rest_results = _unfetched(rest).drop_columns(["html"]).append_column(
+                "links", pa.array([[]] * rest.num_rows, pa.list_(pa.string()))
+            )
+            pq.write_table(
+                rest_results,
+                os.path.join(results_path, "part-rest.parquet"),
+                row_group_size=4096,
+            )
+        admitted = gated.filter(admit_mask)
+        return admitted.take(
+            pc.sort_indices(admitted, sort_keys=[("bucket", "ascending"), ("url", "ascending")])
+        ).combine_chunks()
+
+    def _gate_local(self, frontier: pa.Table) -> pa.Table:
+        """Driver-side politeness/depth verdicts for one wave's frontier
+        (pure pyarrow; same PolitenessGate as the distributed gate)."""
+        if not self._needs_host_gate():
+            return _depth_gate(frontier, max_depth=self.cfg.max_depth)
+        if self._local_gate is None:
+            self._local_gate = PolitenessGate(self.robots_bodies(), **self._gate_kwargs())
+        if self.cfg.per_host_budget is None:
+            return gate_rows(self._local_gate, frontier)
+        salted = self.cfg.hot_host_salt > 0
+        if salted:
+            frontier = _add_gate_key(frontier, self.cfg.hot_host_salt)
+        # PolitenessGate splits its input by gate_key/host internally
+        # (sort + run slicing), so one call gates the whole frontier.
+        gated = self._local_gate(frontier)
+        if salted:
+            gated = gated.drop_columns(["gate_key"])
+        return gated
+
+    def _gate_dataset(self, frontier_path: str):
+        """The gate as a Dataset, for frontiers too big for the driver:
+        row-local robots + depth verdicts without a budget (robots checked
+        before depth, matching processJob order, crawler.go:583-622), and
+        with one the budget's per-host admission, which needs whole host
+        groups."""
+        ds = ray.data.read_parquet(frontier_path)
+        if not self._needs_host_gate():
+            return ds.map_batches(
+                _depth_gate,
+                fn_kwargs=dict(max_depth=self.cfg.max_depth),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            )
+        if self._robots_ref is None:
+            self._robots_ref = ray.put(self.robots_bodies())
+        gate_kw = dict(robots_ref=self._robots_ref, **self._gate_kwargs())
+        if self.cfg.per_host_budget is None:
+            return ds.map_batches(gate_group, fn_kwargs=gate_kw, batch_format="pyarrow")
+        # With hot_host_salt=k the group key becomes (host, url_hash%k) and
+        # each shard gets ceil(budget/k) quota — a hot host's frontier never
+        # lands in one gate task (north_rule skew salting).
+        salt = self.cfg.hot_host_salt
+        key = "gate_key" if salt > 0 else "host"
+        if salt > 0:
+            ds = ds.map_batches(
+                _add_gate_key, fn_kwargs=dict(salt=salt), batch_format="pyarrow"
+            )
+        # Group by a fixed HASH BUCKET of the admission key, not the raw key:
+        # the shuffle is identical (every key's rows co-locate) but the group
+        # count stays ~1k regardless of host count — at 10^8 hosts a raw
+        # per-host groupby drowns in per-group dispatch. The gate re-splits
+        # buckets by key internally, so verdicts are bucket-count-invariant.
+        ds = ds.map_batches(
+            _add_group_bucket, fn_kwargs=dict(key=key), batch_format="pyarrow"
+        ).groupby("gb").map_groups(gate_group, fn_kwargs=gate_kw, batch_format="pyarrow")
+        drop = ["gb"] + (["gate_key"] if salt > 0 else [])
+        return ds.map_batches(
+            lambda t: t.drop_columns([c for c in drop if c in t.column_names]),
+            batch_format="pyarrow",
+        )
+
+    def _wave_stages(self, results_path: str, seeds) -> list[tuple]:
+        """fetch → extract → results passthrough → flatten, as (function,
+        kwargs, map_batches options). Built per wave so that the module's
+        stage functions are looked up when the wave runs, which is what lets
+        a tracer replace them."""
+        zero_copy = dict(zero_copy_batch=True)
+        return [
+            (
+                _fetch_gated,
+                dict(
+                    pages_dir=self.corpus.pages_path,
+                    partitions=self.corpus.partitions,
+                    max_attempts=self.cfg.max_attempts,
+                ),
+                {},
+            ),
+            (
+                extract_links_batch,
+                dict(same_domain=self.cfg.same_domain, drop_html=True),
+                zero_copy,
+            ),
+            (_checkpoint_results_passthrough, dict(results_path=results_path), {}),
+            (
+                flatten_candidates,
+                dict(
+                    seed_urls=seeds,
+                    same_domain=self.cfg.same_domain,
+                    same_path_prefix=self.cfg.same_path_prefix,
+                    partitions=self.corpus.partitions,
+                ),
+                zero_copy,
+            ),
+        ]
+
+    def _execute(self, d, admitted, n_frontier, results_path, next_path, seeds, seen) -> str:
+        """Fetch, extract and record the admitted rows, then claim their
+        candidates and write the claimed ones as the next frontier. Returns
+        the route taken: ``"local"`` (folded in-process) or ``"ray"``."""
+        stages = self._wave_stages(results_path, seeds)
+        if isinstance(admitted, pa.Table) and admitted.num_rows <= self.small_wave_rows:
+            # One batch holds the whole wave, so flatten's own min depth per
+            # URL is already the wave-level groupby-min.
+            batch = admitted
+            for fn, kwargs, _ in stages:
+                batch = fn(batch, **kwargs)
+            survivors = claim_batch(batch, seen=seen)
+            if survivors.num_rows:
+                # small row groups → the next distributed wave can split this
+                # single file into parallel blocks
+                pq.write_table(
+                    survivors, os.path.join(next_path, "part-0.parquet"), row_group_size=512
+                )
+            return "local"
+        if isinstance(admitted, pa.Table):
+            mixed_depths = len(pc.unique(admitted.column("depth"))) > 1
+            ds = self._slice_blocks(admitted)
+        else:
+            mixed_depths = True  # rows are not visible to the driver
+            ds = admitted
+        for fn, kwargs, options in stages:
+            ds = ds.map_batches(fn, fn_kwargs=kwargs, batch_format="pyarrow", **options)
+        if mixed_depths:
+            # Deferred and retried rows re-enter at their own depth, so two
+            # blocks can propose one URL at different depths; claim-first
+            # alone would keep whichever block claimed first.
+            ds = (
+                ds.groupby("url")
+                .min("depth")
+                .map_batches(
+                    _rebuild_frontier_cols,
+                    fn_kwargs=dict(partitions=self.corpus.partitions),
+                    batch_format="pyarrow",
+                )
+            )
+        ds = self._claim_stage(ds, seen)
+        with self._ticker(d, n_frontier, results_path):
+            ds.write_parquet(next_path, row_group_size=512)
+        return "ray"
 
     def _slice_blocks(self, tbl: pa.Table):
         """Sorted driver-side table → ``from_arrow`` Dataset whose block
@@ -365,53 +551,12 @@ class CrawlEngine:
         per-task tail (heavy pages, wide fetch ranges) amortizes instead of
         capping effective concurrency. from_arrow slices pin the block
         layout exactly (read_parquet would re-pack small files into fewer
-        tasks). (URLMAP_CHUNK_ROWS overrides rows/chunk for tuning.)"""
+        tasks)."""
         n = tbl.num_rows
-        env_rows = os.environ.get("URLMAP_CHUNK_ROWS")
-        if env_rows:
-            n_chunks = max(1, n // int(env_rows))
-        else:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            n_chunks = max(16, min(1024, cpus * 6, n // 64))
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+        n_chunks = max(16, min(1024, cpus * 6, n // 64))
         step = max(64, -(-n // n_chunks))
         return ray.data.from_arrow([tbl.slice(off, step) for off in range(0, n, step)])
-
-    def _fetch_extract_flatten(self, ds, results_path: str, seeds):
-        """The wave's fused per-block chain: fetch → extract →
-        results-checkpoint side effect → flatten/admit candidates."""
-        return (
-            ds.map_batches(
-                _fetch_gated,
-                fn_kwargs=dict(
-                    pages_dir=self.corpus.pages_path,
-                    partitions=self.corpus.partitions,
-                    max_attempts=self.cfg.max_attempts,
-                ),
-                batch_format="pyarrow",
-            )
-            .map_batches(
-                extract_links_batch,
-                fn_kwargs=dict(same_domain=self.cfg.same_domain, drop_html=True),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            .map_batches(
-                _checkpoint_results_passthrough,
-                fn_kwargs=dict(results_path=results_path),
-                batch_format="pyarrow",
-            )
-            .map_batches(
-                flatten_candidates,
-                fn_kwargs=dict(
-                    seed_urls=seeds,
-                    same_domain=self.cfg.same_domain,
-                    same_path_prefix=self.cfg.same_path_prefix,
-                    partitions=self.corpus.partitions,
-                ),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        )
 
     def _ticker(self, d: int, n_frontier: int, results_path: str) -> _WaveTicker:
         return _WaveTicker(self.on_tick, d, n_frontier, results_path, self.tick_seconds)
@@ -432,438 +577,62 @@ class CrawlEngine:
             max_retries=0,
         )
 
-    # -- distributed wave --------------------------------------------------
-
-    def _run_wave_ray(self, d, frontier_path, n_frontier, seeds, seen) -> WaveStats:
-        """No-budget fast path: the entire wave is ONE fused, shuffle-free
-        execution — read → gate(row-local) → fetch → extract →
-        [side-effect results checkpoint] → flatten/admit → claim → write
-        next frontier. With a uniform-depth frontier (no deferral) the
-        wave-level groupby-min is a no-op (all candidates share depth d+1),
-        so the only cross-task coordination is the seen-shard claim.
-        Budgeted crawls take the two-execution path (_run_wave_ray_budget):
-        per-host admission needs whole host groups and mixes depths."""
-        if self.cfg.per_host_budget is not None:
-            return self._run_wave_ray_budget(d, frontier_path, n_frontier, seeds, seen)
-        stats = WaveStats(wave=d, frontier=n_frontier, mode="ray")
-        stats._t0 = time.time()
-        wdir = self._wave_dir(d)
-        results_path = os.path.join(wdir, "results")
-        next_path = os.path.join(wdir, "next_frontier")
-        os.makedirs(results_path, exist_ok=True)
-
-        ds = self._clustered_frontier(frontier_path, n_frontier, wdir)
-        if self.cfg.respect_robots:
-            # row-local robots+depth verdicts (gate_group routes to gate_rows
-            # when no budget is set — robots checked before depth, matching
-            # processJob order, crawler.go:583-622)
-            if self._robots_ref is None:
-                self._robots_ref = ray.put(self.robots_bodies())
-            ds = ds.map_batches(
-                gate_group,
-                fn_kwargs=dict(robots_ref=self._robots_ref, **self._gate_kwargs()),
-                batch_format="pyarrow",
-            )
-        else:
-            ds = ds.map_batches(
-                _depth_gate,
-                fn_kwargs=dict(max_depth=self.cfg.max_depth),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        ds = self._claim_stage(
-            self._fetch_extract_flatten(ds, results_path, seeds), seen
+    def _finalize(self, stats: WaveStats, results_path: str, next_path: str) -> None:
+        """One columnar scan of the wave's results: tally the verdicts, and
+        carry the defer rows, plus the retry rows at attempt+1 and unchanged
+        depth (oracle.py's wave re-enqueue), into the next frontier as one
+        sidecar file beside the claimed URLs. The scan streams batch by
+        batch, so driver memory is bounded by a batch, not by the wave."""
+        stats.new_urls = _count_rows(next_path)
+        counts: Counter = Counter()
+        failed = 0
+        writer = None
+        scan = pads.dataset(results_path, format="parquet").to_batches(
+            columns=["url", "depth", "host", "bucket", "attempt", "verdict", "status"]
         )
-        t_exec = time.time()
-        with self._ticker(d, n_frontier, results_path):
-            ds.write_parquet(next_path, row_group_size=512)
-        t_write = time.time()
-        if os.environ.get("URLMAP_STATS") == "2":
-            print(f"--- wave {d} fused stats ---\n{ds.stats()}", flush=True)
-        self._tally_verdicts(results_path, stats)
-        if stats.retried:
-            self._append_retries(results_path, next_path)
-        t_tally = time.time()
-        stats.new_urls = _count_rows(next_path) - stats.retried
-        if os.environ.get("URLMAP_STATS"):
-            print(
-                f"wave {d}: setup+sort {t_exec - stats._t0:.2f}s exec {t_write - t_exec:.2f}s "
-                f"tally {t_tally - t_write:.2f}s count {time.time() - t_tally:.2f}s",
-                flush=True,
+        for batch in scan:
+            tbl = pa.Table.from_batches([batch])
+            verdict = tbl.column("verdict")
+            counts.update(
+                {r["values"]: r["counts"] for r in pc.value_counts(verdict).to_pylist()}
             )
-        return stats
-
-    # Frontier rows must reach fetch tasks clustered by (bucket, url): each
-    # task then reads one contiguous, row-group-pruned slice of one bucket
-    # file. Without clustering, hash-spread URLs make every task touch
-    # nearly every row group — N_tasks full-corpus decompressions per wave,
-    # which flatlines scaling. Below ``driver_sort_limit`` rows the sort is
-    # a driver-side pyarrow take (~100ms for 300k rows) spilled as aligned
-    # chunk files; Ray's distributed sort (multi-second barrier per wave)
-    # only pays for itself on frontiers too big for one process. The same
-    # limit caps the seen set kept in the driver (see SeenSet.distribute).
-    driver_sort_limit = 5_000_000
-
-    def _clustered_frontier(self, frontier_path: str, n_frontier: int, wdir: str):
-        if n_frontier > self.driver_sort_limit:
-            return ray.data.read_parquet(frontier_path).sort(["bucket", "url"])
-        tbl = pads.dataset(frontier_path, format="parquet").to_table()
-        tbl = tbl.take(
-            pc.sort_indices(
-                tbl, sort_keys=[("bucket", "ascending"), ("url", "ascending")]
-            )
-        ).combine_chunks()
-        return self._slice_blocks(tbl)
-
-    def _run_wave_budget_hybrid(self, d, frontier_path, n_frontier, seeds, seen) -> WaveStats:
-        """Budgeted wave, frontier ≤ driver_sort_limit: the gate + admission
-        sort run driver-side (pure pyarrow, same PolitenessGate as the
-        distributed gate), then ONE fused distributed execution does
-        fetch → extract → results checkpoint → flatten → claim → next
-        frontier — no per-wave groupby/sort barriers. Budget crawls defer
-        heavily (many small waves), so per-wave barrier cost dominates the
-        fully-distributed path; this mirrors the no-budget fast path. The
-        wave-level min-depth groupby only runs when the frontier actually
-        mixes depths (deferral backlog); uniform-depth waves skip it —
-        claim-first then equals groupby-min exactly."""
-        stats = WaveStats(wave=d, frontier=n_frontier, mode="ray")
-        wdir = self._wave_dir(d)
-        results_path = os.path.join(wdir, "results")
-        next_path = os.path.join(wdir, "next_frontier")
-        os.makedirs(results_path, exist_ok=True)
-        os.makedirs(next_path, exist_ok=True)
-
-        frontier = pads.dataset(frontier_path, format="parquet").to_table()
-        gated = self._gate_local(frontier)
-        admit_mask = pc.equal(gated.column("verdict"), "admit")
-        admit = gated.filter(admit_mask)
-        if admit.num_rows <= self.small_wave_rows:
-            # Budget waves carry a big deferral BACKLOG but admit only
-            # ~budget×live-hosts rows — routing on frontier size alone
-            # sent ~250-row fetches through a full Dataset execution,
-            # paying the ~0.2-0.3s startup floor dozens of times per
-            # budget crawl (VERDICT r4 #4). Route on the ADMITTED size
-            # instead: the driver-side tail is identical semantics (same
-            # gate output, same batch fns, same claim shards), and at
-            # 10^10-URL scale a wave admitting fewer than small_wave_rows
-            # is a drain-tail wave where driver-side is right anyway.
-            stats.mode = "local"
-            return self._finish_wave_local(
-                stats, gated, results_path, next_path, seeds, seen
-            )
-        rest = gated.filter(pc.invert(admit_mask))
-        if rest.num_rows:
-            # defer/skip rows: record in results directly (no fetch), exactly
-            # the schema _fetch_gated+extract give them on the fused path
-            rest_out = pa.table(
-                {
-                    "url": rest.column("url"),
-                    "depth": rest.column("depth"),
-                    "attempt": _attempt_col(rest),
-                    "host": rest.column("host"),
-                    "bucket": rest.column("bucket"),
-                    "verdict": rest.column("verdict"),
-                    "status": pa.array([-1] * rest.num_rows, pa.int32()),
-                    "html": pa.array([None] * rest.num_rows, pa.binary()),
-                }
-            )
-            rest_results = extract_links_batch(
-                rest_out, same_domain=self.cfg.same_domain, drop_html=True
-            )
-            pq.write_table(
-                rest_results,
-                os.path.join(results_path, "part-rest.parquet"),
-                row_group_size=4096,
-            )
-        if admit.num_rows:
-            admit = admit.take(
-                pc.sort_indices(
-                    admit, sort_keys=[("bucket", "ascending"), ("url", "ascending")]
+            failed += pc.sum(
+                pc.and_(
+                    pc.equal(verdict, "admit"), pc.not_equal(tbl.column("status"), 200)
+                ).cast(pa.int64())
+            ).as_py() or 0
+            carry = tbl.filter(pc.is_in(verdict, pa.array(["defer", "retry"])))
+            if carry.num_rows:
+                retry = pc.cast(pc.equal(carry.column("verdict"), "retry"), pa.int32())
+                carry = _cast_frontier(carry)
+                carry = carry.set_column(
+                    carry.schema.get_field_index("attempt"),
+                    "attempt",
+                    pc.add(carry.column("attempt"), retry),
                 )
-            ).combine_chunks()
-            ds = self._fetch_extract_flatten(
-                self._slice_blocks(admit), results_path, seeds
-            )
-            if len(pc.unique(admit.column("depth"))) > 1:
-                ds = (
-                    ds.groupby("url")
-                    .min("depth")
-                    .map_batches(
-                        _rebuild_frontier_cols,
-                        fn_kwargs=dict(partitions=self.corpus.partitions),
-                        batch_format="pyarrow",
+                if writer is None:
+                    writer = pq.ParquetWriter(
+                        os.path.join(next_path, "part-carry.parquet"), carry.schema
                     )
-                )
-            ds = self._claim_stage(ds, seen)
-            with self._ticker(d, n_frontier, results_path):
-                ds.write_parquet(next_path, row_group_size=512)
-        deferred = rest.filter(pc.equal(rest.column("verdict"), "defer"))
-        if deferred.num_rows:
-            pq.write_table(
-                _cast_frontier(deferred),
-                os.path.join(next_path, "part-deferred.parquet"),
-                row_group_size=512,
-            )
-        self._tally_verdicts(results_path, stats)
-        if stats.retried:
-            self._append_retries(results_path, next_path)
-        stats.new_urls = max(0, _count_rows(next_path) - stats.deferred - stats.retried)
-        return stats
-
-    def _run_wave_ray_budget(self, d, frontier_path, n_frontier, seeds, seen) -> WaveStats:
-        if n_frontier <= self.driver_sort_limit:
-            return self._run_wave_budget_hybrid(d, frontier_path, n_frontier, seeds, seen)
-        stats = WaveStats(wave=d, frontier=n_frontier, mode="ray")
-        wdir = self._wave_dir(d)
-        results_path = os.path.join(wdir, "results")
-        next_path = os.path.join(wdir, "next_frontier")
-
-        ds = ray.data.read_parquet(frontier_path)
-        if self._robots_ref is None:
-            self._robots_ref = ray.put(self.robots_bodies())
-        # Per-host deterministic admission needs whole host groups. With
-        # hot_host_salt=k the group key becomes (host, url_hash%k) and each
-        # shard gets ceil(budget/k) quota — a hot host's frontier never
-        # lands in one gate task (north_rule skew salting).
-        salt = self.cfg.hot_host_salt
-        if salt > 0:
-            ds = ds.map_batches(
-                _add_gate_key, fn_kwargs=dict(salt=salt), batch_format="pyarrow"
-            )
-            key = "gate_key"
-        else:
-            key = "host"
-        # Group by a fixed HASH BUCKET of the admission key, not the raw key:
-        # the shuffle is identical (every key's rows co-locate) but the group
-        # count stays ~1k regardless of host count — at 10^8 hosts a raw
-        # per-host groupby drowns in per-group dispatch. The gate re-splits
-        # buckets by key internally, so verdicts are bucket-count-invariant.
-        ds = ds.map_batches(
-            _add_group_bucket, fn_kwargs=dict(key=key), batch_format="pyarrow"
-        )
-        ds = ds.groupby("gb").map_groups(
-            gate_group,
-            fn_kwargs=dict(robots_ref=self._robots_ref, **self._salted_gate_kwargs()),
-            batch_format="pyarrow",
-        )
-        drop = ["gb"] + (["gate_key"] if salt > 0 else [])
-        ds = ds.map_batches(
-            lambda t: t.drop_columns([c for c in drop if c in t.column_names]),
-            batch_format="pyarrow",
-        )
-        ds = ds.sort(["bucket", "url"])  # cluster fetch reads (budget path keeps
-        # the distributed sort: gated output is already materialized per wave)
-        ds = ds.map_batches(
-            _fetch_gated,
-            fn_kwargs=dict(
-                pages_dir=self.corpus.pages_path,
-                partitions=self.corpus.partitions,
-                max_attempts=self.cfg.max_attempts,
-            ),
-            batch_format="pyarrow",
-        ).map_batches(
-            extract_links_batch,
-            fn_kwargs=dict(same_domain=self.cfg.same_domain, drop_html=True),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        with self._ticker(d, n_frontier, results_path):
-            ds.write_parquet(results_path)
-        if os.environ.get("URLMAP_STATS"):
-            print(f"--- wave {d} results stats ---\n{ds.stats()}", flush=True)
-        self._tally_verdicts(results_path, stats)
-
-        survivors = (
-            ray.data.read_parquet(
-                results_path,
-                columns=["url", "depth", "links"],
-                filter=pc.field("verdict") == "admit",
-            )
-            .map_batches(
-                flatten_candidates,
-                fn_kwargs=dict(
-                    seed_urls=seeds,
-                    same_domain=self.cfg.same_domain,
-                    same_path_prefix=self.cfg.same_path_prefix,
-                    partitions=self.corpus.partitions,
-                ),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            .groupby("url")
-            .min("depth")
-            .map_batches(
-                _rebuild_frontier_cols,
-                fn_kwargs=dict(partitions=self.corpus.partitions),
-                batch_format="pyarrow",
-            )
-        )
-        survivors = self._claim_stage(survivors, seen)
-        if stats.deferred:
-            deferred = ray.data.read_parquet(
-                results_path,
-                columns=["url", "depth", "host", "bucket", "attempt"],
-                filter=pc.field("verdict") == "defer",
-            ).map_batches(_cast_frontier, batch_format="pyarrow")
-            survivors = survivors.union(deferred)
-        survivors.write_parquet(next_path)
-        if stats.retried:
-            self._append_retries(results_path, next_path)
-        if os.environ.get("URLMAP_STATS"):
-            print(f"--- wave {d} survivors stats ---\n{survivors.stats()}", flush=True)
-        stats.new_urls = max(0, _count_rows(next_path) - stats.deferred - stats.retried)
-        return stats
-
-    # -- driver-local wave (same stage functions, pyarrow only) ------------
-
-    def _gate_local(self, frontier: pa.Table) -> pa.Table:
-        """Driver-side politeness/depth verdicts for one wave's frontier
-        (pure pyarrow; same PolitenessGate as the distributed gate)."""
-        if not self._needs_host_gate():
-            return _depth_gate(frontier, max_depth=self.cfg.max_depth)
-        if self._local_gate is None:
-            self._local_gate = PolitenessGate(
-                self.robots_bodies(), **self._salted_gate_kwargs()
-            )
-        if self.cfg.per_host_budget is None:
-            return gate_rows(self._local_gate, frontier)
-        salted = self.cfg.hot_host_salt > 0
-        if salted:
-            frontier = _add_gate_key(frontier, self.cfg.hot_host_salt)
-        # PolitenessGate splits its input by gate_key/host internally
-        # (sort + run slicing), so one call gates the whole frontier.
-        gated = self._local_gate(frontier)
-        if salted:
-            gated = gated.drop_columns(["gate_key"])
-        return gated
-
-    def _run_wave_local(self, d, frontier_path, n_frontier, seeds, seen) -> WaveStats:
-        stats = WaveStats(wave=d, frontier=n_frontier, mode="local")
-        wdir = self._wave_dir(d)
-        results_path = os.path.join(wdir, "results")
-        next_path = os.path.join(wdir, "next_frontier")
-        os.makedirs(results_path, exist_ok=True)
-        os.makedirs(next_path, exist_ok=True)
-
-        frontier = pads.dataset(frontier_path, format="parquet").to_table()
-        gated = self._gate_local(frontier)
-        return self._finish_wave_local(
-            stats, gated, results_path, next_path, seeds, seen
-        )
-
-    def _finish_wave_local(
-        self, stats, gated, results_path, next_path, seeds, seen
-    ) -> WaveStats:
-        """Driver-side wave tail shared by the local path and the budget
-        hybrid's small-admit route: fetch admitted rows, extract, record
-        results, flatten/claim, carry deferred+retry rows — all pure
-        pyarrow, no Dataset execution. Semantics are identical to the
-        fused distributed tail by construction (same gate output, same
-        batch functions, same seen set, in the driver or on its actors)."""
-        fetched = _fetch_gated(
-            gated,
-            pages_dir=self.corpus.pages_path,
-            partitions=self.corpus.partitions,
-            max_attempts=self.cfg.max_attempts,
-        )
-        results = extract_links_batch(fetched, same_domain=self.cfg.same_domain, drop_html=True)
-        pq.write_table(
-            results, os.path.join(results_path, "part-0.parquet"), row_group_size=512
-        )
-        self._tally_verdicts(results_path, stats)
-
-        admitted = results.filter(pc.equal(results.column("verdict"), "admit"))
-        # flatten_candidates dedups (min depth) within its input batch; the
-        # local path passes the whole wave as one batch, so its output is
-        # already the wave-level groupby-min result.
-        cands = _cast_frontier(
-            flatten_candidates(
-                admitted.select(["url", "depth", "links"]),
-                seed_urls=seeds,
-                same_domain=self.cfg.same_domain,
-                same_path_prefix=self.cfg.same_path_prefix,
-                partitions=self.corpus.partitions,
-            )
-        )
-        survivors = claim_batch(cands, seen=seen)
-        deferred = results.filter(pc.equal(results.column("verdict"), "defer")).select(
-            ["url", "depth", "host", "bucket", "attempt"]
-        )
-        retries = results.filter(pc.equal(results.column("verdict"), "retry")).select(
-            ["url", "depth", "host", "bucket", "attempt"]
-        )
-        if retries.num_rows:
-            retries = retries.set_column(
-                retries.schema.get_field_index("attempt"),
-                "attempt",
-                pc.add(pc.cast(retries.column("attempt"), pa.int32()), 1),
-            )
-        nxt = pa.concat_tables(
-            [survivors, _cast_frontier(deferred), _cast_frontier(retries)]
-        )
-        if nxt.num_rows:
-            # small row groups → the next distributed wave can split this
-            # single file into parallel blocks
-            pq.write_table(
-                nxt, os.path.join(next_path, "part-0.parquet"), row_group_size=512
-            )
-        stats.new_urls = survivors.num_rows
-        return stats
+                writer.write_table(carry, row_group_size=512)
+        if writer is not None:
+            writer.close()
+        stats.admitted = stats.results = counts["admit"]
+        stats.deferred = counts["defer"]
+        stats.retried = counts["retry"]
+        stats.skipped_robots = counts["skip_robots"]
+        stats.skipped_depth = counts["skip_depth"]
+        stats.failed = failed
 
     # -- shared wave bookkeeping ------------------------------------------
-
-    def _append_retries(self, results_path: str, next_path: str) -> int:
-        """Re-enqueue this wave's transient failures (verdict "retry") into
-        the next frontier at attempt+1, unchanged depth. Columnar filtered
-        read of only the retry rows (a small fraction of results; the
-        verdict predicate prunes row groups), written as one sidecar file
-        alongside the claim stage's output — schema-identical, so the next
-        wave reads both transparently. Returns the retry count."""
-        ds = pads.dataset(results_path, format="parquet")
-        if "attempt" not in ds.schema.names:
-            return 0
-        tbl = ds.to_table(
-            columns=["url", "depth", "host", "bucket", "attempt"],
-            filter=pc.field("verdict") == "retry",
-        )
-        if tbl.num_rows == 0:
-            return 0
-        out = _cast_frontier(
-            tbl.set_column(
-                tbl.schema.get_field_index("attempt"),
-                "attempt",
-                pc.add(pc.cast(tbl.column("attempt"), pa.int32()), 1),
-            )
-        )
-        os.makedirs(next_path, exist_ok=True)
-        pq.write_table(
-            out, os.path.join(next_path, "part-retries.parquet"), row_group_size=512
-        )
-        return tbl.num_rows
-
-    def _tally_verdicts(self, results_path: str, stats: WaveStats) -> None:
-        tbl = pads.dataset(results_path, format="parquet").to_table(columns=["verdict", "status"])
-        counts = {
-            r["values"]: r["counts"] for r in pc.value_counts(tbl.column("verdict")).to_pylist()
-        }
-        stats.admitted = counts.get("admit", 0)
-        stats.deferred = counts.get("defer", 0)
-        stats.retried = counts.get("retry", 0)
-        stats.skipped_robots = counts.get("skip_robots", 0)
-        stats.skipped_depth = counts.get("skip_depth", 0)
-        stats.results = stats.admitted
-        stats.failed = pc.sum(
-            pc.and_(
-                pc.equal(tbl.column("verdict"), "admit"),
-                pc.not_equal(tbl.column("status"), 200),
-            ).cast(pa.int64())
-        ).as_py() or 0
 
     def _checkpoint_seen_and_manifest(self, d, frontier_path, stats, seeds, seen) -> None:
         wdir = self._wave_dir(d)
         seen_dir = os.path.join(wdir, "seen")
         os.makedirs(seen_dir, exist_ok=True)
+        t0 = time.time()
         seen_rows = seen.checkpoint_journals(seen_dir)
+        stats.stages["checkpoint"] = time.time() - t0
         # Row counts are DERIVED from wave accounting, not re-read from
         # footers: every gated frontier row lands in results exactly once,
         # and the next frontier is claims + deferrals + retries. At scale a
@@ -969,7 +738,7 @@ class CrawlEngine:
         return [r["url"] for r in self.visited_dataset().select_columns(["url"]).take_all()]
 
 
-# -- row-local stage helpers (shared by both wave paths) -------------------
+# -- row-local stage helpers ------------------------------------------------
 
 
 def _warm_worker(batch: pa.Table) -> pa.Table:
@@ -1052,7 +821,13 @@ def _fetch_gated(
     )
     if rest.num_rows == 0:
         return fetched
-    rest_out = pa.table(
+    return pa.concat_tables([fetched, _unfetched(rest)])
+
+
+def _unfetched(rest: pa.Table) -> pa.Table:
+    """Result rows, before extraction, for gated rows that are not fetched
+    (defer and skip verdicts): status -1 and no html."""
+    return pa.table(
         {
             "url": rest.column("url"),
             "depth": rest.column("depth"),
@@ -1061,10 +836,9 @@ def _fetch_gated(
             "bucket": rest.column("bucket"),
             "verdict": rest.column("verdict"),
             "status": pa.array([-1] * rest.num_rows, pa.int32()),
-            "html": pa.array([None] * rest.num_rows, pa.binary()),
+            "html": pa.nulls(rest.num_rows, pa.binary()),
         }
     )
-    return pa.concat_tables([fetched, rest_out])
 
 
 def _add_group_bucket(batch: pa.Table, key: str, buckets: int = 1024) -> pa.Table:
@@ -1098,7 +872,5 @@ def _cast_frontier(batch: pa.Table) -> pa.Table:
 
 
 def _rebuild_frontier_cols(batch: pa.Table, partitions: int) -> pa.Table:
-    cols = {c: batch.column(c) for c in batch.column_names}
-    depth = cols.get("min(depth)", cols.get("depth"))
-    urls = cols["url"].to_pylist()
-    return frontier_columns(urls, pc.cast(depth, pa.int32()).to_pylist(), partitions)
+    depths = pc.cast(batch.column("min(depth)"), pa.int32()).to_pylist()
+    return frontier_columns(batch.column("url").to_pylist(), depths, partitions)
