@@ -234,6 +234,28 @@ def test_driver_side_crawl_never_distributes(
     assert calls == []
 
 
+def test_resume_after_lost_output_file(ray_session, corpus_info, corpus_dict, tmp_path):
+    """A wave whose manifest lists an output file that is gone is
+    incomplete: resume removes it and every later wave, and crawls them
+    again to the same visited set."""
+    ck = str(tmp_path / "ck")
+    eng = _engine(ray_session, corpus_info, CrawlConfig(), ck)
+    out = eng.crawl(corpus_info.seeds[0])
+    assert {w.mode for w in out.waves} == {"local"}
+    expected = eng.visited_urls()
+    assert expected == crawl_sequential(corpus_dict, corpus_info.seeds[0]).output_urls
+    n_waves = len(out.waves)
+    assert n_waves >= 4
+    mid = os.path.join(ck, f"wave-{n_waves // 2:04d}", "results")
+    fetched = [f for f in sorted(os.listdir(mid)) if f != "part-rest.parquet"]
+    assert fetched
+    os.remove(os.path.join(mid, fetched[0]))
+    eng2 = _engine(ray_session, corpus_info, CrawlConfig(), ck)
+    out2 = eng2.crawl(corpus_info.seeds[0], resume=True)
+    assert [w.wave for w in out2.waves] == list(range(n_waves))
+    assert eng2.visited_urls() == expected
+
+
 def test_wave_stats_consistency(ray_session, corpus_info, corpus_dict, tmp_path):
     ck = str(tmp_path / "ck")
     eng = _engine(ray_session, corpus_info, CrawlConfig(), ck)

@@ -568,3 +568,155 @@ def test_extract_anchors_batch_explodes(ray_session):
         "https://h.test/c",
     ]
     assert out.column("anchor").to_pylist() == ["one", "two", "three"]
+
+
+# ---------------------------------------------------------------------------
+# Flat-anchor scan vs the tree builder: iter_hrefs / iter_anchors answer
+# from one regex scan when the page carries the flat-anchor certificate and
+# run the tree builder otherwise; both routes must agree on every input.
+
+# Fragments the mutation fuzz inserts: anchors nested in formatting and
+# block elements, html.parser edge cases the scan must match or decline.
+_FUZZ_FRAGMENTS = [
+    '<b><a href="/n">n',
+    '<b><a href="/nb">n</a></b>',
+    '<p><a href="/p">p</p>',
+    '<div><a href="/d">d<div>',
+    '<table><a href="/t">t</a></table>',
+    "<a href=u/>",
+    "<a href=u/>u</a>",
+    "<a\x0bhref=z>",
+    "<A HREF='y&amp;z'>",
+    "<A HREF='y&amp;z'>y</A>",
+    '<a href="/c">x<!-- c -->&amp;y</a>',
+    "&nbsp;",
+    "<script>",
+    '<script>"<a href=s>"</script>',
+    "<!-->",
+    "</a >",
+    "</a>",
+]
+
+
+def _golden_html() -> list[str]:
+    """Every string literal in this file that holds markup."""
+    import ast
+
+    with open(__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "<" in node.value
+    ]
+
+
+def _mutate(rng, html: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(html))
+        op = rng.random()
+        if op < 0.2:
+            html = html[:pos]
+        elif op < 0.4:
+            gt = html.find(">", pos)
+            if gt >= 0:
+                html = html[:gt] + html[gt + 1 :]
+        else:
+            html = html[:pos] + rng.choice(_FUZZ_FRAGMENTS) + html[pos:]
+    return html
+
+
+def _assert_routes_agree(html: str) -> bool:
+    """Both public functions equal the builder route; True if certified."""
+    from urlmap_ray.htmlparse import (
+        _builder_anchors,
+        _builder_hrefs,
+        _flat_scan,
+        iter_anchors,
+        iter_hrefs,
+    )
+
+    assert iter_hrefs(html) == _builder_hrefs(html), repr(html)
+    assert iter_anchors(html) == _builder_anchors(html), repr(html)
+    return _flat_scan(html, False) is not None
+
+
+def _corpus_html(seed: int, n_pages: int = 1000) -> list[str]:
+    import numpy as np
+
+    from urlmap_ray.corpus import gen_pages_batch, host_layout
+
+    pages = gen_pages_batch(np.arange(n_pages), host_layout(n_pages, 6), seed)
+    return [b.decode("utf-8") for b in pages.column("html").to_pylist()]
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_flat_scan_matches_builder_on_corpus(seed):
+    pages = _corpus_html(seed)
+    certified = sum(_assert_routes_agree(h) for h in pages)
+    # The corpus's malformed blocks (an unclosed <a> before a <div>) are
+    # the only pages that need the builder; a certificate that declines
+    # more than that fails here.
+    assert certified >= 0.95 * len(pages)
+
+
+def test_flat_scan_matches_builder_on_goldens():
+    goldens = _golden_html()
+    assert len(goldens) > 40
+    for html in goldens:
+        _assert_routes_agree(html)
+
+
+def test_flat_scan_matches_builder_on_mutations():
+    import random
+
+    rng = random.Random(20240607)
+    pages = _corpus_html(1, 200)
+    inputs = [_mutate(rng, rng.choice(pages)) for _ in range(1500)]
+    inputs += ["".join(rng.choices(_FUZZ_FRAGMENTS, k=rng.randint(1, 8))) for _ in range(1500)]
+    certified = sum(_assert_routes_agree(h) for h in inputs)
+    # Both routes ran on a real share of the inputs.
+    assert 0.05 * len(inputs) < certified < 0.95 * len(inputs)
+
+
+@pytest.mark.parametrize(
+    "html,hrefs,anchors",
+    [
+        # a bare value keeps the "/": a start tag, not self-closing
+        ("<a href=u/>t</a>", ["u/"], [("u/", "t")]),
+        ('<a href="u"/>t', ["u"], [("u", "")]),
+        # names lowercased, quotes stripped, values unescaped, first href wins
+        ("<A HREF='y&amp;z' href=w>t</A >", ["y&z"], [("y&z", "t")]),
+        ("<a name=x href>t</a>", [""], [("", "t")]),
+        # text: one unescaped chunk per stretch between comments
+        ('<a href="/c">a&amp<!-- c -->;b</a>', ["/c"], [("/c", "a&;b")]),
+    ],
+)
+def test_flat_scan_certified_edge_cases(html, hrefs, anchors):
+    from urlmap_ray.htmlparse import _flat_scan
+
+    assert _flat_scan(html, False) == hrefs
+    assert _flat_scan(html, True) == anchors
+    assert _assert_routes_agree(html)
+
+
+@pytest.mark.parametrize(
+    "html",
+    [
+        "<a\x0bhref=z>t</a>",  # html.parser reads the tag name as a\x0bhref=z
+        '<div><a href="/p2">x<div>y</div>',  # <a> followed by another tag
+        '<a href="/open">x',  # <a> left open
+        '<script>"<a href=s>"</script><a href=r>r</a>',
+        "<!--><a href=c>c</a>-->",
+        "<?pi><a href=p>p</a>",
+        "<![CDATA[x]]><a href=p>p</a>",
+        "a < b <a href=p>p</a>",
+        '<a href="x>t</a>',  # unbalanced quote
+    ],
+)
+def test_flat_scan_declines(html):
+    from urlmap_ray.htmlparse import _flat_scan
+
+    assert _flat_scan(html, False) is None
+    assert _flat_scan(html, True) is None
+    _assert_routes_agree(html)

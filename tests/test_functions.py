@@ -2533,10 +2533,13 @@ def test_cross_moments_contract_violation_fails_loudly(ray_session):
 
 def _mp4_bytes(
     *, dur_s: float = 120.0, timescale: int = 1000, w: int = 1920, h: int = 1080,
-    fast_start: bool = True, mvhd_version: int = 0
+    fast_start: bool = True, mvhd_version: int = 0, truncate: str | None = None
 ):
     """Hand-built minimal ISO BMFF file: ftyp + moov(mvhd + trak(tkhd)) +
-    mdat, the same role _wav_bytes plays for the audio decoder."""
+    mdat, the same role _wav_bytes plays for the audio decoder.
+    ``truncate="mvhd"`` cuts the mvhd box before its duration field and
+    ``truncate="tkhd"`` cuts the tkhd box to its version and flags; the
+    enclosing boxes stay well-formed."""
     import struct
 
     def box(typ: bytes, payload: bytes) -> bytes:
@@ -2568,6 +2571,10 @@ def _mp4_bytes(
         + b"\x00" * (8 + 2 + 2 + 2 + 2 + 36)
         + struct.pack(">II", w << 16, h << 16),  # 16.16 fixed point
     )
+    if truncate == "mvhd":
+        mvhd = box(b"mvhd", mvhd[8 : 8 + 16 if mvhd_version == 0 else 8 + 24])
+    elif truncate == "tkhd":
+        tkhd = box(b"tkhd", tkhd[8:12])
     moov = box(b"moov", mvhd + box(b"trak", tkhd))
     ftyp = box(b"ftyp", b"isom\x00\x00\x02\x00isomiso2")
     mdat = box(b"mdat", b"\x00" * 64)
@@ -2624,6 +2631,23 @@ def test_media_real_decode_mp4_header(ray_session):
     # determinism
     ex = MediaFeatureExtractor(mode="real")
     assert np.array_equal(ex._features_mp4(_mp4_bytes()), ex._features_mp4(_mp4_bytes()))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(truncate="mvhd"),
+        dict(truncate="mvhd", mvhd_version=1),
+        dict(truncate="tkhd"),
+    ],
+    ids=["mvhd-v0", "mvhd-v1", "tkhd"],
+)
+def test_media_real_decode_mp4_truncated_header_box(kw):
+    """A header box too short for the fields the probe decodes yields the
+    zero vector instead of fields read from bytes outside the box."""
+    ex = MediaFeatureExtractor(mode="real")
+    assert ex._features_mp4(_mp4_bytes())[0] == 1.0
+    assert not ex._features_mp4(_mp4_bytes(**kw)).any()
 
 
 def test_topk_ivf_multi_assignment_recall(ray_session, emb_tbl):

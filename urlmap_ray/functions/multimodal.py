@@ -227,11 +227,13 @@ class MediaFeatureExtractor:
                             ver = data[b2]
                             # v0: 4-byte times; v1: 8-byte
                             ts_off = b2 + 4 + (16 if ver == 1 else 8)
+                            dur_off = ts_off + 4
+                            dlen = 8 if ver == 1 else 4
+                            if dur_off + dlen > e2:  # truncated mvhd
+                                return np.zeros(self.N_FEATURES, dtype=np.float32)
                             timescale = int.from_bytes(
                                 data[ts_off : ts_off + 4], "big"
                             )
-                            dur_off = ts_off + 4
-                            dlen = 8 if ver == 1 else 4
                             duration = int.from_bytes(
                                 data[dur_off : dur_off + dlen], "big"
                             )
@@ -239,9 +241,11 @@ class MediaFeatureExtractor:
                             n_tracks += 1
                             for t3, b3, e3 in boxes(b2, e2):
                                 if t3 == b"tkhd":
-                                    ver = data[b3]
                                     # width/height are the LAST 8 bytes
-                                    # of the tkhd box, 16.16 fixed point
+                                    # of the tkhd box, 16.16 fixed point,
+                                    # after at least the version byte
+                                    if e3 - 8 < b3 + 1:  # truncated tkhd
+                                        return np.zeros(self.N_FEATURES, dtype=np.float32)
                                     widths.append(
                                         int.from_bytes(
                                             data[e3 - 8 : e3 - 4], "big"

@@ -212,7 +212,10 @@ def topk_cosine_ivf(
     )
     if stats is not None:
         # demo-only honesty pass (stats is None in the registered query):
-        # actual candidate-row fraction, counting multi-assignment
+        # actual candidate-row fraction, counting multi-assignment. The
+        # candidates are materialized once, so the count and the top-k
+        # share one filter pass.
+        cand = cand.materialize()
         stats["scan_rows"] = cand.count()
         stats["total_rows"] = ds.count()
         if stats["total_rows"]:

@@ -21,10 +21,47 @@ corpus: reconstruction is triggered by non-whitespace text only.
 
 No third-party HTML libraries are available in this environment; this is
 also dramatically faster than full tree building for the one query we need.
+
+Flat-anchor fast path. Most pages never exercise either behavior, and on
+those the builder's output is fixed by the tags alone. ``iter_hrefs`` and
+``iter_anchors`` therefore first run ``_flat_scan``: one compiled regex,
+matched token run by token run, that answers directly when the page
+carries the *flat-anchor certificate*: every ``<a …>`` start tag is either
+self-closing in html.parser's sense or has ``</a>`` as its next tag token.
+An ``a`` then leaves the active formatting list at its own ``</a>``, so
+the builder can neither clone nor reconstruct one, and its output is each
+``<a>``'s first href in document order (with text: the unescaped data
+between ``<a>`` and ``</a>``, one chunk per stretch between comments).
+The scan tokenizes a strict subset of html.parser's grammar and matches
+the stdlib where they overlap: tag and attribute names lowercased, the
+first href wins, quotes stripped and non-empty values unescaped, a bare
+``href`` gives ``""``, and a bare value swallows a trailing ``/`` (``<a
+href=u/>`` is a start tag, not self-closing). It declines (returns None,
+and the builder runs on the stdlib tokenizer) on any page with
+
+- a ``<`` that starts no well-formed start tag, end tag, ``<!--…-->``
+  comment or ``<!doctype …>``, including ``<?``, ``<!x`` and
+  ``<![CDATA[``;
+- a raw-text start tag (``script``, ``style``: the stdlib's
+  ``CDATA_CONTENT_ELEMENTS``);
+- an unbalanced quote, or a separator inside a tag other than
+  ``[ \t\n\r\f]`` (html.parser reads ``<a\x0bhref=z>`` as one tag name);
+- an ``<a>`` left open, or followed by any other tag.
+
+The builder is skipped on certified pages rather than fed from the scan:
+feeding it tokens from one scan removes only the tokenizer, and a
+prototype of that design reached 1.37x on ``iter_hrefs`` because the
+builder's own per-event dispatch was about half of what remained. The
+skip is about 11x (``tools/extract_bench.py``); about 2% of generated
+corpus pages decline. ``tests/test_extract.py`` holds the differential
+guard: both routes agree on generated corpora, every golden in the file,
+and a mutation fuzz.
 """
 
 from __future__ import annotations
 
+import re
+from html import unescape
 from html.parser import HTMLParser
 
 # HTML5 "special" category subset relevant to adoption agency / scopes.
@@ -280,9 +317,8 @@ class _AnchorTreeBuilder(HTMLParser):
                     e.text.append((self._seq, data))
 
 
-def iter_hrefs(html_content: str) -> list[str]:
-    """All ``a[href]`` attribute values in document order (duplicates kept),
-    as goquery's ``doc.Find("a[href]")`` would see them."""
+def _builder_hrefs(html_content: str) -> list[str]:
+    """``iter_hrefs`` through the tree builder and the stdlib tokenizer."""
     builder = _AnchorTreeBuilder()
     try:
         builder.feed(html_content)
@@ -295,11 +331,8 @@ def iter_hrefs(html_content: str) -> list[str]:
     return builder.hrefs
 
 
-def iter_anchors(html_content: str) -> list[tuple[str, str]]:
-    """(href, raw descendant text) per anchor, in the same document order —
-    ``[h for h, _ in iter_anchors(x)] == iter_hrefs(x)`` by construction.
-    Text is the concatenated raw chunks (goquery ``.Text()``); callers
-    normalize whitespace for a stable data product."""
+def _builder_anchors(html_content: str) -> list[tuple[str, str]]:
+    """``iter_anchors`` through the tree builder and the stdlib tokenizer."""
     builder = _AnchorTreeBuilder(collect_text=True)
     try:
         builder.feed(html_content)
@@ -309,3 +342,106 @@ def iter_anchors(html_content: str) -> list[tuple[str, str]]:
     return [
         (el.href, "".join(c[1] for c in el.text or ())) for el in builder.anchors
     ]
+
+
+# -- flat-anchor scan -------------------------------------------------------
+#
+# A strict subset of html.parser's tokenizer grammar, written so that every
+# token it accepts is one html.parser reads with the same extent, name,
+# attributes and self-closing flag. Separators are [ \t\n\r\f] only: the
+# stdlib ends tag names at exactly those, so any other whitespace inside a
+# tag makes the scan decline.
+_WS = r"[ \t\n\r\f]"
+_NAME_END = r"[ \t\n\r\f/>]"  # what may follow a tag name
+_NAME_CH = r"[-.:_a-zA-Z0-9]"
+_TAG_NAME = rf"[a-zA-Z]{_NAME_CH}*+"
+_ATTR_NAME = rf"[a-zA-Z_:]{_NAME_CH}*+"
+# A bare value runs to whitespace or ">" (so ``<a href=u/>`` keeps the "/"
+# and is not self-closing); it may not start with "=" ("==" is one
+# indicator to the stdlib) and may not hold a quote.
+_BARE = r"""[^\s>"'=][^\s>"']*+"""
+_VALUE = rf"""{_WS}*+={_WS}*+(?:"[^"]*+"|'[^']*+'|{_BARE})"""
+_ATTR = rf"{_WS}++{_ATTR_NAME}(?:{_VALUE})?"
+_IS_HREF = rf"(?i:href)(?!{_NAME_CH})"
+# No "--" inside and no "<!-->" / "<!--->": where the stdlib's comment
+# rules differ (old "--\s*>" search, newer abrupt closes), such a comment
+# ends at the same "-->" under all of them.
+_COMMENT = r"<!--(?![->])(?:[^-]|-(?!-))*+-->"
+_DOCTYPE = r"<![dD][oO][cC][tT][yY][pP][eE][^>]*+>"
+# Raw-text elements switch the stdlib tokenizer into another mode.
+_RAW = "|".join(
+    HTMLParser.CDATA_CONTENT_ELEMENTS
+    + getattr(HTMLParser, "RCDATA_CONTENT_ELEMENTS", ())
+)
+_OTHER_START = (
+    rf"<(?![aA]{_NAME_END})(?!(?i:{_RAW}){_NAME_END})"
+    rf"{_TAG_NAME}(?:{_ATTR})*+{_WS}*+/?>"
+)
+_END = rf"</{_TAG_NAME}{_WS}*+>"
+# One match: everything up to the next <a> start tag (or the end), then
+# that <a> with its text through its </a>. Groups: 1 href present,
+# 2/3/4 its double-quoted / single-quoted / bare value, 5 the text,
+# 6 end of input.
+_FLAT_SCAN = re.compile(
+    rf"(?:[^<]++|{_OTHER_START}|{_END}|{_COMMENT}|{_DOCTYPE})*+"
+    rf"(?:<[aA](?={_NAME_END})"
+    rf"(?:{_WS}++(?!{_IS_HREF}){_ATTR_NAME}(?:{_VALUE})?)*+"
+    rf"""(?:({_WS}++{_IS_HREF})(?:{_WS}*+={_WS}*+(?:"([^"]*+)"|'([^']*+)'|({_BARE})))?"""
+    rf"(?:{_ATTR})*+)?"
+    rf"{_WS}*+(?:/>|>((?:[^<]++|{_COMMENT})*+)</[aA]{_WS}*+>)"
+    rf"|(\Z))"
+)
+_COMMENT_RE = re.compile(_COMMENT)
+
+
+def _flat_scan(html_content: str, with_text: bool) -> list | None:
+    """Anchors of a page that carries the flat-anchor certificate, else None.
+
+    The certificate: every ``<`` in the page starts a token of the grammar
+    above, no raw-text element opens, and every ``<a>`` start tag is either
+    self-closing or followed by ``</a>`` as its next tag. The tree builder
+    then never clones or reconstructs an ``a``, so its output is each
+    ``<a>``'s first href in order, with the text between ``<a>`` and
+    ``</a>`` (one unescaped chunk per stretch between comments).
+    """
+    out: list = []
+    match = _FLAT_SCAN.match
+    pos = 0
+    while True:
+        m = match(html_content, pos)
+        if m is None:
+            return None
+        if m[6] is not None:
+            return out
+        pos = m.end()
+        if m[1] is None:
+            continue
+        href = m[2] or m[3] or m[4]
+        href = unescape(href) if href else ""
+        if not with_text:
+            out.append(href)
+            continue
+        text = m[5]
+        if not text:
+            text = ""
+        elif "<" in text:
+            text = "".join(unescape(c) for c in _COMMENT_RE.split(text))
+        else:
+            text = unescape(text)
+        out.append((href, text))
+
+
+def iter_hrefs(html_content: str) -> list[str]:
+    """All ``a[href]`` attribute values in document order (duplicates kept),
+    as goquery's ``doc.Find("a[href]")`` would see them."""
+    hrefs = _flat_scan(html_content, False)
+    return _builder_hrefs(html_content) if hrefs is None else hrefs
+
+
+def iter_anchors(html_content: str) -> list[tuple[str, str]]:
+    """(href, raw descendant text) per anchor, in the same document order —
+    ``[h for h, _ in iter_anchors(x)] == iter_hrefs(x)`` by construction.
+    Text is the concatenated raw chunks (goquery ``.Text()``); callers
+    normalize whitespace for a stable data product."""
+    anchors = _flat_scan(html_content, True)
+    return _builder_anchors(html_content) if anchors is None else anchors

@@ -675,27 +675,43 @@ class CrawlEngine:
 
     # -- resume ------------------------------------------------------------
 
+    def _complete_manifest(self, d: int) -> dict | None:
+        """Wave ``d``'s manifest if the wave is complete, else None.
+
+        Complete means the manifest parses (a missing or torn one does
+        not) and every file its ``outputs.*.files`` lists is present,
+        checked with one listdir per output dir. Output dirs are taken
+        relative to the wave dir, so a moved checkpoint still restores."""
+        wdir = self._wave_dir(d)
+        try:
+            with open(os.path.join(wdir, "manifest.json")) as fh:
+                manifest = json.load(fh)
+        except (FileNotFoundError, ValueError):
+            return None
+        for out in manifest["outputs"].values():
+            out_dir = os.path.join(wdir, os.path.basename(out["path"]))
+            present = set(os.listdir(out_dir)) if os.path.isdir(out_dir) else set()
+            if not present.issuperset(out["files"]):
+                return None
+        return manifest
+
     def _restore(self, seen: SeenSet, outcome: CrawlOutcome) -> int:
         """Rebuild seen shards from checkpointed deltas; return next wave.
 
-        A wave is complete when its manifest parses; the first missing or
-        unparsable (torn) one marks the incomplete wave. Checkpoints whose
-        journals hold at most ``driver_sort_limit`` URLs are loaded in the
-        driver; larger ones distribute the set first and restore
-        shard-locally — the driver only ships PATHS to the shard actors
-        (seen.restore_from_journals), so restore memory is per-shard, not
-        corpus-wide."""
+        The first wave that is not complete (``_complete_manifest``) is
+        the incomplete one: its dir and every later wave's dir are removed.
+        Checkpoints whose journals hold at most ``driver_sort_limit`` URLs
+        are loaded in the driver; larger ones distribute the set first and
+        restore shard-locally — the driver only ships PATHS to the shard
+        actors (seen.restore_from_journals), so restore memory is
+        per-shard, not corpus-wide."""
         manifests: list[dict] = []
-        while True:
-            path = os.path.join(self._wave_dir(len(manifests)), "manifest.json")
-            try:
-                with open(path) as fh:
-                    manifests.append(json.load(fh))
-            except (FileNotFoundError, ValueError):
-                break
-        incomplete = self._wave_dir(len(manifests))
-        if os.path.exists(incomplete):
-            shutil.rmtree(incomplete)
+        while (m := self._complete_manifest(len(manifests))) is not None:
+            manifests.append(m)
+        if os.path.isdir(self.ckpt):
+            for name in os.listdir(self.ckpt):
+                if name.startswith("wave-") and int(name[5:]) >= len(manifests):
+                    shutil.rmtree(os.path.join(self.ckpt, name))
         if not manifests:
             return 0
         written_shards: int | None = None
