@@ -1180,9 +1180,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return gr.pagerank(pages, nodes).sort("url")
 
     def page_hits(sf_dir):
-        # HITS hubs/authorities (second iterative centrality): same pinned
-        # edge-shard actor shape as pagerank; per-bucket hub partials keep
-        # it bit-identical to the single-process reference
+        # HITS hubs/authorities (second iterative centrality): the same
+        # pinned bucket-slice task rounds as pagerank; hub partials and L1
+        # totals per fixed L1 bucket keep it bit-identical to the
+        # single-process reference
         from urlmap_ray.expected import ensure_hits_expected
         from urlmap_ray.functions import graph as gr
 
@@ -1206,11 +1207,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return label_propagation(pages, nodes).sort("url")
 
     def page_hits_shuffle(sf_dir):
-        # the >SHUFFLE_MODE_NODES HITS formulation: per-bucket edge and
-        # score slices pinned in the object store, an authority and a hub
-        # map/reduce task round per iteration, driver state refs, two
-        # floats + O(buckets) bucket sums; bit-identical to broadcast mode
-        # (test_hits_shuffle_mode_identical). Registered at 3 iterations
+        # the >SHUFFLE_MODE_NODES HITS formulation: the broadcast mode's
+        # kernel (per-bucket edge and score slices pinned in the object
+        # store, an authority and a hub map/reduce task round per
+        # iteration, driver state refs, two floats + O(buckets) L1
+        # partials) with node-index ids and a bucketed url attach;
+        # bit-identical to the reference (test_hits_shuffle_mode_identical). Registered at 3 iterations
         # against a 3-iteration reference oracle (same rationale as
         # pagerank_shuffle: pay 3 rounds of toy-scale job overhead, not 10)
         from urlmap_ray.expected import ensure_hits_expected
@@ -1221,10 +1223,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return gr.hits(pages, nodes, mode="shuffle", n_iters=3).sort("url")
 
     def pagerank_shuffle(sf_dir):
-        # the >SHUFFLE_MODE_NODES 100-TB formulation (per-bucket edge and
-        # rank slices pinned in the object store, one map/reduce task round
-        # per iteration, no O(nodes) broadcast);
-        # bit-identical to broadcast mode per iteration
+        # the >SHUFFLE_MODE_NODES 100-TB formulation (the broadcast mode's
+        # kernel — per-bucket edge and rank slices pinned in the object
+        # store, one map/reduce task round per iteration — with node-index
+        # ids and no O(nodes) object); bit-identical to broadcast mode
         # (test_pagerank_shuffle_mode_identical), registered at 3 iterations
         # against a 3-iteration reference oracle so the bench pays 3×2
         # all-to-all jobs, not 10×2, of toy-scale overhead (VERDICT r2 #4)
@@ -2718,14 +2720,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def docs_prep(sf_dir):
         """Composed training-data prep pipeline, one streaming flow:
-        quality/lang gates → exact dedup (keep min doc_id) → broadcast join
-        survivors back for metadata → per-source corpus stats."""
+        quality/lang gates → exact dedup (keep min doc_id) → shuffle
+        semi-join of the survivors → per-source corpus stats."""
         import ray
         import ray.data
         from ray.data.aggregate import Count, Min, Sum
 
         from urlmap_ray.functions.dedup import content_hash_batch
-        from urlmap_ray.functions.joins import broadcast_join
+        from urlmap_ray.functions.joins import semi_join
         from urlmap_ray.functions import textstats as ts
 
         def enrich(t: pa.Table) -> pa.Table:
@@ -2752,9 +2754,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             .materialize()  # consumed twice: keep_ids aggregation + semi-join
         )
         keep_ids = docs.groupby("text_hash").aggregate(Min("doc_id", alias_name="doc_id"))
-        # keep_ids is tiny (one row per distinct text) — driver collect is fine
-        keep_tbl = pa.Table.from_pandas(keep_ids.to_pandas()[["doc_id"]])
-        surv = broadcast_join(docs, keep_tbl, left_on="doc_id", right_on="doc_id")
+        # one keep id per distinct text, O(docs): it never reaches the driver
+        surv = semi_join(docs, keep_ids, on="doc_id", mode="shuffle")
         agg = surv.groupby("source").aggregate(
             Count(alias_name="n_docs"), Sum("n_tokens", alias_name="total_tokens")
         )

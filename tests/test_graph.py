@@ -174,41 +174,12 @@ def test_trustrank_modes_identical_and_match_reference(ray_session, corpus, trut
         pagerank_reference(urls, links, seed_urls=["https://nope.example/x"])
 
 
-def _bucketed_edge_table(corpus, per_bucket):
-    """The broadcast regime's materialized dst-bucketed edge blocks as one
-    (dst_id, src_id)-sorted table, plus each row's dst bucket."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from urlmap_ray.functions import graph as gr
-
-    urls_ref = gr._sorted_urls_ref(_nodes_ds(corpus))
-    edges_b = gr._bucketed_edge_ids(
-        gr._edges_broadcast(_pages_ds(corpus), urls_ref), urls_ref, per_bucket
-    )
-    tabs = [t for t in ray.get(edges_b.to_arrow_refs()) if t.num_rows]
-    t = pa.concat_tables(tabs).sort_by([("dst_id", "ascending"), ("src_id", "ascending")])
-    return t, t.column("dst_id").to_numpy() // per_bucket
-
-
-def _uniform_teleport(n):
-    from urlmap_ray.functions import graph as gr
-
-    v = gr._teleport_vectors(n, gr._DAMPING, None, None)
-    return v["base_vec"], v["rank0_vec"]
-
-
 def test_hits_matches_reference_any_block_layout(ray_session, corpus, truth):
-    """Distributed HITS (and PageRank) must be bit-identical to the
-    single-process references whether all dst buckets arrive in one
-    edge block or each bucket is its own block: each per-block task
-    folds whole buckets, and the driver folds hub partials in bucket
-    order, so the block layout cannot move a float."""
+    """The public HITS call is bit-identical to the single-process
+    reference (the kernel's block layouts and bucket counts are covered by
+    ``test_shuffle_kernel_any_layout_and_bucket_count``)."""
     import numpy as np
-    import ray.data
 
-    from urlmap_ray.functions import graph as gr
     from urlmap_ray.functions.graph import hits, hits_reference
 
     urls, links, _ = truth
@@ -223,76 +194,10 @@ def test_hits_matches_reference_any_block_layout(ray_session, corpus, truth):
     }
     rows = hits(_pages_ds(corpus), _nodes_ds(corpus)).take_all()
     assert {r["url"]: (r["auth_ppb"], r["hub_ppb"]) for r in rows} == exp_rows
-
-    n = len(urls)
-    per_bucket = gr._graph_buckets(n)
-    t, bucket = _bucketed_edge_table(corpus, per_bucket)
-    layouts = {
-        "one_block": ray.data.from_arrow(t),
-        "block_per_bucket": ray.data.from_arrow(
-            [t.filter(bucket == b) for b in np.unique(bucket)]
-        ),
-    }
-    assert layouts["block_per_bucket"].num_blocks() > 1
-    sorted_urls = sorted(urls)
-    exp_pr = pagerank_reference(urls, links)
-    for name, edges_b in layouts.items():
-        auth, hub = gr._hits_broadcast(
-            edges_b, n, n_iters=gr._N_ITERS, per_bucket=per_bucket
-        )
-        got = dict(
-            zip(
-                sorted_urls,
-                zip(
-                    np.round(auth * 1e9).astype(np.int64).tolist(),
-                    np.round(hub * 1e9).astype(np.int64).tolist(),
-                ),
-            )
-        )
-        assert got == exp_rows, f"hits mismatch with layout {name}"
-        (ranks,) = gr._broadcast_rank_vectors(
-            edges_b,
-            n,
-            n_iters=gr._N_ITERS,
-            damping=gr._DAMPING,
-            variants=[_uniform_teleport(n)],
-            per_bucket=per_bucket,
-        )
-        got_pr = dict(zip(sorted_urls, np.round(ranks * 1e9).astype(np.int64).tolist()))
-        assert got_pr == exp_pr, f"pagerank mismatch with layout {name}"
     # sanity: scores are L1-normalized (ppb sums ≈ 1e9) and non-trivial
     assert abs(sum(exp.column("auth_ppb").to_pylist()) - 1_000_000_000) < 1000
     assert abs(sum(exp.column("hub_ppb").to_pylist()) - 1_000_000_000) < 1000
     assert np.count_nonzero(exp.column("auth_ppb").to_numpy()) > N_PAGES // 2
-
-
-def test_rank_refuses_a_bucket_split_across_blocks(ray_session, corpus, truth):
-    """The per-block fold needs every dst bucket whole in one block; an
-    edge Dataset that cuts a bucket in two must fail loudly, not return
-    ranks summed in a different float order."""
-    import numpy as np
-    import ray.data
-
-    from urlmap_ray.functions import graph as gr
-
-    n = len(truth[0])
-    per_bucket = gr._graph_buckets(n)
-    t, bucket = _bucketed_edge_table(corpus, per_bucket)
-    # cut the first bucket that has at least two edges after its first edge
-    b0 = next(b for b in np.unique(bucket) if np.count_nonzero(bucket == b) >= 2)
-    k = int(np.flatnonzero(bucket == b0)[0]) + 1
-    split = ray.data.from_arrow([t[:k], t[k:]])
-    with pytest.raises(ValueError, match="two edge blocks"):
-        gr._broadcast_rank_vectors(
-            split,
-            n,
-            n_iters=1,
-            damping=gr._DAMPING,
-            variants=[_uniform_teleport(n)],
-            per_bucket=per_bucket,
-        )
-    with pytest.raises(ValueError, match="two edge blocks"):
-        gr._hits_broadcast(split, n, n_iters=1, per_bucket=per_bucket)
 
 
 def _id_edges(urls, links, weighted=False):
@@ -334,13 +239,13 @@ def _shuffle_layouts(t, per_bucket):
 
 
 def test_shuffle_kernel_any_layout_and_bucket_count(ray_session, corpus, truth):
-    """The shuffle-regime PageRank, weighted PageRank and HITS kernels are
-    bit-identical to the references whatever the edge block layout: all
-    edges in one block, one block per bucket, a bucket split across two
-    blocks; and with a single bucket (Ray's single-return case) and an
-    edgeless graph. With one bucket the HITS L1 tree changes shape, so it
-    is compared with the broadcast kernel at that bucketing (the
-    reference's own fold, ``_hits_iterate``)."""
+    """The PageRank, weighted PageRank and HITS kernels are bit-identical
+    to the references whatever the edge block layout — all edges in one
+    block, one block per bucket, a bucket split across two blocks — at
+    1, 2, 3 and one-per-L1-bucket task buckets (one bucket is Ray's
+    single-return case): the HITS L1 tree stays at the reference's
+    granularity whatever the task bucket. Also on an edgeless graph, the
+    kernels and the public calls of both modes."""
     import numpy as np
     import ray
     import ray.data
@@ -360,83 +265,104 @@ def test_shuffle_kernel_any_layout_and_bucket_count(ray_session, corpus, truth):
             per_bucket=per_bucket,
             weighted=weighted,
         )
-        return gr._ppb(np.concatenate(ray.get(refs))).tolist()
+        return np.concatenate(ray.get(refs))
 
-    def hits_rows(edges_ds, n, per_bucket):
+    def hits_scores(edges_ds, n, per_bucket):
         auth, div_a, hub, div_h = gr._hits_shuffle_slices(
             edges_ds, n, n_iters=n_iters, per_bucket=per_bucket
         )
-        a = gr._ppb(np.concatenate(ray.get(auth)) / div_a)
-        h = gr._ppb(np.concatenate(ray.get(hub)) / div_h)
-        return list(zip(a.tolist(), h.tolist()))
+        return np.stack(
+            [np.concatenate(ray.get(auth)) / div_a, np.concatenate(ray.get(hub)) / div_h], 1
+        )
+
+    first = {}
+
+    def check(kernel, floats, exp, where):
+        """ppb equal to the reference's, and floats bit-equal to the first
+        run's, which is at the reference's own bucketing (ppb rounding
+        alone would hide a last-bit change)."""
+        assert gr._ppb(floats).tolist() == exp, (kernel, where)
+        assert np.array_equal(first.setdefault(kernel, floats), floats), (kernel, where)
 
     t, nodes, _ = _id_edges(urls, links)
     n = len(nodes)
     exp_pr = gr.pagerank_reference(urls, links, n_iters=n_iters)
     exp_pr = [exp_pr[u] for u in nodes]
     exp_h = gr.hits_reference(urls, links, n_iters=n_iters)
-    exp_h = list(zip(exp_h.column("auth_ppb").to_pylist(), exp_h.column("hub_ppb").to_pylist()))
+    exp_h = [list(r) for r in zip(exp_h.column("auth_ppb").to_pylist(), exp_h.column("hub_ppb").to_pylist())]
     wt, w_nodes, triples = _id_edges(urls, links, weighted=True)
+    n_w = len(w_nodes)
     exp_w = gr.weighted_pagerank_reference(triples, n_iters=n_iters)
     exp_w = [exp_w[u] for u in w_nodes]
 
-    per_bucket = gr._graph_buckets(n)
-    w_per_bucket = gr._graph_buckets(len(w_nodes))
-    w_layouts = _shuffle_layouts(wt, w_per_bucket)
-    for name, edges_ds in _shuffle_layouts(t, per_bucket).items():
-        assert ranks(edges_ds, n, per_bucket) == exp_pr, name
-        assert hits_rows(edges_ds, n, per_bucket) == exp_h, name
-        assert ranks(w_layouts[name], len(w_nodes), w_per_bucket, True) == exp_w, name
-
-    # n_buckets=1: every map task has a single return
-    one = ray.data.from_arrow(t)
-    assert ranks(one, n, n) == exp_pr
-    assert ranks(ray.data.from_arrow(wt), len(w_nodes), len(w_nodes), True) == exp_w
-    a, h = gr._hits_broadcast(one, n, n_iters=n_iters, per_bucket=n)
-    assert hits_rows(one, n, n) == list(zip(gr._ppb(a).tolist(), gr._ppb(h).tolist()))
+    n_l1 = -(-n // gr._graph_buckets(n))
+    for k in (n_l1, 1, 2, 3):
+        per_bucket, w_per_bucket = gr._task_bucket(n, k), gr._task_bucket(n_w, k)
+        assert -(-n // per_bucket) == k  # this corpus cuts into exactly k
+        w_layouts = _shuffle_layouts(wt, w_per_bucket)
+        for name, edges_ds in _shuffle_layouts(t, per_bucket).items():
+            check("pagerank", ranks(edges_ds, n, per_bucket), exp_pr, (k, name))
+            check("hits", hits_scores(edges_ds, n, per_bucket), exp_h, (k, name))
+            check("weighted", ranks(w_layouts[name], n_w, w_per_bucket, True), exp_w, (k, name))
 
     # edgeless: the kernels, and the public calls whose edge build yields no rows
+    per_bucket = gr._graph_buckets(n)
     empty = ray.data.from_arrow(t.slice(0, 0))
     no_links = {u: [] for u in urls}
     exp_pr0 = gr.pagerank_reference(urls, no_links, n_iters=n_iters)
     exp_h0 = gr.hits_reference(urls, no_links, n_iters=n_iters)
-    assert ranks(empty, n, per_bucket) == [exp_pr0[u] for u in nodes]
-    assert hits_rows(empty, n, per_bucket) == list(
-        zip(exp_h0.column("auth_ppb").to_pylist(), exp_h0.column("hub_ppb").to_pylist())
-    )
+    assert gr._ppb(ranks(empty, n, per_bucket)).tolist() == [exp_pr0[u] for u in nodes]
+    assert gr._ppb(hits_scores(empty, n, per_bucket)).tolist() == [
+        list(r) for r in zip(exp_h0.column("auth_ppb").to_pylist(), exp_h0.column("hub_ppb").to_pylist())
+    ]
     pages = _pages_ds(corpus).map_batches(
         lambda b: b.set_column(1, "html", pa.nulls(b.num_rows, pa.string())),
         batch_format="pyarrow",
     )
-    got = pagerank(pages, _nodes_ds(corpus), mode="shuffle", n_iters=n_iters, n_buckets=7)
-    assert {r["url"]: r["rank_ppb"] for r in got.take_all()} == exp_pr0
-    got = gr.hits(pages, _nodes_ds(corpus), mode="shuffle", n_iters=n_iters, n_buckets=7)
-    assert sorted((r["url"], r["auth_ppb"], r["hub_ppb"]) for r in got.take_all()) == list(
-        zip(*(exp_h0.column(c).to_pylist() for c in ("url", "auth_ppb", "hub_ppb")))
-    )
-    empty_w = ray.data.from_arrow(
-        pa.table({c: pa.array([], pa.string()) for c in ("src_host", "dst_host")}).append_column(
-            "weight", pa.array([], pa.int64())
+    for mode in ("broadcast", "shuffle"):
+        got = pagerank(pages, _nodes_ds(corpus), mode=mode, n_iters=n_iters, n_buckets=7)
+        assert {r["url"]: r["rank_ppb"] for r in got.take_all()} == exp_pr0, mode
+        got = gr.hits(pages, _nodes_ds(corpus), mode=mode, n_iters=n_iters, n_buckets=7)
+        assert sorted((r["url"], r["auth_ppb"], r["hub_ppb"]) for r in got.take_all()) == list(
+            zip(*(exp_h0.column(c).to_pylist() for c in ("url", "auth_ppb", "hub_ppb")))
+        ), mode
+        empty_w = ray.data.from_arrow(
+            pa.table({c: pa.array([], pa.string()) for c in ("src_host", "dst_host")}).append_column(
+                "weight", pa.array([], pa.int64())
+            )
         )
-    )
-    assert gr.weighted_pagerank(empty_w, mode="shuffle").take_all() == []
+        assert gr.weighted_pagerank(empty_w, mode=mode).take_all() == [], mode
+
+
+def test_rank_rejects_bad_n_buckets(ray_session, corpus):
+    """A task bucket count below one is refused before any graph work."""
+    from urlmap_ray.functions.graph import hits
+
+    for mode in ("broadcast", "shuffle"):
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="n_buckets"):
+                pagerank(_pages_ds(corpus), _nodes_ds(corpus), mode=mode, n_buckets=bad)
+            with pytest.raises(ValueError, match="n_buckets"):
+                hits(_pages_ds(corpus), _nodes_ds(corpus), mode=mode, n_buckets=bad)
 
 
 def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
-    """The shuffle regime holds no O(nodes) object on the driver: every
-    array the engine's driver code puts or gets (summed over the values
-    of one multi-ref get) has at most max(per_bucket, buckets) elements.
-    Ray Data's own exchanges (their sort samples) are not counted. And its iterations are task rounds, not Dataset jobs: the
-    Ray Data executions a call makes do not grow with ``n_iters``."""
+    """Neither regime holds an O(nodes) object on the driver: every array
+    the engine's driver code puts or gets (summed over the values of one
+    multi-ref get) has at most max(per_bucket, task buckets, L1 buckets)
+    elements. Ray Data's own exchanges (their sort samples) are not
+    counted. And iterations are task rounds, not Dataset jobs: the Ray
+    Data executions a call makes do not grow with ``n_iters``."""
     import numpy as np
     import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
+    from urlmap_ray.functions import graph as gr
     from urlmap_ray.functions.graph import hits
 
     urls, links, _ = truth
     n, nb = len(urls), 7
-    bound = max(-(-n // nb), nb)
+    n_l1 = -(-n // gr._graph_buckets(n))
     sizes = []
 
     def size_of(v):
@@ -471,59 +397,71 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
         runs.append(1)
         return real_execute(self, *a, **kw)
 
+    seeds = sorted(urls)[:3]
+    calls = {}
+    for mode, k in (("shuffle", nb), ("broadcast", None)):  # broadcast: its CPU default
+        per_bucket = gr._rank_regime(n, mode, k)[1]
+        kw = {"mode": mode, "n_buckets": k}
+        calls.update(
+            {
+                (mode, "pagerank"): (per_bucket, lambda i, kw=kw: pagerank(
+                    _pages_ds(corpus), _nodes_ds(corpus), n_iters=i, **kw
+                )),
+                (mode, "trustrank"): (per_bucket, lambda i, kw=kw: pagerank(
+                    _pages_ds(corpus), _nodes_ds(corpus), n_iters=i, seed_urls=seeds, **kw
+                )),
+                (mode, "hits"): (per_bucket, lambda i, kw=kw: hits(
+                    _pages_ds(corpus), _nodes_ds(corpus), n_iters=i, **kw
+                )),
+            }
+        )
     monkeypatch.setattr(ray, "put", put)
     monkeypatch.setattr(ray, "get", get)
     monkeypatch.setattr(StreamingExecutor, "execute", execute)
-    seeds = sorted(urls)[:3]
-    calls = {
-        "pagerank": lambda k: pagerank(
-            _pages_ds(corpus), _nodes_ds(corpus), mode="shuffle", n_iters=k, n_buckets=nb
-        ),
-        "trustrank": lambda k: pagerank(
-            _pages_ds(corpus), _nodes_ds(corpus), mode="shuffle", n_iters=k, n_buckets=nb,
-            seed_urls=seeds,
-        ),
-        "hits": lambda k: hits(
-            _pages_ds(corpus), _nodes_ds(corpus), mode="shuffle", n_iters=k, n_buckets=nb
-        ),
-    }
     results = {}
-    for name, call in calls.items():
+    for name, (per_bucket, call) in calls.items():
+        bound = max(per_bucket, -(-n // per_bucket), n_l1)
+        assert bound < n  # an O(nodes) array would show
         jobs = []
         for k in (1, 4):
             runs.clear()
+            sizes.clear()
             ds = call(k)
             jobs.append(len(runs))
-            results[(name, k)] = ds.materialize()
+            ours = [(op, size) for who, op, size in sizes if who.startswith("urlmap_ray.")]
+            results[name + (k,)] = ds.materialize()
+            assert max((size for _, size in ours), default=0) <= bound, (name, sorted(ours, key=lambda x: -x[1])[:3])
+            if name[1] == "hits":
+                assert ("get", n_l1) in ours  # the L1 partials of one round
         assert jobs[0] == jobs[1], f"{name}: Dataset executions grow with n_iters: {jobs}"
     monkeypatch.undo()
-    ours = [(op, size) for who, op, size in sizes if who.startswith("urlmap_ray.")]
-    assert ("get", 0) in ours  # the HITS bucket sums (scalars)
-    assert max(size for _, size in ours) <= bound, sorted(ours, key=lambda x: -x[1])[:3]
-    assert {r["url"]: r["rank_ppb"] for r in results[("pagerank", 4)].take_all()} == (
-        pagerank_reference(urls, links, n_iters=4)
-    )
-    assert {r["url"]: r["rank_ppb"] for r in results[("trustrank", 4)].take_all()} == (
-        pagerank_reference(urls, links, n_iters=4, seed_urls=seeds)
-    )
+    for mode in ("shuffle", "broadcast"):
+        assert {r["url"]: r["rank_ppb"] for r in results[(mode, "pagerank", 4)].take_all()} == (
+            pagerank_reference(urls, links, n_iters=4)
+        ), mode
+        assert {r["url"]: r["rank_ppb"] for r in results[(mode, "trustrank", 4)].take_all()} == (
+            pagerank_reference(urls, links, n_iters=4, seed_urls=seeds)
+        ), mode
 
 
 def test_hits_shuffle_mode_identical(ray_session, corpus, truth):
-    """The fully-distributed HITS (scores stay Datasets, four bucketed
-    exchanges/iteration) must be bit-identical to broadcast mode at the
-    same bucketing — the marker-row L1 fold reproduces _l1_total exactly."""
-    from urlmap_ray.functions.graph import hits
+    """HITS in both modes at n_buckets=7 is bit-identical to
+    hits_reference: the L1 tree and hub partials stay at the reference's
+    granularity whatever the task bucket count."""
+    from urlmap_ray.functions.graph import hits, hits_reference
 
-    b = hits(
-        _pages_ds(corpus), _nodes_ds(corpus), mode="broadcast", n_iters=3, n_buckets=7
+    urls, links, _ = truth
+    exp = hits_reference(urls, links, n_iters=3)
+    exp_rows = dict(
+        zip(
+            exp.column("url").to_pylist(),
+            zip(exp.column("auth_ppb").to_pylist(), exp.column("hub_ppb").to_pylist()),
+        )
     )
-    s = hits(
-        _pages_ds(corpus), _nodes_ds(corpus), mode="shuffle", n_iters=3, n_buckets=7
-    )
-    got_b = {r["url"]: (r["auth_ppb"], r["hub_ppb"]) for r in b.take_all()}
-    got_s = {r["url"]: (r["auth_ppb"], r["hub_ppb"]) for r in s.take_all()}
-    assert got_s == got_b
-    assert any(a > 0 for a, _ in got_b.values())
+    for mode in ("broadcast", "shuffle"):
+        got = hits(_pages_ds(corpus), _nodes_ds(corpus), mode=mode, n_iters=3, n_buckets=7)
+        assert {r["url"]: (r["auth_ppb"], r["hub_ppb"]) for r in got.take_all()} == exp_rows, mode
+    assert any(a > 0 for a, _ in exp_rows.values())
 
 
 def test_driver_never_materializes_url_column(ray_session, corpus):

@@ -1,29 +1,25 @@
-"""Microbench for the rank iterations of both regimes (functions/graph.py).
+"""Microbench for the rank kernel in both regimes (functions/graph.py).
 
     python tools/rank_bench.py [--pages 1000] [--seed 1] [--reps 3]
 
 Makes a ``--pages`` corpus (``generate_corpus(..., seed=--seed)``; the
 defaults are the perfbench ``link_rank`` corpus) in a temporary directory,
 starts a 2-CPU local Ray session and prints, one ``name value unit`` line
-each, for ``pagerank`` and ``hits`` in broadcast mode:
+each, for ``pagerank`` and ``hits`` in broadcast mode at its default
+bucketing (one task bucket per session CPU):
 
-- ``<alg>_pin_s``: pinning the materialized edge blocks in the object store
-  (``_pin_edge_blocks``), up to the blocks' metadata on the driver (for
-  PageRank that includes the out-degree partials);
-- ``<alg>_round_s``: one iteration round over the pinned blocks (HITS: one
-  authority and one hub round);
+- ``<alg>_pin_s``: the pin round over the materialized id-mapped edges
+  (``_pin_buckets``; HITS pins both bucket layouts), until every pinned
+  slice exists;
+- ``<alg>_round_s``: one map/reduce task round (HITS: one authority and
+  one hub round, with the driver's fold of the L1 partials);
 - ``<alg>_total_s``: the public call (``graph.pagerank`` / ``graph.hits``
   with ``mode="broadcast"``, edge build included), materialized.
 
-and the same three for the shuffle regime (``mode="shuffle", n_iters=3,
-n_buckets=2``, as the perfbench ``link_rank`` workload runs it):
-
-- ``<alg>_shuffle_pin_s``: the pin round over the materialized id-mapped
-  edges (``_pin_buckets``; HITS pins both bucket layouts), until every
-  pinned slice exists;
-- ``<alg>_shuffle_round_s``: one map/reduce task round (HITS: one
-  authority and one hub round, with the driver's fold of the bucket sums);
-- ``<alg>_shuffle_total_s``: the public call, materialized.
+and the same three for the shuffle regime (``<alg>_shuffle_*``;
+``mode="shuffle", n_iters=3, n_buckets=2``, as the perfbench
+``link_rank`` workload runs it). The regimes share the kernel, so they
+differ in the edge build and url attach, which only the totals include.
 
 Each call is checked against ``pagerank_reference`` / ``hits_reference``.
 Timings are medians over ``--reps`` repetitions; the session is shut down
@@ -111,82 +107,62 @@ def main(argv=None) -> int:
     def check_hits(ds, exp):
         assert sorted((r["url"], r["auth_ppb"], r["hub_ppb"]) for r in ds.take_all()) == exp
 
+    regimes = (
+        ("", {"mode": "broadcast"}, exp_pr, exp_hits),
+        ("_shuffle", shuffle, exp_pr3, exp_hits3),
+    )
     try:
         n = len(urls)
-        per_bucket = gr._graph_buckets(n)
-        urls_ref = gr._sorted_urls_ref(inputs()[1])
-        edges_b = gr._bucketed_edge_ids(
-            gr._edges_broadcast(inputs()[0], urls_ref), urls_ref, per_bucket
-        )
-        contribs = ray.remote(num_cpus=1)(gr._block_contribs)
-        auth = ray.remote(num_cpus=1)(gr._block_auth)
-        hub = ray.remote(num_cpus=1)(gr._block_hub)
-        vec = ray.put(np.full(n, 1.0 / n))
-        for _ in range(args.reps):
-            s, (blocks, _) = _timed(lambda: gr._pin_edge_blocks(edges_b, per_bucket))
-            times["pagerank_pin"].append(s)
-            s, _ = _timed(lambda: ray.get([contribs.remote(b, vec, vec) for b in blocks]))
-            times["pagerank_round"].append(s)
-            s, (blocks, _) = _timed(
-                lambda: gr._pin_edge_blocks(edges_b, per_bucket, hub_order=True)
-            )
-            times["hits_pin"].append(s)
-            s, _ = _timed(
-                lambda: (
-                    ray.get([auth.remote(b, vec) for b in blocks]),
-                    ray.get([hub.remote(b, vec) for b in blocks]),
+        l1 = gr._graph_buckets(n)
+        for tag, kw, want_pr, want_hits in regimes:
+            mode, per_bucket = gr._rank_regime(n, kw["mode"], kw.get("n_buckets"))
+            nb = -(-n // per_bucket)
+            print(f"# {mode}: {nb} task buckets of {per_bucket} nodes", file=sys.stderr)
+            edges = gr._page_graph(*inputs(), n, mode, kw.get("n_buckets")).edges
+            rank_step = ray.remote(num_cpus=1)(gr._rank_map).options(num_returns=nb)
+            rank_fold = ray.remote(num_cpus=1)(gr._rank_reduce)
+            auth_step = ray.remote(num_cpus=1)(gr._auth_map).options(num_returns=nb)
+            hub_step = ray.remote(num_cpus=1)(gr._hub_map).options(num_returns=nb)
+            score_fold = ray.remote(num_cpus=1)(gr._score_reduce).options(num_returns=2)
+            bounds = [(b * per_bucket, min((b + 1) * per_bucket, n), l1) for b in range(nb)]
+
+            def pin(hits=False):
+                src_pins, dst_pins, inits = gr._pin_buckets(edges, n, per_bucket, hits=hits)
+                done(src_pins + dst_pins + inits[0][1])
+                return src_pins, dst_pins, inits[0]
+
+            def l1_total(out):
+                return float(np.sum(np.concatenate(ray.get([t for _, t in out]))))
+
+            def hits_round(src_pins, dst_pins, hubs):
+                out = gr._shuffle_round(auth_step, score_fold, src_pins, hubs, (1.0,), bounds)
+                tot = l1_total(out)
+                auths = [a for a, _ in out]
+                return l1_total(
+                    gr._shuffle_round(hub_step, score_fold, dst_pins, auths, (tot,), bounds)
                 )
-            )
-            times["hits_round"].append(s)
 
-            s, ds = _timed(lambda: gr.pagerank(*inputs(), mode="broadcast").materialize())
-            times["pagerank_total"].append(s)
-            check_pr(ds, exp_pr)
-            s, ds = _timed(lambda: gr.hits(*inputs(), mode="broadcast").materialize())
-            times["hits_total"].append(s)
-            check_hits(ds, exp_hits)
+            for _ in range(args.reps):
+                s, (pins, _, (bases, ranks)) = _timed(pin)
+                times[f"pagerank{tag}_pin"].append(s)
+                fold_args = [(lo, gr._DAMPING, base) for (lo, _, _), base in zip(bounds, bases)]
+                s, _ = _timed(
+                    lambda: done(
+                        gr._shuffle_round(rank_step, rank_fold, pins, ranks, (), fold_args)
+                    )
+                )
+                times[f"pagerank{tag}_round"].append(s)
+                s, (srcs, dsts, (_, hubs)) = _timed(lambda: pin(hits=True))
+                times[f"hits{tag}_pin"].append(s)
+                s, _ = _timed(lambda: hits_round(srcs, dsts, hubs))
+                times[f"hits{tag}_round"].append(s)
 
-        sb = -(-n // shuffle["n_buckets"])  # the shuffle calls' per_bucket
-        nb = -(-n // sb)
-        _, edges = gr._shuffle_prep(*inputs(), n, sb)
-        rank_step = ray.remote(num_cpus=1)(gr._rank_map).options(num_returns=nb)
-        rank_fold = ray.remote(num_cpus=1)(gr._rank_reduce)
-        auth_step = ray.remote(num_cpus=1)(gr._auth_map).options(num_returns=nb)
-        hub_step = ray.remote(num_cpus=1)(gr._hub_map).options(num_returns=nb)
-        score_fold = ray.remote(num_cpus=1)(gr._score_reduce).options(num_returns=2)
-        bounds = [(b * sb, min((b + 1) * sb, n)) for b in range(nb)]
-
-        def pin(hits=False):
-            src_pins, dst_pins, inits = gr._pin_buckets(edges, n, sb, hits=hits)
-            done(src_pins + dst_pins + inits[0][1])
-            return src_pins, dst_pins, inits[0]
-
-        def hits_round(src_pins, dst_pins, hubs):
-            out = gr._shuffle_round(auth_step, score_fold, src_pins, hubs, (1.0,), bounds)
-            tot = float(np.sum(ray.get([t for _, t in out])))
-            auths = [a for a, _ in out]
-            out = gr._shuffle_round(hub_step, score_fold, dst_pins, auths, (tot,), bounds)
-            return float(np.sum(ray.get([t for _, t in out])))
-
-        for _ in range(args.reps):
-            s, (pins, _, (bases, ranks)) = _timed(pin)
-            times["pagerank_shuffle_pin"].append(s)
-            fold_args = [(lo, gr._DAMPING, base) for (lo, _), base in zip(bounds, bases)]
-            s, _ = _timed(
-                lambda: done(gr._shuffle_round(rank_step, rank_fold, pins, ranks, (), fold_args))
-            )
-            times["pagerank_shuffle_round"].append(s)
-            s, (srcs, dsts, (_, hubs)) = _timed(lambda: pin(hits=True))
-            times["hits_shuffle_pin"].append(s)
-            s, _ = _timed(lambda: hits_round(srcs, dsts, hubs))
-            times["hits_shuffle_round"].append(s)
-
-            s, ds = _timed(lambda: gr.pagerank(*inputs(), **shuffle).materialize())
-            times["pagerank_shuffle_total"].append(s)
-            check_pr(ds, exp_pr3)
-            s, ds = _timed(lambda: gr.hits(*inputs(), **shuffle).materialize())
-            times["hits_shuffle_total"].append(s)
-            check_hits(ds, exp_hits3)
+                s, ds = _timed(lambda: gr.pagerank(*inputs(), **kw).materialize())
+                times[f"pagerank{tag}_total"].append(s)
+                check_pr(ds, want_pr)
+                s, ds = _timed(lambda: gr.hits(*inputs(), **kw).materialize())
+                times[f"hits{tag}_total"].append(s)
+                check_hits(ds, want_hits)
     finally:
         ray.shutdown()
         tmp.cleanup()

@@ -12,8 +12,8 @@ based quality triage. The scale shape is the textbook one:
   cluster (count, vector-sum); the driver folds k rows of d numbers.
   Exchange volume is O(actors × k × d), independent of row count.
 - **Iteration state lives in actors** (graph.py's PageRank/HITS keep
-  theirs as object-store blocks read by stateless tasks instead, cf.
-  ``_pin_edge_blocks``): embedding blocks are
+  theirs as object-store bucket slices read by stateless tasks instead,
+  cf. ``_pin_buckets``): embedding blocks are
   quantized ONCE and pinned in a round-robin actor pool; each Lloyd
   iteration is a round of actor RPCs, not a fresh Dataset job (a
   Dataset launch costs ~1s on a busy driver; ×iters that dominates).

@@ -38,37 +38,37 @@ Scale shapes:
 - **Degrees are ONE single-key shuffle.** Out-degree is row-local;
   only in-degree crosses blocks. Per-batch partial counts pre-aggregate
   before the ``groupby(url)``.
-- **PageRank pins its edges once, then iterates in rounds of stateless
-  tasks — in both modes.** No actor pool and no Dataset job per
-  iteration: tasks run on the pooled workers, retry on worker death,
-  and a lost pinned array is rebuilt from lineage.
-  ``mode="broadcast"``: one prep task per block of the dst-bucketed
-  edge Dataset pins its numpy arrays in the object store (and returns
-  its out-degree partial); each iteration is one task per pinned block
-  against the O(nodes) rank vector shipped via ``ray.put`` (the
-  Spark/GraphX broadcast formulation). Every dst bucket must sit whole
-  in one block (checked at pin time). ``mode="shuffle"`` (the
-  ≥``SHUFFLE_MODE_NODES`` path): a pin round cuts the id-mapped edges
-  into per-src-bucket slices (each with its ``inv`` slice and initial
-  rank slice); each iteration is a map task per src bucket returning
-  its out-edges' ``rank·inv`` contributions as one part per dst bucket,
-  and a reduce task per dst bucket folding them — the exchange is
-  object refs, per-task state is one bucket slice, and the driver holds
-  refs only. Both modes produce BIT-IDENTICAL ranks (test-asserted):
-  every per-dst sum is ``np.add.reduceat`` over the (dst, src)-sorted
-  contribution run, so float summation order is fixed by the data, not
-  by partitioning, and the per-edge contribution is the same single
-  ``rank*inv`` product either way.
-- **HITS has the same two modes.** Broadcast pins the same blocks
-  (plus their (bucket, src, dst) order) and runs one task round per
-  direction per iteration; shuffle pins src- and dst-bucket slices and
-  runs an authority and a hub map/reduce round per iteration, each
-  reduce returning its bucket's L1 partial. The L1 normalization total
-  is pinned to a two-level tree — per-bucket ``np.sum`` partials folded
-  by ``np.sum`` in bucket order (:func:`_l1_total`) — computed
-  identically by the reference, the broadcast mode and the shuffle
-  mode (whose driver folds the O(buckets) partials), so all three are
-  bit-identical.
+- **PageRank and HITS are one kernel in both regimes: edges pinned
+  once as bucket slices, then rounds of stateless tasks.** No actor
+  pool and no Dataset job per iteration: tasks run on the pooled
+  workers, retry on worker death, and a lost pinned array is rebuilt
+  from lineage. Node ids are range-bucketed; a pin round cuts the
+  id-mapped edges into per-src-bucket slices (each with its ``inv``
+  slice and teleport slices); each PageRank iteration is a map task per
+  src bucket returning its out-edges' ``rank·inv`` contributions as one
+  part per dst bucket, and a reduce task per dst bucket folding them.
+  HITS also pins dst-bucket slices and runs an authority and a hub
+  map/reduce round per iteration. The exchange is object refs,
+  per-task state is one bucket slice, and the driver holds refs and
+  O(buckets) floats. The regimes differ only at the two ends: the
+  broadcast regime maps urls to ids inside the extraction map against
+  the shared sorted url array and attaches urls by slicing it per
+  bucket; the shuffle regime maps them by two exchanges against
+  :func:`node_index` and attaches urls by one more. The task bucket
+  count (``n_buckets``; by default one per session CPU in the broadcast
+  regime and one per L1 bucket in the shuffle regime) changes speed,
+  never a result.
+- **Results are bit-identical to the single-process references at any
+  block layout, bucket count or mode** (test-asserted). Every per-dst
+  sum is ``np.add.reduceat`` over the (dst, src)-sorted contribution
+  run, re-sorted by each reduce, so float summation order is fixed by
+  the data, not by partitioning, and the per-edge contribution is the
+  same single ``rank*inv`` product as :func:`_contrib_sums`. The HITS
+  hub partials and L1 normalization total are pinned to a fixed bucket
+  size (:func:`_graph_buckets`), independent of the task bucket, which
+  is a whole number of them: per-(src, L1 bucket) partials folded in
+  bucket order, and per-L1-bucket ``np.sum`` partials folded by
+  ``np.sum`` in bucket order (:func:`_l1_total`).
 
 Dangling-node mass (pages with no outlinks) is dropped, not
 redistributed — ranks sum to < 1 but the relative ordering follows the
@@ -78,6 +78,8 @@ without the dangling patch). Documented so the single-process oracle
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -421,14 +423,14 @@ def _contrib_sums(
     inv_out: np.ndarray,
     w: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dst contribution sums over a (dst, src)-sorted run — the ONE
-    float-summation primitive both pagerank modes and the single-process
-    oracle share, so rank floats are bit-identical on any partitioning.
-    ``ranks``/``inv_out`` may be full vectors or bucket slices, as long
-    as ``src`` is pre-offset to index them. ``w`` (weighted graphs, e.g.
-    the host graph) multiplies each edge's contribution AFTER the
-    rank·inv product — ``(ranks[src]*inv_out[src])*w`` — the pinned
-    ordering every mode and reference shares."""
+    """Per-dst contribution sums over a (dst, src)-sorted run — the
+    float-summation primitive of the single-process references; the rank
+    kernel (:func:`_rank_map` / :func:`_rank_reduce`) computes the same
+    products and sums them in the same order, so rank floats are
+    bit-identical on any partitioning. ``w`` (weighted graphs, e.g. the
+    host graph) multiplies each edge's contribution AFTER the rank·inv
+    product — ``(ranks[src]*inv_out[src])*w`` — the pinned ordering the
+    kernel and every reference share."""
     if len(dst) == 0:
         return np.empty(0, np.int64), np.empty(0, np.float64)
     c = ranks[src] * inv_out[src]
@@ -441,9 +443,10 @@ def _contrib_sums(
 def _l1_total(v: np.ndarray, per_bucket: int) -> float:
     """Pinned L1 total of a dense non-negative score vector: per-bucket
     ``np.sum`` partials folded by ``np.sum`` in bucket order — the same
-    two-level tree the shuffle mode computes distributedly (each reduce
-    group sums its bucket's dense slice, the driver folds the B-vector),
-    so normalization is bit-identical across modes and cluster sizes."""
+    two-level tree the HITS kernel computes distributedly (each reduce
+    sums the L1 buckets of its dense slice, the driver folds the
+    concatenated partials), so normalization is bit-identical across
+    modes, task bucket counts and cluster sizes."""
     n = len(v)
     if n == 0:
         return 0.0
@@ -455,30 +458,28 @@ def _l1_total(v: np.ndarray, per_bucket: int) -> float:
 
 
 def _graph_buckets(n: int) -> int:
-    """Shared bucket-SIZE rule (~100k nodes of rank state per bucket:
-    small graphs get few fat buckets — shuffle rounds are fixed-overhead-
-    bound — huge graphs cap at 4096 buckets ≈ cluster-core scale) — ONE
-    definition so both modes and both references partition identically."""
+    """Bucket-SIZE rule of the L1 granularity: ~100k nodes a bucket, but
+    ``n / 16`` nodes (so about 16 buckets) up to 1.6M nodes and at most
+    4096 buckets. HITS folds its hub partials and L1 totals over buckets
+    of this size in :func:`hits_reference` and in the kernel, whatever
+    the task bucket; it is also the shuffle regime's default task bucket
+    and the default bucket of ``scc.py`` / ``labelprop.py``."""
     return max(1, -(-n // max(16, min(4096, -(-n // 100_000)))))
 
 
 def _bucketed_edge_ids(edges_ds, urls_ref, per_bucket: int):
     """Edges as (src_id, dst_id) int64 rows, RANGE-bucketed by dst
     (``dst_id // per_bucket`` — dst-contiguous buckets) and sorted by
-    (dst_id, src_id) within each bucket; materialized once and reused by
-    every iteration. Broadcast regime: ids are ``pc.index_in`` ranks
-    against the shared sorted url array (object store only)."""
+    (dst_id, src_id) within each bucket; materialized once — the edge
+    layout the broadcast-regime label propagation and SCC read. Ids are
+    ``pc.index_in`` ranks against the shared sorted url array (object
+    store only)."""
     import ray
 
     def to_ids(t: pa.Table) -> pa.Table:
-        ua = ray.get(urls_ref)
-        src_id = pc.index_in(t.column("src"), value_set=ua).cast(pa.int64())
-        dst_id = pc.index_in(t.column("dst"), value_set=ua).cast(pa.int64())
-        bucket = pc.divide(dst_id, per_bucket).cast(pa.int32())
-        cols = {"src_id": src_id, "dst_id": dst_id, "bucket": bucket}
-        if "w" in t.column_names:  # weighted graphs (host graph) carry w
-            cols["w"] = t.column("w").cast(pa.int64())
-        return pa.table(cols)
+        ids = _id_pairs(t, ray.get(urls_ref))
+        bucket = pc.divide(ids.column("dst_id"), per_bucket).cast(pa.int32())
+        return ids.append_column("bucket", bucket)
 
     def sort_group(g: pa.Table) -> pa.Table:
         return g.sort_by(
@@ -636,88 +637,49 @@ def _edge_ids_shuffle(
 
 
 # ---------------------------------------------------------------------------
-# PageRank
+# rank kernel: bucket slices pinned once, iterations as map/reduce task rounds
+#
+# Node ids are range-bucketed (bucket b = ids [b·per_bucket, (b+1)·per_bucket)).
+# A pin round cuts the id-mapped edges into per-bucket numpy arrays that stay
+# in the object store; every iteration is then one round of stateless tasks:
+# a map task per pinned bucket returns one part per destination bucket
+# (``num_returns=nb``), and reduce task b folds part b of every map task.
+# The exchange is object refs passed from map to reduce tasks — M×R objects,
+# never a Dataset job. Score state is one dense slice per bucket, held by
+# ref; the driver holds refs and O(buckets) floats. Reduces re-sort what they
+# receive, so results do not depend on how edges or buckets are split into
+# blocks, nor on the bucket count. Both regimes run this kernel; they differ
+# only in how node ids are assigned and how urls are attached
+# (:class:`_RankGraph`).
 
 
-def _pin_block(t: pa.Table, per_bucket: int, hub_order: bool):
-    """Prep task of the broadcast regime: one materialized edge block →
-    (arrays, meta), both left in the object store.
-
-    ``arrays`` holds the block as numpy, sorted by (dst, src): ``dst``,
-    ``src`` and the optional integer weight ``w`` (host graph), plus, for
-    HITS (``hub_order``), the same edges in (bucket, src, dst) order as
-    ``h_bucket`` / ``h_src`` / ``h_dst``. Every iteration task takes it
-    by ref, zero-copy from plasma. ``meta`` is (the block's dst buckets,
-    unique src ids, out-degree or out-weight per src) — integer
-    partials, so the out-degree fold is summation-order-free."""
-    if "dst_id" in t.column_names:  # an edgeless graph materializes an empty-schema block
-        dst = t.column("dst_id").to_numpy(zero_copy_only=False)
-        src = t.column("src_id").to_numpy(zero_copy_only=False)
-        w = (
-            t.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
-            if "w" in t.column_names
-            else None
-        )
-    else:
-        dst = src = np.empty(0, np.int64)
-        w = None
-    order = np.lexsort((src, dst))
-    dst, src = dst[order], src[order]
-    arrays = {"dst": dst, "src": src, "w": None if w is None else w[order]}
-    bucket = dst // per_bucket
-    if hub_order:
-        h = np.lexsort((dst, src, bucket))
-        arrays.update(h_bucket=bucket[h], h_src=src[h], h_dst=dst[h])
-    if w is None:
-        uniq, out = np.unique(src, return_counts=True)
-    else:
-        uniq, inv_idx = np.unique(src, return_inverse=True)
-        out = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(out, inv_idx, arrays["w"])
-    return arrays, (np.unique(bucket), uniq, out)
-
-
-def _pin_edge_blocks(edges_b, per_bucket: int, *, hub_order: bool = False):
-    """Pin the materialized dst-bucketed edge Dataset for the broadcast
-    regime: one :func:`_pin_block` task per block → (refs to the pinned
-    arrays, the blocks' metas on the driver). The blocks stay in the
-    object store across iterations; a lost one is rebuilt from lineage.
-
-    Each iteration task folds its own block's dst runs (and, for HITS,
-    (bucket, src) runs), so the result is bit-identical to the
-    references only if every dst bucket sits whole in one block. A
-    ``map_groups`` group table is split only above the 128MB block
-    target; if that happens, this raises instead of summing the split
-    bucket in a different float order."""
-    import ray
-
-    pin = ray.remote(num_cpus=1)(_pin_block).options(num_returns=2)
-    block_refs = edges_b.to_arrow_refs() or [ray.put(pa.table({}))]
-    refs = [pin.remote(b, per_bucket, hub_order) for b in block_refs]
-    metas = ray.get([m for _, m in refs])
-    buckets = np.concatenate([m[0] for m in metas])
-    if len(np.unique(buckets)) != len(buckets):
-        raise ValueError(
-            "a dst bucket came back from two edge blocks; the broadcast rank "
-            "iteration needs every bucket whole in one block"
-        )
-    return [a for a, _ in refs], metas
-
-
-def _block_contribs(arrays, ranks, inv_out) -> tuple[np.ndarray, np.ndarray]:
-    """PageRank iteration task over one pinned block."""
-    return _contrib_sums(arrays["dst"], arrays["src"], ranks, inv_out, arrays["w"])
+def _task_bucket(n: int, n_buckets: int) -> int:
+    """per_bucket of a rank call cut into about ``n_buckets`` task buckets:
+    a whole number of L1 buckets (:func:`_graph_buckets`), so each HITS
+    reduce folds whole L1 chunks."""
+    if n_buckets < 1:
+        raise ValueError(f"n_buckets must be at least 1, got {n_buckets}")
+    l1 = _graph_buckets(n)
+    n_l1 = -(-n // l1)
+    return l1 * -(-n_l1 // n_buckets)
 
 
 def _rank_regime(n: int, mode: str, n_buckets: int | None) -> tuple[str, int]:
-    """(mode, per_bucket) of a rank call over n > 0 nodes."""
+    """(mode, per_bucket) of a rank call over n > 0 nodes. Without
+    ``n_buckets`` the shuffle regime runs one task bucket per L1 bucket
+    and the broadcast regime one per session CPU (at most one per L1
+    bucket)."""
+    import ray
+
     if mode == "auto":
         mode = "shuffle" if n > SHUFFLE_MODE_NODES else "broadcast"
     if mode not in ("broadcast", "shuffle"):
         raise ValueError(f"mode must be 'auto', 'broadcast' or 'shuffle', got {mode!r}")
     if n_buckets is None:
-        return mode, _graph_buckets(n)
-    return mode, max(1, -(-n // n_buckets))  # ceil(n / n_buckets)
+        n_buckets = -(-n // _graph_buckets(n))
+        if mode == "broadcast":
+            n_buckets = min(n_buckets, max(1, int(ray.cluster_resources().get("CPU", 1))))
+    return mode, _task_bucket(n, n_buckets)
 
 
 def _empty_scores(*cols):
@@ -729,158 +691,106 @@ def _empty_scores(*cols):
     )
 
 
-def pagerank(
-    pages_ds,
-    nodes,
-    *,
-    n_iters: int = _N_ITERS,
-    damping: float = _DAMPING,
-    mode: str = "auto",
-    n_buckets: int | None = None,
-    seed_urls: list[str] | None = None,
-):
-    """PageRank over the corpus link graph → Dataset of (url, rank_ppb).
+def _id_pairs(t: pa.Table, urls: pa.Array) -> pa.Table:
+    """(src, dst[, w]) url rows → (src_id, dst_id[, w]) rows, ids being
+    ``pc.index_in`` positions in the shared sorted node array."""
+    cols = {
+        "src_id": pc.index_in(t.column("src"), value_set=urls).cast(pa.int64()),
+        "dst_id": pc.index_in(t.column("dst"), value_set=urls).cast(pa.int64()),
+    }
+    if "w" in t.column_names:  # weighted graphs (host graph) carry w
+        cols["w"] = t.column("w").cast(pa.int64())
+    return pa.table(cols)
 
-    ``nodes`` is the node set as a Dataset with a distinct ``url`` column.
-    ``rank_ppb`` is the rank quantized to parts-per-billion (int64) so
-    the correctness gate compares integers; the underlying floats are
-    already bit-deterministic (see ``_contrib_sums``). ``mode``:
-    "broadcast" (O(nodes) rank vector on the driver + one task round per
-    iteration — the ≤``SHUFFLE_MODE_NODES`` regime), "shuffle" (edge
-    and rank state pinned per bucket in the object store, one map/reduce
-    task round per iteration, no O(nodes) state on the driver or in any
-    single object), or "auto".
 
-    ``seed_urls`` personalizes the teleport (TrustRank, Gyöngyi et al.
-    2004): restart mass lands only on the seed set (p = 1/|S| on seeds,
-    0 elsewhere) instead of uniformly — the spam-demotion / crawl-
-    prioritization form. Seed lists are config-sized (a trusted-site
-    list), so holding one as a Python list is the same contract as
-    crawl seeds; every seed must be in the node set.
-    """
-    if seed_urls is not None and not seed_urls:
-        raise ValueError("seed_urls must be non-empty when given")
-    n = nodes.count()
-    if n == 0:
-        return _empty_scores("rank_ppb")
-    mode, per_bucket = _rank_regime(n, mode, n_buckets)
+def _slice_urls(lo: int, t: pa.Table, urls: pa.Array) -> pa.Table:
+    """Broadcast-regime url attach of one bucket's dense (node_id, *cols)
+    rows: the slice of the shared sorted url array that starts at ``lo``."""
+    return t.drop_columns(["node_id"]).add_column(0, "url", urls.slice(lo, t.num_rows))
 
-    if mode == "shuffle":
-        index_ds, edges = _shuffle_prep(pages_ds, nodes, n, per_bucket)
-        return _shuffle_rank_loop(
-            edges,
-            index_ds,
-            n,
-            n_iters=n_iters,
-            damping=damping,
-            per_bucket=per_bucket,
-            seeds=None if seed_urls is None else _shuffle_teleport(index_ds, seed_urls),
+
+class _RankGraph(NamedTuple):
+    """A rank call's prepared graph: ``n`` nodes in task buckets of
+    ``per_bucket`` ids and the materialized (src_id, dst_id[, w]) edges, in
+    any block layout. Ids are url ranks in sorted order in both regimes;
+    how they were assigned — the broadcast regime's shared sorted url
+    array (``urls_ref``, ≤ ``SHUFFLE_MODE_NODES``) or the shuffle regime's
+    node index (``index_ds``) — decides only the seed lookup and the url
+    attach."""
+
+    n: int
+    per_bucket: int
+    edges: object
+    urls_ref: object = None
+    index_ds: object = None
+
+    def seed_ids(self, seed_urls: list[str]):
+        """ObjectRef to the sorted node ids of ``seed_urls``: at most
+        |seeds| ids reach the driver, and a seed outside the node set
+        raises ``ValueError`` before any iteration."""
+        import ray
+
+        if self.index_ds is not None:
+            return _shuffle_teleport(self.index_ds, seed_urls)
+        find = ray.remote(num_cpus=1)(_seed_positions)
+        return ray.put(ray.get(find.remote(self.urls_ref, sorted(set(seed_urls)))))
+
+    def attach(self, blocks, cols):
+        """Per-bucket (node_id, *cols) score block refs → Dataset of
+        (url, *cols): one task per bucket against the shared url array, or
+        one bucketed exchange against the node index."""
+        import ray
+        import ray.data
+
+        if self.index_ds is not None:
+            return _attach_urls(blocks, self.index_ds, self.per_bucket, cols)
+        task = ray.remote(num_cpus=1)(_slice_urls)
+        return ray.data.from_arrow_refs(
+            [task.remote(b * self.per_bucket, blk, self.urls_ref) for b, blk in enumerate(blocks)]
         )
 
-    # ---- broadcast mode --------------------------------------------------
-    # Pin whole-bucket edge blocks in the object store ONCE; each
-    # iteration is a round of stateless tasks (no per-iteration Dataset
-    # job, no actor pool). Blocks hold whole dst-buckets (checked), so
-    # per-dst runs stay intact per task and ranks remain bit-identical
-    # to pagerank_reference.
+
+def _broadcast_prep(pages_ds, nodes):
+    """Broadcast-regime inputs of :func:`pagerank` / :func:`hits`: the
+    shared sorted url array (object store only) and the id-mapped edges —
+    extraction, membership and ids in one fused map, materialized once for
+    the pin round."""
+    import ray
+
     urls_ref = _sorted_urls_ref(nodes)
-    edges_b = _bucketed_edge_ids(_edges_broadcast(pages_ds, urls_ref), urls_ref, per_bucket)
-    return _broadcast_rank_loop(
-        edges_b,
-        urls_ref,
-        n,
-        n_iters=n_iters,
-        damping=damping,
-        per_bucket=per_bucket,
-        **_teleport_vectors(n, damping, urls_ref, seed_urls),
+
+    def to_ids(t: pa.Table) -> pa.Table:
+        urls = ray.get(urls_ref)
+        return _id_pairs(_edges_batch(t, urls), urls)
+
+    edges = _extracted(pages_ds).map_batches(
+        to_ids, batch_format="pyarrow", zero_copy_batch=True
     )
+    return urls_ref, edges.materialize()
 
 
-def _broadcast_rank_vectors(
-    edges_b, n, *, n_iters, damping, variants, per_bucket
-) -> list[np.ndarray]:
-    """Broadcast-regime power iteration core: whole-dst-bucket edge
-    blocks pinned once (:func:`_pin_edge_blocks`, weight-aware when the
-    blocks carry ``w``; the pin tasks also return the out-degree
-    partials), then one round of stateless :func:`_block_contribs`
-    tasks per iteration against the ``ray.put`` rank vector.
-    ``variants`` is a list of (base_vec, rank0_vec) teleport
-    personalizations iterated over the SAME pinned blocks — running
-    uniform and seeded ranks together (spam mass, TrustRank seed-set
-    sweeps) pays the edge build and out-degree pass once."""
-    import ray
-
-    blocks, metas = _pin_edge_blocks(edges_b, per_bucket)
-    step = ray.remote(num_cpus=1)(_block_contribs)
-    out_vec = np.zeros(n, dtype=np.int64)
-    for _, uniq, cnt in metas:
-        out_vec[uniq] += cnt
-    inv_out = np.zeros(n, dtype=np.float64)
-    nz = out_vec > 0
-    inv_out[nz] = 1.0 / out_vec[nz]
-    inv_ref = ray.put(inv_out)
-    results = []
-    for base_vec, rank0_vec in variants:
-        ranks = rank0_vec.copy()
-        for _ in range(n_iters):
-            ranks_ref = ray.put(ranks)
-            parts = ray.get([step.remote(b, ranks_ref, inv_ref) for b in blocks])
-            new = base_vec.copy()
-            dsts = np.concatenate([p[0] for p in parts])
-            if len(dsts):
-                sums = np.concatenate([p[1] for p in parts])
-                order = np.argsort(dsts, kind="stable")
-                np.add.at(new, dsts[order], damping * sums[order])
-            ranks = new
-        results.append(ranks)
-    return results
-
-
-def _broadcast_rank_loop(
-    edges_b, urls_ref, n, *, n_iters, damping, per_bucket, base_vec, rank0_vec
-):
-    """Broadcast-regime power iteration shared by :func:`pagerank` and
-    :func:`weighted_pagerank`: one teleport variant through
-    :func:`_broadcast_rank_vectors`, ranks quantized to ppb."""
-    (ranks,) = _broadcast_rank_vectors(
-        edges_b,
-        n,
-        n_iters=n_iters,
-        damping=damping,
-        variants=[(base_vec, rank0_vec)],
-        per_bucket=per_bucket,
+def _shuffle_prep(pages_ds, nodes, n: int, per_bucket: int):
+    """Shuffle-regime inputs of :func:`pagerank` / :func:`hits`: the node
+    index (coalesced to one block per bucket; read by the id exchanges,
+    the seed lookup and the url attach) and the id-mapped edges,
+    materialized once for the pin round."""
+    nb = -(-n // per_bucket)
+    index_ds = node_index(nodes)[0].repartition(nb, shuffle=False).materialize()
+    pairs = _extracted(pages_ds).map_batches(
+        _candidate_pairs_batch, batch_format="pyarrow", zero_copy_batch=True
     )
-    return _broadcast_output(urls_ref, rank_ppb=_ppb(ranks))
+    return index_ds, _edge_id_pairs(pairs, index_ds).materialize()
 
 
-def _url_table(urls_arr: pa.Array, names, *cols) -> pa.Table:
-    return pa.table({"url": urls_arr, **{k: pa.array(c, pa.int64()) for k, c in zip(names, cols)}})
-
-
-def _broadcast_output(urls_ref, **cols):
-    """The broadcast regime's result Dataset: one remote task sets the
-    int64 score columns beside the shared sorted url array, so the
-    strings never reach the driver."""
-    import ray
-    import ray.data
-
-    task = ray.remote(num_cpus=1)(_url_table)
-    return ray.data.from_arrow_refs([task.remote(urls_ref, list(cols), *cols.values())])
-
-
-# ---------------------------------------------------------------------------
-# shuffle regime: bucket slices pinned once, iterations as map/reduce rounds
-#
-# Node ids are range-bucketed (bucket b = ids [b·per_bucket, (b+1)·per_bucket)).
-# A pin round cuts the id-mapped edges into per-bucket numpy arrays that stay
-# in the object store; every iteration is then one round of stateless tasks:
-# a map task per pinned bucket returns one part per destination bucket
-# (``num_returns=nb``), and reduce task b folds part b of every map task.
-# The exchange is object refs passed from map to reduce tasks — M×R objects,
-# the same as the all-to-all Sort it replaces — never a Dataset job. Score
-# state is one dense slice per bucket, held by ref; the driver holds refs and
-# O(buckets) floats. Reduces re-sort what they receive, so results do not
-# depend on how edges or buckets are split into blocks.
+def _page_graph(pages_ds, nodes, n: int, mode: str, n_buckets: int | None) -> _RankGraph:
+    """The corpus link graph of :func:`pagerank` / :func:`hits`, prepared
+    in the regime ``mode`` resolves to."""
+    mode, per_bucket = _rank_regime(n, mode, n_buckets)
+    if mode == "shuffle":
+        index_ds, edges = _shuffle_prep(pages_ds, nodes, n, per_bucket)
+        return _RankGraph(n, per_bucket, edges, index_ds=index_ds)
+    urls_ref, edges = _broadcast_prep(pages_ds, nodes)
+    return _RankGraph(n, per_bucket, edges, urls_ref=urls_ref)
 
 
 def _task_parts(parts: list):
@@ -984,12 +894,11 @@ def _pin_src(lo, hi, per_bucket, nb, n, damping, teleports, *parts):
 
 def _pin_buckets(edges, n, per_bucket, *, weighted=False, hits=False, damping=_DAMPING,
                  teleports=(None,)):
-    """The shuffle regime's pin round over the materialized
-    :func:`_edge_id_pairs` blocks: one :func:`_pin_split` task per block,
-    one :func:`_pin_src` (and for HITS one :func:`_pin_dst`) task per
-    bucket. Returns (src pins, dst pins, per teleport variant the
-    (base, rank0) slice refs), one ref per bucket each; nothing reaches
-    the driver."""
+    """The pin round over the materialized id-mapped edge blocks: one
+    :func:`_pin_split` task per block, one :func:`_pin_src` (and for HITS
+    one :func:`_pin_dst`) task per bucket. Returns (src pins, dst pins,
+    per teleport variant the (base, rank0) slice refs), one ref per bucket
+    each; nothing reaches the driver."""
     import ray
 
     nb = -(-n // per_bucket)
@@ -1001,6 +910,7 @@ def _pin_buckets(edges, n, per_bucket, *, weighted=False, hits=False, damping=_D
     ]
     pin_src = ray.remote(num_cpus=1)(_pin_src).options(num_returns=1 + 2 * len(teleports))
     pin_dst = ray.remote(num_cpus=1)(_pin_dst)
+    l1 = _graph_buckets(n)
     src_pins, dst_pins, slices = [], [], []
     for b in range(nb):
         lo, hi = b * per_bucket, min((b + 1) * per_bucket, n)
@@ -1010,7 +920,7 @@ def _pin_buckets(edges, n, per_bucket, *, weighted=False, hits=False, damping=_D
         src_pins.append(pin)
         slices.append(sl)
         if hits:
-            dst_pins.append(pin_dst.remote(lo, per_bucket, nb, *(p[nb + b] for p in parts)))
+            dst_pins.append(pin_dst.remote(lo, per_bucket, l1, nb, *(p[nb + b] for p in parts)))
     inits = [([s[2 * v] for s in slices], [s[2 * v + 1] for s in slices])
              for v in range(len(teleports))]
     return src_pins, dst_pins, inits
@@ -1026,6 +936,10 @@ def _shuffle_round(step, fold, pins, states, step_args, fold_args) -> list:
     return [fold.remote(*fold_args[b], *(row[b] for row in parts)) for b in range(nb)]
 
 
+# ---------------------------------------------------------------------------
+# PageRank
+
+
 def _rank_map(pin, rank):
     """PageRank map task over one src bucket: each out-edge's contribution
     ``(rank·inv)[src]·w`` — the ``_contrib_sums`` product — cut by dst
@@ -1039,7 +953,7 @@ def _rank_map(pin, rank):
 def _rank_reduce(lo, damping, base, *parts) -> np.ndarray:
     """PageRank reduce task for the dst bucket at ``lo``: per-dst sums over
     the (dst, src)-sorted contributions, then ``base + damping·sums`` —
-    the broadcast fold, slice by slice."""
+    the reference's fold, slice by slice."""
     dst, src, c = _concat_parts(parts, 3)
     new = base.copy()
     if len(dst):
@@ -1049,13 +963,14 @@ def _rank_reduce(lo, damping, base, *parts) -> np.ndarray:
 
 
 def _shuffle_rank_slices(edges, n, *, n_iters, damping, teleports, per_bucket, weighted):
-    """Shuffle-regime PageRank core: pin once (:func:`_pin_buckets`), then
-    ``n_iters`` rounds of :func:`_rank_map` / :func:`_rank_reduce` tasks.
+    """PageRank kernel: pin once (:func:`_pin_buckets`), then ``n_iters``
+    rounds of :func:`_rank_map` / :func:`_rank_reduce` tasks.
     ``teleports`` lists the variants (None = uniform, else a seed-id ref)
     iterated over the SAME pinned buckets — spam mass pins once for both
     ranks. Returns per variant the refs to each bucket's final rank slice.
-    Bit-identical to :func:`_broadcast_rank_vectors`: same products, same
-    (dst, src) summation order, same fold onto the teleport base."""
+    Bit-identical to :func:`pagerank_reference` /
+    :func:`weighted_pagerank_reference`: same products, same (dst, src)
+    summation order, same fold onto the teleport base."""
     import ray
 
     nb = -(-n // per_bucket)
@@ -1130,68 +1045,72 @@ def _attach_urls(blocks, index_ds, per_bucket: int, cols):
     )
 
 
-def _shuffle_prep(pages_ds, nodes, n: int, per_bucket: int):
-    """Shuffle-regime inputs of :func:`pagerank` / :func:`hits`: the node
-    index (coalesced to one block per bucket; read by the id exchanges,
-    the seed lookup and the url attach) and the id-mapped edges,
-    materialized once for the pin round."""
-    nb = -(-n // per_bucket)
-    index_ds = node_index(nodes)[0].repartition(nb, shuffle=False).materialize()
-    pairs = _extracted(pages_ds).map_batches(
-        _candidate_pairs_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return index_ds, _edge_id_pairs(pairs, index_ds).materialize()
-
-
-def _shuffle_rank_loop(
-    edges, index_ds, n, *, n_iters, damping, per_bucket, seeds=None, weighted=False
-):
-    """Shuffle-regime power iteration shared by :func:`pagerank` and
+def _rank_loop(g: _RankGraph, *, n_iters, damping, seed_urls, weighted=False):
+    """Power iteration shared by :func:`pagerank` and
     :func:`weighted_pagerank`: one teleport variant through
     :func:`_shuffle_rank_slices`, ranks quantized to ppb per bucket, urls
     attached."""
     import ray
 
     (ranks,) = _shuffle_rank_slices(
-        edges,
-        n,
+        g.edges,
+        g.n,
         n_iters=n_iters,
         damping=damping,
-        teleports=[seeds],
-        per_bucket=per_bucket,
+        teleports=[None if seed_urls is None else g.seed_ids(seed_urls)],
+        per_bucket=g.per_bucket,
         weighted=weighted,
     )
     ppb = ray.remote(num_cpus=1)(_ppb_block)
-    blocks = [ppb.remote(b * per_bucket, ("rank_ppb",), (1.0,), r) for b, r in enumerate(ranks)]
-    return _attach_urls(blocks, index_ds, per_bucket, ("rank_ppb",))
+    blocks = [ppb.remote(b * g.per_bucket, ("rank_ppb",), (1.0,), r) for b, r in enumerate(ranks)]
+    return g.attach(blocks, ("rank_ppb",))
+
+
+def pagerank(
+    pages_ds,
+    nodes,
+    *,
+    n_iters: int = _N_ITERS,
+    damping: float = _DAMPING,
+    mode: str = "auto",
+    n_buckets: int | None = None,
+    seed_urls: list[str] | None = None,
+):
+    """PageRank over the corpus link graph → Dataset of (url, rank_ppb).
+
+    ``nodes`` is the node set as a Dataset with a distinct ``url`` column.
+    ``rank_ppb`` is the rank quantized to parts-per-billion (int64) so
+    the correctness gate compares integers; the underlying floats are
+    already bit-deterministic (see ``_contrib_sums``). Either ``mode``
+    pins the id-mapped edges once as per-bucket slices in the object
+    store and runs one map/reduce task round per iteration, with no
+    O(nodes) state on the driver or in any single task's rank state.
+    ``mode`` picks only how node ids are assigned and urls attached:
+    "broadcast" (the ≤``SHUFFLE_MODE_NODES`` regime: ids against one
+    shared sorted url array, which the result slices per bucket),
+    "shuffle" (ids from the distributed node index, urls attached by one
+    bucketed exchange), or "auto". ``n_buckets`` sets the task bucket
+    count (rounded to whole L1 buckets, see :func:`_task_bucket`); it
+    changes speed only, never a result.
+
+    ``seed_urls`` personalizes the teleport (TrustRank, Gyöngyi et al.
+    2004): restart mass lands only on the seed set (p = 1/|S| on seeds,
+    0 elsewhere) instead of uniformly — the spam-demotion / crawl-
+    prioritization form. Seed lists are config-sized (a trusted-site
+    list), so holding one as a Python list is the same contract as
+    crawl seeds; every seed must be in the node set.
+    """
+    if seed_urls is not None and not seed_urls:
+        raise ValueError("seed_urls must be non-empty when given")
+    n = nodes.count()
+    if n == 0:
+        return _empty_scores("rank_ppb")
+    g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
+    return _rank_loop(g, n_iters=n_iters, damping=damping, seed_urls=seed_urls)
 
 
 # ---------------------------------------------------------------------------
 # HITS
-
-
-def _block_auth(arrays, hub) -> tuple[np.ndarray, np.ndarray]:
-    """HITS authority task over one pinned block: per-dst sums of
-    hub[src] — dsts are unique to the block (whole buckets)."""
-    dst, src = arrays["dst"], arrays["src"]
-    if len(dst) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    starts = np.flatnonzero(np.r_[True, np.diff(dst) != 0])
-    return dst[starts], np.add.reduceat(hub[src], starts)
-
-
-def _block_hub(arrays, auth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """HITS hub task over one pinned block: per-(bucket, src) sums of
-    auth[dst] — partials, not totals. A src's edges span buckets, so the
-    driver folds them in (src, bucket) order (:func:`_fold_hub_partials`):
-    independent of how buckets are laid out in blocks, hence
-    bit-identical on any cluster size."""
-    h_bucket, h_src, h_dst = arrays["h_bucket"], arrays["h_src"], arrays["h_dst"]
-    if len(h_src) == 0:
-        return (np.empty(0, np.int64),) * 2 + (np.empty(0, np.float64),)
-    run = np.r_[True, (np.diff(h_src) != 0) | (np.diff(h_bucket) != 0)]
-    starts = np.flatnonzero(run)
-    return h_bucket[starts], h_src[starts], np.add.reduceat(auth[h_dst], starts)
 
 
 def _fold_hub_partials(
@@ -1199,7 +1118,7 @@ def _fold_hub_partials(
 ) -> np.ndarray:
     """Fold per-(bucket, src) partials into a dense per-src vector,
     adding each src's partials in ascending BUCKET order — the pinned
-    deterministic fold shared with :func:`hits_reference`."""
+    deterministic fold of :func:`hits_reference`."""
     hub = np.zeros(n, dtype=np.float64)
     if len(srcs):
         s, v = _sorted_run_sums(srcs, buckets, sums)
@@ -1214,11 +1133,12 @@ def _hits_iterate(
     hub_parts,  # callable(auth) -> (buckets, srcs, partial_sums)
     per_bucket: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pinned HITS iteration the broadcast mode and the reference
-    share: auth' = Σ hub over in-edges, L1-normalize; hub' = Σ auth'
-    over out-edges, L1-normalize. Normalization totals come from the
-    two-level :func:`_l1_total` tree so the shuffle mode (which computes
-    bucket partials distributedly) is bit-identical too."""
+    """The pinned HITS iteration of :func:`hits_reference` (reference
+    code; the distributed kernel is :func:`_hits_shuffle_slices`):
+    auth' = Σ hub over in-edges, L1-normalize; hub' = Σ auth' over
+    out-edges, L1-normalize. Normalization totals come from the
+    two-level :func:`_l1_total` tree, which the kernel computes from
+    per-task partials, so the two are bit-identical."""
     hub = np.full(n, 1.0 / n, dtype=np.float64)
     auth = np.zeros(n, dtype=np.float64)
     for _ in range(n_iters):
@@ -1249,85 +1169,55 @@ def hits(
     update order in :func:`_hits_iterate`).
 
     ``nodes`` is the node set as a Dataset with a distinct ``url``
-    column. ``mode="broadcast"`` is the ≤``SHUFFLE_MODE_NODES`` regime
-    (dst-bucketed edge blocks pinned once in the object store; each
-    iteration is one round of stateless tasks per direction with the
-    O(nodes) score vector via ``ray.put``). ``mode="shuffle"`` pins
-    src- and dst-bucket edge slices once and keeps scores as per-bucket
-    slices in the object store — an authority and a hub map/reduce task
-    round per iteration, per-task state one bucket slice, driver state
-    refs, two floats and O(buckets) partials. Determinism: per-bucket hub partials folded in
-    bucket order and the two-level ``_l1_total`` normalization make the
-    result bit-identical to :func:`hits_reference` at any block layout, any
-    bucketing, either mode (test-asserted).
+    column. Either ``mode`` pins src- and dst-bucket edge slices once and
+    keeps scores as per-bucket slices in the object store — an authority
+    and a hub map/reduce task round per iteration, per-task state one
+    bucket slice, driver state refs, two floats and the O(buckets) L1
+    partials. ``mode`` ("broadcast", "shuffle" or "auto") picks only how
+    node ids are assigned and urls attached, as in :func:`pagerank`.
+    Determinism: hub partials per L1 bucket folded in bucket order and
+    the two-level ``_l1_total`` normalization, both at the fixed
+    :func:`_graph_buckets` granularity, make the result bit-identical to
+    :func:`hits_reference` at any block layout, any ``n_buckets``, either
+    mode (test-asserted).
     """
     import ray
-    import ray.data
 
     n = nodes.count()
     if n == 0:
         return _empty_scores("auth_ppb", "hub_ppb")
-    mode, per_bucket = _rank_regime(n, mode, n_buckets)
-
-    if mode == "shuffle":
-        index_ds, edges = _shuffle_prep(pages_ds, nodes, n, per_bucket)
-        auth, div_a, hub, div_h = _hits_shuffle_slices(
-            edges, n, n_iters=n_iters, per_bucket=per_bucket
-        )
-        ppb = ray.remote(num_cpus=1)(_ppb_block)
-        cols = ("auth_ppb", "hub_ppb")
-        blocks = [
-            ppb.remote(b * per_bucket, cols, (div_a, div_h), a, h)
-            for b, (a, h) in enumerate(zip(auth, hub))
-        ]
-        return _attach_urls(blocks, index_ds, per_bucket, cols)
-
-    urls_ref = _sorted_urls_ref(nodes)
-    edges_b = _bucketed_edge_ids(_edges_broadcast(pages_ds, urls_ref), urls_ref, per_bucket)
-    auth, hub = _hits_broadcast(edges_b, n, n_iters=n_iters, per_bucket=per_bucket)
-    return _broadcast_output(urls_ref, auth_ppb=_ppb(auth), hub_ppb=_ppb(hub))
+    g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
+    auth, div_a, hub, div_h = _hits_shuffle_slices(
+        g.edges, g.n, n_iters=n_iters, per_bucket=g.per_bucket
+    )
+    ppb = ray.remote(num_cpus=1)(_ppb_block)
+    cols = ("auth_ppb", "hub_ppb")
+    blocks = [
+        ppb.remote(b * g.per_bucket, cols, (div_a, div_h), a, h)
+        for b, (a, h) in enumerate(zip(auth, hub))
+    ]
+    return g.attach(blocks, cols)
 
 
-def _hits_broadcast(edges_b, n, *, n_iters, per_bucket) -> tuple[np.ndarray, np.ndarray]:
-    """Broadcast-regime HITS core: whole-bucket edge blocks pinned once
-    in both sort orders (:func:`_pin_edge_blocks`), then per iteration
-    one round of :func:`_block_auth` and one of :func:`_block_hub` tasks
-    against the ``ray.put`` score vector, folded by the
-    :func:`_hits_iterate` the reference shares."""
-    import ray
-
-    blocks, _ = _pin_edge_blocks(edges_b, per_bucket, hub_order=True)
-    auth_task = ray.remote(num_cpus=1)(_block_auth)
-    hub_task = ray.remote(num_cpus=1)(_block_hub)
-
-    def auth_sums(hub):
-        ref = ray.put(hub)
-        parts = ray.get([auth_task.remote(b, ref) for b in blocks])
-        return tuple(np.concatenate(col) for col in zip(*parts))
-
-    def hub_parts(auth):
-        ref = ray.put(auth)
-        parts = ray.get([hub_task.remote(b, ref) for b in blocks])
-        return tuple(np.concatenate(col) for col in zip(*parts))
-
-    return _hits_iterate(n, n_iters, auth_sums, hub_parts, per_bucket)
-
-
-def _pin_dst(lo, per_bucket, nb, *parts):
+def _pin_dst(lo, per_bucket, l1, nb, *parts):
     """HITS pin-round reduce task for the dst bucket at ``lo``: its
-    in-edges sorted by (src, dst), where each src's run starts, and the
-    runs cut by src bucket."""
+    in-edges sorted by (src, dst), where each (src, L1 bucket of dst) run
+    starts, and the runs cut by src bucket. A task bucket holds whole L1
+    buckets, so each run is one of :func:`hits_reference`'s hub
+    partials."""
     src, dst = _concat_parts(parts, 2)
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(src) != 0]) if len(src) else np.empty(0, np.int64)
+    l1b = dst // l1
+    run = np.r_[True, (np.diff(src) != 0) | (np.diff(l1b) != 0)]
+    starts = np.flatnonzero(run) if len(src) else np.empty(0, np.int64)
     run_src = src[starts]
     return {
         "lo": lo,
-        "bucket": lo // per_bucket,
         "dst": dst,
         "starts": starts,
         "run_src": run_src,
+        "run_l1": l1b[starts],
         "cuts": _bucket_cuts(run_src, per_bucket, nb),
     }
 
@@ -1342,53 +1232,54 @@ def _auth_map(pin, hub, div):
 
 
 def _hub_map(pin, auth, div):
-    """HITS hub map task over one dst bucket: per-(src, this bucket)
-    partial sums of normalized authority over the (src, dst)-sorted
-    in-edges — :func:`_block_hub`'s partials — cut by src bucket into
-    (src, bucket, partial) parts."""
+    """HITS hub map task over one dst bucket: per-(src, L1 bucket) partial
+    sums of normalized authority over the (src, dst)-sorted in-edges, cut
+    by src bucket into (src, L1 bucket, partial) parts."""
     a = (auth / div)[pin["dst"] - pin["lo"]]
     sums = np.add.reduceat(a, pin["starts"]) if len(a) else np.empty(0, np.float64)
-    bucket = np.full(len(sums), pin["bucket"], dtype=np.int64)
-    return _task_parts(_cut(pin["cuts"], pin["run_src"], bucket, sums))
+    return _task_parts(_cut(pin["cuts"], pin["run_src"], pin["run_l1"], sums))
 
 
-def _score_reduce(lo, hi, *parts) -> tuple[np.ndarray, float]:
+def _score_reduce(lo, hi, l1, *parts) -> tuple[np.ndarray, np.ndarray]:
     """HITS reduce task for the bucket [lo, hi): (key, tie, value) parts
     summed per key in (key, tie) order — authority: per dst over srcs;
-    hub: per src over ascending dst buckets (:func:`_fold_hub_partials`)
-    — into the bucket's raw dense slice, plus its ``np.sum`` (the
-    :func:`_l1_total` bucket partial)."""
+    hub: per src over ascending L1 buckets (:func:`_fold_hub_partials`)
+    — into the bucket's raw dense slice, plus the ``np.sum`` of each of
+    its L1 chunks (the :func:`_l1_total` bucket partials)."""
     key, tie, val = _concat_parts(parts, 3)
     dense = np.zeros(hi - lo, dtype=np.float64)
     if len(key):
         k, s = _sorted_run_sums(key, tie, val)
         dense[k - lo] = s
-    return dense, np.sum(dense)
+    return dense, np.array([np.sum(dense[i : i + l1]) for i in range(0, hi - lo, l1)])
 
 
 def _hits_shuffle_slices(edges, n, *, n_iters, per_bucket):
-    """Shuffle-regime HITS core: pin once (src- and dst-bucket layouts;
-    the initial hub is the uniform 1/n rank0 slice), then per iteration an
-    authority round (:func:`_auth_map` per src bucket) and a hub round
-    (:func:`_hub_map` per dst bucket), each folded by
-    :func:`_score_reduce`. Scores stay raw per-bucket slices; the driver
-    folds each round's O(buckets) bucket sums in bucket order into the
-    :func:`_l1_total` total and passes it to the next round as the
-    divisor, so floats are bit-identical to :func:`hits_reference`.
-    Returns (auth slice refs, auth divisor, hub slice refs, hub divisor);
-    a zero total divides by 1.0, as the reference skips the division."""
+    """HITS kernel: pin once (src- and dst-bucket layouts; the initial hub
+    is the uniform 1/n rank0 slice), then per iteration an authority round
+    (:func:`_auth_map` per src bucket) and a hub round (:func:`_hub_map`
+    per dst bucket), each folded by :func:`_score_reduce`. Scores stay raw
+    per-bucket slices; the driver folds each round's L1 partials, in
+    bucket order, into the :func:`_l1_total` total and passes it to the
+    next round as the divisor, so floats are bit-identical to
+    :func:`hits_reference` for any ``per_bucket`` that is a multiple of
+    the L1 bucket. Returns (auth slice refs, auth divisor, hub slice refs,
+    hub divisor); a zero total divides by 1.0, as the reference skips the
+    division."""
     import ray
 
+    l1 = _graph_buckets(n)
+    assert per_bucket % l1 == 0, (per_bucket, l1)
     nb = -(-n // per_bucket)
     src_pins, dst_pins, [(_, hub)] = _pin_buckets(edges, n, per_bucket, hits=True)
     auth_step = ray.remote(num_cpus=1)(_auth_map).options(num_returns=nb)
     hub_step = ray.remote(num_cpus=1)(_hub_map).options(num_returns=nb)
     fold = ray.remote(num_cpus=1)(_score_reduce).options(num_returns=2)
-    bounds = [(b * per_bucket, min((b + 1) * per_bucket, n)) for b in range(nb)]
+    bounds = [(b * per_bucket, min((b + 1) * per_bucket, n), l1) for b in range(nb)]
 
     def half_step(step, pins, scores, div):
         out = _shuffle_round(step, fold, pins, scores, (div,), bounds)
-        tot = float(np.sum(ray.get([s for _, s in out])))
+        tot = float(np.sum(np.concatenate(ray.get([s for _, s in out]))))
         return [d for d, _ in out], tot if tot > 0 else 1.0
 
     auth, div_a, div_h = None, 1.0, 1.0  # x / 1.0 is bit-exact x
@@ -2851,14 +2742,13 @@ def weighted_pagerank(
     distributedly, never a driver list); dangling nodes lose their mass
     exactly as in :func:`pagerank`.
 
-    Both regimes of the unweighted engine apply, picked by node count:
-    broadcast (≤ ``SHUFFLE_MODE_NODES``: sorted node array folded into
-    the object store, edge blocks pinned there, weights ride the blocks)
-    and shuffle (per-bucket edge slices pinned, map/reduce task rounds,
-    the weight riding each pinned out-edge).
-    Ranks are bit-identical across regimes and to
-    :func:`weighted_pagerank_reference` — the shared ``_contrib_sums``
-    primitive computes ``(rank·inv)·w`` in pinned order.
+    Runs the unweighted engine's kernel, the weight riding each pinned
+    out-edge; ``mode`` picks, as there, only how node ids are assigned
+    (the sorted endpoint array folded into the object store ≤
+    ``SHUFFLE_MODE_NODES``, the distributed node index above) and urls
+    attached. Ranks are bit-identical in either mode and to
+    :func:`weighted_pagerank_reference` — the kernel computes the
+    ``_contrib_sums`` product ``(rank·inv)·w`` in pinned order.
 
     ``seed_urls`` personalizes the teleport exactly as in
     :func:`pagerank` (TrustRank at the host level — the seed list is a
@@ -2867,7 +2757,7 @@ def weighted_pagerank(
     """
     if seed_urls is not None and not seed_urls:
         raise ValueError("seed_urls must be non-empty when given")
-    prep = _weighted_prepared(
+    g = _weighted_prepared(
         edges_ds,
         src_col=src_col,
         dst_col=dst_col,
@@ -2875,31 +2765,9 @@ def weighted_pagerank(
         mode=mode,
         n_buckets=n_buckets,
     )
-    if prep is None:
+    if g is None:
         return _empty_scores("rank_ppb")
-
-    if prep["mode"] == "shuffle":
-        return _shuffle_rank_loop(
-            prep["edges"],
-            prep["index_ds"],
-            prep["n"],
-            n_iters=n_iters,
-            damping=damping,
-            per_bucket=prep["per_bucket"],
-            seeds=None if seed_urls is None else _shuffle_teleport(prep["index_ds"], seed_urls),
-            weighted=True,
-        )
-
-    n = prep["n"]
-    return _broadcast_rank_loop(
-        prep["edges_b"],
-        prep["urls_ref"],
-        n,
-        n_iters=n_iters,
-        damping=damping,
-        per_bucket=prep["per_bucket"],
-        **_teleport_vectors(n, damping, prep["urls_ref"], seed_urls),
-    )
+    return _rank_loop(g, n_iters=n_iters, damping=damping, seed_urls=seed_urls, weighted=True)
 
 
 def _weighted_prepared(
@@ -2910,13 +2778,13 @@ def _weighted_prepared(
     weight_col: str,
     mode: str,
     n_buckets: int | None,
-):
+) -> _RankGraph | None:
     """Shared graph preparation for the weighted rank family: normalize
     the edge columns, derive the node set distributedly, resolve the
-    regime, and build the iteration-ready edge blocks ONCE — so callers
-    that run several teleports over the same graph (spam mass, seed-set
-    sweeps) pay the identity/bucketing exchanges a single time. Returns
-    None for an empty graph."""
+    regime, and map the edges to ids ONCE — so callers that run several
+    teleports over the same graph (spam mass, seed-set sweeps) pay the
+    identity exchanges a single time. Returns None for an empty graph."""
+    import ray
 
     def to_pairs(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -2939,23 +2807,16 @@ def _weighted_prepared(
     if mode == "shuffle":
         nb = -(-n // per_bucket)
         index_ds = node_index(nodes)[0].repartition(nb, shuffle=False).materialize()
-        return {
-            "mode": mode,
-            "n": n,
-            "per_bucket": per_bucket,
-            "index_ds": index_ds,
-            "edges": _edge_id_pairs(pairs, index_ds, weighted=True).materialize(),
-        }
+        edges = _edge_id_pairs(pairs, index_ds, weighted=True).materialize()
+        return _RankGraph(n, per_bucket, edges, index_ds=index_ds)
 
     urls_ref = _sorted_urls_ref(nodes)
-    edges_b = _bucketed_edge_ids(pairs, urls_ref, per_bucket)
-    return {
-        "mode": mode,
-        "n": n,
-        "per_bucket": per_bucket,
-        "urls_ref": urls_ref,
-        "edges_b": edges_b,
-    }
+
+    def to_ids(t: pa.Table) -> pa.Table:
+        return _id_pairs(t, ray.get(urls_ref))
+
+    edges = pairs.map_batches(to_ids, batch_format="pyarrow", zero_copy_batch=True)
+    return _RankGraph(n, per_bucket, edges.materialize(), urls_ref=urls_ref)
 
 
 def _seed_ids(t: pa.Table, seeds: list[str]) -> np.ndarray:
@@ -2989,20 +2850,6 @@ def _seed_positions(urls_arr: pa.Array, seeds: list[str]) -> np.ndarray:
     return pos.to_numpy(zero_copy_only=False).astype(np.int64)
 
 
-def _teleport_vectors(n: int, damping: float, urls_ref, seed_urls):
-    """(base_vec, rank0_vec) kwargs for the broadcast regime — uniform
-    (pinned one-division floats) or personalized to the seed positions
-    resolved against the shared sorted node array in a remote task."""
-    import ray
-
-    pos = None
-    if seed_urls is not None:
-        find = ray.remote(num_cpus=1)(_seed_positions)
-        pos = ray.get(find.remote(urls_ref, sorted(set(seed_urls))))
-    base, rank0 = _teleport_slices(0, n, n, damping, pos)
-    return {"base_vec": base, "rank0_vec": rank0}
-
-
 def weighted_spam_mass(
     edges_ds,
     *,
@@ -3017,20 +2864,17 @@ def weighted_spam_mass(
 ):
     """Spam mass over a weighted edge list in ONE prepared pass →
     (url, spam_mass_ppb): the uniform and seed-personalized ranks share
-    the graph preparation (node derivation, identity/bucketing
-    exchanges) and, in either regime, one pin of the edges, so the
-    capstone costs one graph build plus two cheap iteration sweeps
-    instead of two full rank jobs. Ranks and the integer mass rule are
-    bit-identical to composing :func:`weighted_pagerank` × 2 +
-    :func:`spam_mass`, without its join: the broadcast regime applies the
-    rule driver-side to the two O(n≤SHUFFLE_MODE_NODES) vectors, the
-    shuffle regime per bucket to the two rank slices."""
+    the graph preparation (node derivation, identity exchanges) and one
+    pin of the edges, so the capstone costs one graph build plus two
+    cheap iteration sweeps instead of two full rank jobs. Ranks and the
+    integer mass rule are bit-identical to composing
+    :func:`weighted_pagerank` × 2 + :func:`spam_mass`, without its join:
+    the rule is applied per bucket to the two rank slices."""
     import ray
-    import ray.data
 
     if not seed_urls:
         raise ValueError("seed_urls must be non-empty")
-    prep = _weighted_prepared(
+    g = _weighted_prepared(
         edges_ds,
         src_col=src_col,
         dst_col=dst_col,
@@ -3038,60 +2882,36 @@ def weighted_spam_mass(
         mode=mode,
         n_buckets=n_buckets,
     )
-    if prep is None:
+    if g is None:
         return _empty_scores("spam_mass_ppb")
-
-    if prep["mode"] == "shuffle":
-        per_bucket = prep["per_bucket"]
-        pr, tr = _shuffle_rank_slices(
-            prep["edges"],
-            prep["n"],
-            n_iters=n_iters,
-            damping=damping,
-            teleports=[None, _shuffle_teleport(prep["index_ds"], seed_urls)],
-            per_bucket=per_bucket,
-            weighted=True,
-        )
-        mass = ray.remote(num_cpus=1)(_mass_block)
-        blocks = [mass.remote(b * per_bucket, p, t) for b, (p, t) in enumerate(zip(pr, tr))]
-        return _attach_urls(blocks, prep["index_ds"], per_bucket, ("spam_mass_ppb",))
-
-    n = prep["n"]
-    uniform = _teleport_vectors(n, damping, prep["urls_ref"], None)
-    seeded = _teleport_vectors(n, damping, prep["urls_ref"], seed_urls)
-    pr_vec, tr_vec = _broadcast_rank_vectors(
-        prep["edges_b"],
-        n,
+    pr, tr = _shuffle_rank_slices(
+        g.edges,
+        g.n,
         n_iters=n_iters,
         damping=damping,
-        variants=[
-            (uniform["base_vec"], uniform["rank0_vec"]),
-            (seeded["base_vec"], seeded["rank0_vec"]),
-        ],
-        per_bucket=prep["per_bucket"],
+        teleports=[None, g.seed_ids(seed_urls)],
+        per_bucket=g.per_bucket,
+        weighted=True,
     )
-    return _broadcast_output(prep["urls_ref"], spam_mass_ppb=_mass_rule(pr_vec, tr_vec))
-
-
-def _mass_rule(pr_vec: np.ndarray, tr_vec: np.ndarray) -> np.ndarray:
-    """Spam mass from the uniform and seeded rank vectors (or bucket
-    slices): ppb quantization first (the rank contract), then the integer
-    rule — identical to :func:`spam_mass` over the two finished rank
-    tables."""
-    pr_ppb, tr_ppb = _ppb(pr_vec), _ppb(tr_vec)
-    num = np.maximum(pr_ppb - tr_ppb, 0) * np.int64(1_000_000_000)
-    out = np.zeros(len(pr_ppb), dtype=np.int64)
-    nz = pr_ppb > 0
-    out[nz] = num[nz] // pr_ppb[nz]
-    return out
+    mass = ray.remote(num_cpus=1)(_mass_block)
+    blocks = [mass.remote(b * g.per_bucket, p, t) for b, (p, t) in enumerate(zip(pr, tr))]
+    return g.attach(blocks, ("spam_mass_ppb",))
 
 
 def _mass_block(lo: int, pr: np.ndarray, tr: np.ndarray) -> pa.Table:
-    """One bucket's (node_id, spam_mass_ppb) rows from its two rank slices."""
+    """One bucket's (node_id, spam_mass_ppb) rows from its uniform and
+    seeded rank slices: ppb quantization first (the rank contract), then
+    the integer rule — identical to :func:`spam_mass` over the two
+    finished rank tables."""
+    pr_ppb, tr_ppb = _ppb(pr), _ppb(tr)
+    num = np.maximum(pr_ppb - tr_ppb, 0) * np.int64(1_000_000_000)
+    mass = np.zeros(len(pr_ppb), dtype=np.int64)
+    nz = pr_ppb > 0
+    mass[nz] = num[nz] // pr_ppb[nz]
     return pa.table(
         {
             "node_id": pa.array(np.arange(lo, lo + len(pr), dtype=np.int64)),
-            "spam_mass_ppb": pa.array(_mass_rule(pr, tr), pa.int64()),
+            "spam_mass_ppb": pa.array(mass, pa.int64()),
         }
     )
 
