@@ -1194,11 +1194,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def page_communities(sf_dir):
         # Deterministic synchronous label propagation (Raghavan et al.
         # 2007, pinned ties → min label, fixed rounds): community =
-        # the modal-neighbor fixed label's URL. Broadcast regime here
-        # (whole dst buckets pinned in actors, one O(n) int64 vector per
-        # round); the >5M-node shuffle regime is bit-identical
-        # (test_lpa_shuffle_mode_identical). Oracle = the single-process
-        # same-kernel reference (pagerank trust model).
+        # the modal-neighbor fixed label's URL. The graph traversal
+        # kernel: symmetric-closure bucket slices pinned once, one
+        # map/reduce task round per iteration; the >5M-node shuffle
+        # regime is bit-identical (test_lpa_modes_identical_and_match_reference).
+        # Oracle = the single-process same-kernel reference (pagerank
+        # trust model).
         from urlmap_ray.expected import ensure_lpa_expected
         from urlmap_ray.functions.labelprop import label_propagation
 
@@ -2850,8 +2851,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def page_kcore(sf_dir):
         # k-core membership (k=3) of the undirected link graph: iterative
-        # peeling, broadcast survivor set at toy scale / bucketed
-        # semi-joins above SHUFFLE_MODE_NODES (graph.py kcore docstring)
+        # peeling as task rounds over pinned symmetric-closure bucket
+        # slices, in either regime (graph.py kcore docstring)
         from urlmap_ray.expected import ensure_kcore_expected
         from urlmap_ray.functions import graph as gr
 

@@ -334,16 +334,37 @@ def test_shuffle_kernel_any_layout_and_bucket_count(ray_session, corpus, truth):
         assert gr.weighted_pagerank(empty_w, mode=mode).take_all() == [], mode
 
 
+def _traversals(seeds):
+    """The five traversal calls, each as call(pages, nodes, rounds=None,
+    **kw), ``rounds`` being its round bound (BFS ``radius``, kcore
+    ``max_rounds``, LPA ``n_iters``; SCC and bow-tie have none)."""
+    from urlmap_ray.functions.graph import bfs_distances, kcore
+    from urlmap_ray.functions.labelprop import label_propagation
+    from urlmap_ray.functions.scc import bowtie, scc
+
+    def bounded(fn, arg):
+        return lambda p, n, rounds=None, **kw: fn(p, n, **({arg: rounds} if rounds else {}), **kw)
+
+    return {
+        "bfs": lambda p, n, rounds=None, **kw: bfs_distances(p, n, seeds, radius=rounds, **kw),
+        "kcore": bounded(kcore, "max_rounds"),
+        "lpa": bounded(label_propagation, "n_iters"),
+        "scc": lambda p, n, rounds=None, **kw: scc(p, n, **kw),
+        "bowtie": lambda p, n, rounds=None, **kw: bowtie(p, n, **kw),
+    }
+
+
 def test_rank_rejects_bad_n_buckets(ray_session, corpus):
-    """A task bucket count below one is refused before any graph work."""
+    """A task bucket count below one is refused before any graph work, by
+    the ranks and the traversals alike."""
     from urlmap_ray.functions.graph import hits
 
+    calls = {"pagerank": pagerank, "hits": hits, **_traversals(["https://x.example/"])}
     for mode in ("broadcast", "shuffle"):
         for bad in (0, -2):
-            with pytest.raises(ValueError, match="n_buckets"):
-                pagerank(_pages_ds(corpus), _nodes_ds(corpus), mode=mode, n_buckets=bad)
-            with pytest.raises(ValueError, match="n_buckets"):
-                hits(_pages_ds(corpus), _nodes_ds(corpus), mode=mode, n_buckets=bad)
+            for name, call in calls.items():
+                with pytest.raises(ValueError, match="n_buckets"):
+                    call(_pages_ds(corpus), _nodes_ds(corpus), mode=mode, n_buckets=bad)
 
 
 def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
@@ -352,7 +373,9 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
     multi-ref get) has at most max(per_bucket, task buckets, L1 buckets)
     elements. Ray Data's own exchanges (their sort samples) are not
     counted. And iterations are task rounds, not Dataset jobs: the Ray
-    Data executions a call makes do not grow with ``n_iters``."""
+    Data executions a call makes do not grow with ``n_iters`` (BFS
+    ``radius``, kcore ``max_rounds``), and a traversal starts none after
+    its pin round."""
     import numpy as np
     import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
@@ -397,42 +420,59 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
         runs.append(1)
         return real_execute(self, *a, **kw)
 
+    pinned = []  # executions counted when a traversal's pin round starts
+    real_pin = gr._RankGraph.pin
+
+    def pin(self, layouts):
+        pinned.append(len(runs))
+        return real_pin(self, layouts)
+
     seeds = sorted(urls)[:3]
     calls = {}
     for mode, k in (("shuffle", nb), ("broadcast", None)):  # broadcast: its CPU default
-        per_bucket = gr._rank_regime(n, mode, k)[1]
         kw = {"mode": mode, "n_buckets": k}
         calls.update(
             {
-                (mode, "pagerank"): (per_bucket, lambda i, kw=kw: pagerank(
+                (mode, "pagerank", k): lambda i, kw=kw: pagerank(
                     _pages_ds(corpus), _nodes_ds(corpus), n_iters=i, **kw
-                )),
-                (mode, "trustrank"): (per_bucket, lambda i, kw=kw: pagerank(
+                ),
+                (mode, "trustrank", k): lambda i, kw=kw: pagerank(
                     _pages_ds(corpus), _nodes_ds(corpus), n_iters=i, seed_urls=seeds, **kw
-                )),
-                (mode, "hits"): (per_bucket, lambda i, kw=kw: hits(
+                ),
+                (mode, "hits", k): lambda i, kw=kw: hits(
                     _pages_ds(corpus), _nodes_ds(corpus), n_iters=i, **kw
-                )),
+                ),
             }
         )
+    for mode in ("shuffle", "broadcast"):
+        for k in (None, nb):
+            for alg, call in _traversals(seeds).items():
+                calls[(mode, alg, k)] = lambda i, call=call, kw={"mode": mode, "n_buckets": k}: (
+                    call(_pages_ds(corpus), _nodes_ds(corpus), i, **kw)
+                )
     monkeypatch.setattr(ray, "put", put)
     monkeypatch.setattr(ray, "get", get)
     monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    monkeypatch.setattr(gr._RankGraph, "pin", pin)
     results = {}
-    for name, (per_bucket, call) in calls.items():
+    for name, call in calls.items():
+        per_bucket = gr._rank_regime(n, name[0], name[2])[1]
         bound = max(per_bucket, -(-n // per_bucket), n_l1)
         assert bound < n  # an O(nodes) array would show
         jobs = []
         for k in (1, 4):
             runs.clear()
             sizes.clear()
+            pinned.clear()
             ds = call(k)
             jobs.append(len(runs))
             ours = [(op, size) for who, op, size in sizes if who.startswith("urlmap_ray.")]
-            results[name + (k,)] = ds.materialize()
+            results[name[:2] + (k,)] = ds.materialize()
             assert max((size for _, size in ours), default=0) <= bound, (name, sorted(ours, key=lambda x: -x[1])[:3])
             if name[1] == "hits":
                 assert ("get", n_l1) in ours  # the L1 partials of one round
+            if name[1] not in ("pagerank", "trustrank", "hits"):
+                assert pinned == [jobs[-1]], f"{name}: Dataset executions after the pin round"
         assert jobs[0] == jobs[1], f"{name}: Dataset executions grow with n_iters: {jobs}"
     monkeypatch.undo()
     for mode in ("shuffle", "broadcast"):
@@ -441,6 +481,9 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
         ), mode
         assert {r["url"]: r["rank_ppb"] for r in results[(mode, "trustrank", 4)].take_all()} == (
             pagerank_reference(urls, links, n_iters=4, seed_urls=seeds)
+        ), mode
+        assert {r["url"]: r["dist"] for r in results[(mode, "bfs", 4)].take_all()} == (
+            _bfs_reference(truth[2], seeds, radius=4)
         ), mode
 
 
@@ -747,43 +790,53 @@ def test_bfs_distances_matches_reference_both_modes(ray_session, corpus, truth):
     seed = sorted(urls)[0]
     exp = _bfs_reference(edges, [seed], radius=3)
     for mode in ("broadcast", "shuffle"):
-        got = {
-            r["url"]: r["dist"]
-            for r in bfs_distances(
-                _pages_ds(corpus), _nodes_ds(corpus), [seed], radius=3, mode=mode
-            ).take_all()
-        }
-        assert got == exp, f"mode={mode}"
+        for nb in (None, 1, 2, 7):
+            got = {
+                r["url"]: r["dist"]
+                for r in bfs_distances(
+                    _pages_ds(corpus), _nodes_ds(corpus), [seed], radius=3, mode=mode, n_buckets=nb
+                ).take_all()
+            }
+            assert got == exp, f"mode={mode} n_buckets={nb}"
 
 
 def test_bfs_distances_fixpoint_multisource(ray_session, corpus, truth):
     from urlmap_ray.functions.graph import bfs_distances
 
     urls, _, edges = truth
-    seeds = sorted(urls)[:2]
+    # a seed outside the node set is settled at dist 0 as given
+    seeds = sorted(urls)[:2] + ["https://outside.example/"]
     exp = _bfs_reference(edges, seeds, radius=None)
-    got = {
-        r["url"]: r["dist"]
-        for r in bfs_distances(
-            _pages_ds(corpus), _nodes_ds(corpus), seeds, radius=None
-        ).take_all()
-    }
-    assert got == exp
+    for mode in ("broadcast", "shuffle"):
+        got = {
+            r["url"]: r["dist"]
+            for r in bfs_distances(
+                _pages_ds(corpus), _nodes_ds(corpus), seeds, radius=None, mode=mode
+            ).take_all()
+        }
+        assert got == exp, mode
 
 
 def test_kcore_matches_peel_both_modes(ray_session, corpus, truth):
     from urlmap_ray.functions.graph import kcore
 
+    import ray.data
+
     urls, _, edges = truth
-    for k in (2, 3):
+    # one isolated node (every corpus page links or is linked): it stays out
+    # of the core even at k=0
+    lone = ray.data.from_arrow(pa.table({"url": ["https://isolated.example/"]}))
+    for k in (0, 2, 3):
         core = _kcore_reference(edges, k)
         for mode in ("broadcast", "shuffle"):
-            rows = kcore(
-                _pages_ds(corpus), _nodes_ds(corpus), k=k, mode=mode
-            ).take_all()
-            assert len(rows) == len(urls), f"k={k} mode={mode}"
-            got = {r["url"] for r in rows if r["in_core"]}
-            assert got == core, f"k={k} mode={mode}"
+            for nb in (None, 1, 2, 7):
+                rows = kcore(
+                    _pages_ds(corpus), _nodes_ds(corpus).union(lone), k=k, mode=mode, n_buckets=nb
+                ).take_all()
+                assert len(rows) == len(urls) + 1, f"k={k} mode={mode} n_buckets={nb}"
+                got = {r["url"] for r in rows if r["in_core"]}
+                assert got == core, f"k={k} mode={mode} n_buckets={nb}"
+    assert len(_kcore_reference(edges, 0)) == len(urls)
 
 
 def test_mode_per_dst_kernel():
@@ -804,29 +857,25 @@ def test_mode_per_dst_kernel():
 
 
 def test_lpa_modes_identical_and_match_reference(ray_session, corpus, truth):
-    """Broadcast ≡ shuffle ≡ the single-process reference — integer
-    counts + pinned min-label ties make LPA partition-independent."""
+    """Broadcast ≡ shuffle ≡ the single-process reference at any task
+    bucket count — integer counts + pinned min-label ties make LPA
+    partition-independent."""
     from urlmap_ray.functions.labelprop import (
         label_propagation,
         label_propagation_reference,
     )
 
     urls, links, _ = truth
-    b = label_propagation(
-        _pages_ds(corpus), _nodes_ds(corpus), mode="broadcast", n_iters=3, n_buckets=7
-    )
-    s = label_propagation(
-        _pages_ds(corpus), _nodes_ds(corpus), mode="shuffle", n_iters=3, n_buckets=7
-    )
-    got_b = {r["url"]: r["community"] for r in b.take_all()}
-    got_s = {r["url"]: r["community"] for r in s.take_all()}
-    assert got_s == got_b
     ref = label_propagation_reference(urls, links, n_iters=3)
-    assert got_b == dict(
-        zip(ref.column("url").to_pylist(), ref.column("community").to_pylist())
-    )
+    exp = dict(zip(ref.column("url").to_pylist(), ref.column("community").to_pylist()))
+    for mode in ("broadcast", "shuffle"):
+        for nb in (None, 1, 2, 7):
+            got = label_propagation(
+                _pages_ds(corpus), _nodes_ds(corpus), mode=mode, n_iters=3, n_buckets=nb
+            )
+            assert {r["url"]: r["community"] for r in got.take_all()} == exp, (mode, nb)
     # sanity: propagation actually groups pages (fewer labels than nodes)
-    assert len(set(got_b.values())) < len(got_b)
+    assert len(set(exp.values())) < len(exp)
 
 
 def test_host_graph_matches_pure_both_regimes(ray_session, corpus, truth):

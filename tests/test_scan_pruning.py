@@ -65,9 +65,13 @@ def test_library_pages_reads_are_pruned():
 
 
 def test_entry_module_collects_no_dataset_to_pandas():
-    """No registered query collects a Dataset into driver pandas: a
-    per-row keep-set (``docs_prep``'s one id per distinct text) is O(rows)
-    and belongs in a shuffle join, not on the driver."""
+    """No registered query collects a Dataset into driver pandas or a
+    driver row list (``take_all``): a per-row keep-set (``docs_prep``'s
+    one id per distinct text) is O(rows) and belongs in a shuffle join,
+    not on the driver."""
     src = _entry_source()
-    lines = [src.count("\n", 0, m.start()) + 1 for m in re.finditer(r"\.to_pandas\(", src)]
-    assert not lines, f".to_pandas( at __ray_entry__.py lines {lines}"
+    hits = [
+        (m.group(0), src.count("\n", 0, m.start()) + 1)
+        for m in re.finditer(r"\.(to_pandas|take_all)\(", src)
+    ]
+    assert not hits, f"driver collects at __ray_entry__.py: {hits}"

@@ -88,8 +88,12 @@ def test_scc_both_modes_match_tarjan(ray_session, corpus, truth):
     want = scc_reference(urls, links)
     pages, nodes = _ds_pair(corpus)
     for mode in ("broadcast", "shuffle"):
-        got = {r["url"]: r["scc_rep"] for r in scc(pages, nodes, mode=mode).take_all()}
-        assert got == want, mode
+        for nb in (None, 1, 2, 7):
+            got = {
+                r["url"]: r["scc_rep"]
+                for r in scc(pages, nodes, mode=mode, n_buckets=nb).take_all()
+            }
+            assert got == want, (mode, nb)
     # non-vacuous: the corpus graph has real multi-node components AND
     # singletons
     from collections import Counter
@@ -106,16 +110,21 @@ def test_scc_toy_graph_all_cases(ray_session):
     assert want[u("b")] == want[u("c")] == want[u("d")] == u("b")
     assert want[u("a")] == u("a") and want[u("e")] == u("e")
     for mode in ("broadcast", "shuffle"):
-        got = {r["url"]: r["scc_rep"] for r in scc(pages, nodes, mode=mode).take_all()}
-        assert got == want, mode
+        for nb in (None, 1, 2, 7):
+            got = {
+                r["url"]: r["scc_rep"]
+                for r in scc(pages, nodes, mode=mode, n_buckets=nb).take_all()
+            }
+            assert got == want, (mode, nb)
 
 
 def test_bowtie_matches_reference(ray_session, corpus, truth):
     urls, links = truth
     want = bowtie_reference(urls, links)
     pages, nodes = _ds_pair(corpus)
-    got = {r["url"]: r["region"] for r in bowtie(pages, nodes).take_all()}
-    assert got == want
+    for mode in ("broadcast", "shuffle"):
+        got = {r["url"]: r["region"] for r in bowtie(pages, nodes, mode=mode).take_all()}
+        assert got == want, mode
     assert "core" in set(want.values())
 
 
@@ -132,5 +141,6 @@ def test_bowtie_toy_graph_all_regions(ray_session):
         u("g"): "other",
         u("h"): "other",
     }
-    got = {r["url"]: r["region"] for r in bowtie(pages, nodes).take_all()}
-    assert got == want
+    for mode in ("broadcast", "shuffle"):
+        got = {r["url"]: r["region"] for r in bowtie(pages, nodes, mode=mode).take_all()}
+        assert got == want, mode

@@ -1,4 +1,4 @@
-"""Microbench for the rank kernel in both regimes (functions/graph.py).
+"""Microbench for the rank and traversal kernels (functions/graph.py).
 
     python tools/rank_bench.py [--pages 1000] [--seed 1] [--reps 3]
 
@@ -21,9 +21,18 @@ and the same three for the shuffle regime (``<alg>_shuffle_*``;
 ``link_rank`` workload runs it). The regimes share the kernel, so they
 differ in the edge build and url attach, which only the totals include.
 
-Each call is checked against ``pagerank_reference`` / ``hits_reference``.
-Timings are medians over ``--reps`` repetitions; the session is shut down
-at the end.
+Then, in broadcast mode at its default bucketing, the same three for the
+traversals ``bfs_distances`` (from the first url, to fixpoint), ``kcore``
+(k=3), ``label_propagation`` and ``scc``: ``<alg>_pin_s`` is the pin round
+of the layout the algorithm reads (``_RankGraph.pin``), ``<alg>_round_s``
+one map/reduce task round from the initial state (BFS: distance 1; SCC:
+one forward colour round), ``<alg>_total_s`` the public call,
+materialized.
+
+Each call is checked against its reference (``pagerank_reference``,
+``hits_reference``, ``label_propagation_reference``, ``scc_reference``,
+and a sequential BFS and peel here). Timings are medians over ``--reps``
+repetitions; the session is shut down at the end.
 """
 
 from __future__ import annotations
@@ -46,6 +55,36 @@ def _timed(fn):
     return time.perf_counter() - t0, out
 
 
+def _bfs_reference(edges, seed) -> dict:
+    adj: dict = {}
+    for s, d in edges:
+        adj.setdefault(s, []).append(d)
+    dist, frontier = {seed: 0}, [seed]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj.get(u, ()):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def _kcore_reference(edges, k) -> set:
+    nbr: dict = {}
+    for s, d in edges:
+        nbr.setdefault(s, set()).add(d)
+        nbr.setdefault(d, set()).add(s)
+    while True:
+        drop = [u for u, vs in nbr.items() if len(vs) < k]
+        if not drop:
+            return set(nbr)
+        for u in drop:
+            for v in nbr.pop(u):
+                nbr[v].discard(u)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pages", type=int, default=1000)
@@ -61,6 +100,8 @@ def main(argv=None) -> int:
     from urlmap_ray.corpus import generate_corpus
     from urlmap_ray.extract import extract_links
     from urlmap_ray.functions import graph as gr
+    from urlmap_ray.functions import labelprop as lp
+    from urlmap_ray.functions import scc as sc
 
     tmp = tempfile.TemporaryDirectory()
     info = generate_corpus(os.path.join(tmp.name, "corpus"), args.pages, seed=args.seed)
@@ -78,6 +119,37 @@ def main(argv=None) -> int:
     shuffle = {"mode": "shuffle", "n_iters": 3, "n_buckets": 2}
     exp_pr3 = gr.pagerank_reference(urls, links, n_iters=3)
     exp_hits3 = hits_rows(gr.hits_reference(urls, links, n_iters=3))
+    node_set = set(urls)
+    edges = {(u, v) for u, vs in links.items() for v in vs if v in node_set and v != u}
+    lpa = lp.label_propagation_reference(urls, links)
+    first = min(urls)
+    # name: (pin layout, map, reduce, initial state slice, map args, reduce
+    # args, public call, result rows → comparable value, expected value)
+    traversals = {
+        "bfs_distances": (
+            "fwd", gr._frontier_map, gr._settle,
+            lambda lo, hi: gr._seed_dist(lo, hi, np.zeros(1, np.int64)), (1,), (1,),
+            lambda p, n: gr.bfs_distances(p, n, [first], mode="broadcast"),
+            lambda rows: {r["url"]: r["dist"] for r in rows}, _bfs_reference(edges, first),
+        ),
+        "kcore": (
+            "und", gr._alive_map, gr._peel, lambda lo, hi: gr._init_slice(lo, hi, True), (), (3,),
+            lambda p, n: gr.kcore(p, n, k=3, mode="broadcast"),
+            lambda rows: {r["url"] for r in rows if r["in_core"]}, _kcore_reference(edges, 3),
+        ),
+        "label_propagation": (
+            "und", lp._label_map, lp._relabel, gr._init_slice, (), (),
+            lambda p, n: lp.label_propagation(p, n, mode="broadcast"),
+            lambda rows: {r["url"]: r["community"] for r in rows},
+            dict(zip(lpa.column("url").to_pylist(), lpa.column("community").to_pylist())),
+        ),
+        "scc": (
+            "fwd", sc._color_map, sc._color_fold,
+            lambda lo, hi: sc._scc_phase(lo, hi, None)[0], (False,), (False,),
+            lambda p, n: sc.scc(p, n, mode="broadcast"),
+            lambda rows: {r["url"]: r["scc_rep"] for r in rows}, sc.scc_reference(urls, links),
+        ),
+    }
 
     def inputs():
         pages = ray.data.read_parquet(info.pages_path, columns=["url", "html"])
@@ -96,6 +168,7 @@ def main(argv=None) -> int:
         for a in ("pagerank", "hits")
         for m in ("pin", "round", "total")
     }
+    times.update({f"{a}_{m}": [] for a in traversals for m in ("pin", "round", "total")})
 
     def done(refs):  # wait for task outputs without fetching them
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
@@ -163,6 +236,22 @@ def main(argv=None) -> int:
                 s, ds = _timed(lambda: gr.hits(*inputs(), **kw).materialize())
                 times[f"hits{tag}_total"].append(s)
                 check_hits(ds, want_hits)
+
+        g = gr._page_graph(*inputs(), n, "broadcast", None)
+        for name, (layout, step, fold, init, margs, rargs, call, result, want) in traversals.items():
+            step = ray.remote(num_cpus=1)(step).options(num_returns=len(g.bounds()))
+            fold = ray.remote(num_cpus=1)(fold).options(num_returns=2)
+            for _ in range(args.reps):
+                s, (pins,) = _timed(lambda: [done(p) for p in g.pin((layout,))])
+                times[f"{name}_pin"].append(s)
+                states = [ray.put(init(lo, hi)) for lo, hi in g.bounds()]
+                s, _ = _timed(
+                    lambda: done(gr._sweep(step, fold, pins, states, g.per_bucket, margs, rargs)[0])
+                )
+                times[f"{name}_round"].append(s)
+                s, ds = _timed(lambda: call(*inputs()).materialize())
+                times[f"{name}_total"].append(s)
+                assert result(ds.take_all()) == want, name
     finally:
         ray.shutdown()
         tmp.cleanup()

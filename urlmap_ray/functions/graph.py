@@ -1,5 +1,5 @@
 """Web-graph analytics over the corpus link graph: edge extraction,
-degree distributions, PageRank, HITS.
+degree distributions, PageRank, HITS, BFS distances, k-core.
 
 The reference stops at the visited-URL set; the natural next consumer of
 a 100TB crawl is the link GRAPH — in/out-degree statistics and a
@@ -38,26 +38,34 @@ Scale shapes:
 - **Degrees are ONE single-key shuffle.** Out-degree is row-local;
   only in-degree crosses blocks. Per-batch partial counts pre-aggregate
   before the ``groupby(url)``.
-- **PageRank and HITS are one kernel in both regimes: edges pinned
-  once as bucket slices, then rounds of stateless tasks.** No actor
-  pool and no Dataset job per iteration: tasks run on the pooled
-  workers, retry on worker death, and a lost pinned array is rebuilt
-  from lineage. Node ids are range-bucketed; a pin round cuts the
-  id-mapped edges into per-src-bucket slices (each with its ``inv``
-  slice and teleport slices); each PageRank iteration is a map task per
-  src bucket returning its out-edges' ``rank·inv`` contributions as one
-  part per dst bucket, and a reduce task per dst bucket folding them.
-  HITS also pins dst-bucket slices and runs an authority and a hub
-  map/reduce round per iteration. The exchange is object refs,
-  per-task state is one bucket slice, and the driver holds refs and
-  O(buckets) floats. The regimes differ only at the two ends: the
-  broadcast regime maps urls to ids inside the extraction map against
-  the shared sorted url array and attaches urls by slicing it per
+- **Every iterative graph operator is one kernel in both regimes:
+  edges pinned once as bucket slices, then rounds of stateless tasks.**
+  PageRank, HITS, BFS (:func:`bfs_distances`), k-core (:func:`kcore`),
+  label propagation (labelprop.py), SCC and bow-tie (scc.py) all run
+  on it. No actor pool and no Dataset job per iteration: tasks run on
+  the pooled workers, retry on worker death, and a lost pinned array is
+  rebuilt from lineage. Node ids are range-bucketed; a pin round cuts
+  the id-mapped edges into per-bucket slices; each round is a map task
+  per pinned bucket returning one part per destination bucket, and a
+  reduce task per bucket folding them. PageRank pins per-src-bucket
+  slices (each with its ``inv`` slice and teleport slices) and maps
+  out-edges' ``rank·inv`` contributions; HITS also pins dst-bucket
+  slices and runs an authority and a hub round per iteration. The
+  traversals pin out-edge, reversed in-edge or symmetric-closure
+  slices and keep integer state (distances, alive masks, labels,
+  colours), one dense slice per bucket; each reduce also returns how
+  many of its nodes changed, so a convergence loop fetches O(buckets)
+  ints a round. The exchange is object refs, per-task state is one
+  bucket slice, and the driver holds refs and O(buckets) numbers; no
+  Ray Data execution starts after the pin round. The regimes differ
+  only at the two ends: the broadcast regime maps urls to ids inside
+  the extraction map against the shared sorted url array and attaches
+  urls (and node-id columns such as labels) by taking from it per
   bucket; the shuffle regime maps them by two exchanges against
-  :func:`node_index` and attaches urls by one more. The task bucket
-  count (``n_buckets``; by default one per session CPU in the broadcast
-  regime and one per L1 bucket in the shuffle regime) changes speed,
-  never a result.
+  :func:`node_index` and attaches urls by one more (plus one per
+  node-id column). The task bucket count (``n_buckets``; by default one
+  per session CPU in the broadcast regime and one per L1 bucket in the
+  shuffle regime) changes speed, never a result.
 - **Results are bit-identical to the single-process references at any
   block layout, bucket count or mode** (test-asserted). Every per-dst
   sum is ``np.add.reduceat`` over the (dst, src)-sorted contribution
@@ -462,36 +470,9 @@ def _graph_buckets(n: int) -> int:
     ``n / 16`` nodes (so about 16 buckets) up to 1.6M nodes and at most
     4096 buckets. HITS folds its hub partials and L1 totals over buckets
     of this size in :func:`hits_reference` and in the kernel, whatever
-    the task bucket; it is also the shuffle regime's default task bucket
-    and the default bucket of ``scc.py`` / ``labelprop.py``."""
+    the task bucket; it is also the shuffle regime's default task
+    bucket."""
     return max(1, -(-n // max(16, min(4096, -(-n // 100_000)))))
-
-
-def _bucketed_edge_ids(edges_ds, urls_ref, per_bucket: int):
-    """Edges as (src_id, dst_id) int64 rows, RANGE-bucketed by dst
-    (``dst_id // per_bucket`` — dst-contiguous buckets) and sorted by
-    (dst_id, src_id) within each bucket; materialized once — the edge
-    layout the broadcast-regime label propagation and SCC read. Ids are
-    ``pc.index_in`` ranks against the shared sorted url array (object
-    store only)."""
-    import ray
-
-    def to_ids(t: pa.Table) -> pa.Table:
-        ids = _id_pairs(t, ray.get(urls_ref))
-        bucket = pc.divide(ids.column("dst_id"), per_bucket).cast(pa.int32())
-        return ids.append_column("bucket", bucket)
-
-    def sort_group(g: pa.Table) -> pa.Table:
-        return g.sort_by(
-            [("dst_id", "ascending"), ("src_id", "ascending")]
-        ).drop_columns(["bucket"])
-
-    return (
-        edges_ds.map_batches(to_ids, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(sort_group, batch_format="pyarrow")
-        .materialize()
-    )
 
 
 def _edge_id_pairs(pairs_ds, index_ds, *, n_buckets: int = _MAP_BUCKETS, weighted: bool = False):
@@ -605,37 +586,6 @@ def _edge_id_pairs(pairs_ds, index_ds, *, n_buckets: int = _MAP_BUCKETS, weighte
     )
 
 
-def _edge_ids_shuffle(
-    pairs_ds,
-    index_ds,
-    *,
-    per_bucket: int,
-    n_buckets: int = _MAP_BUCKETS,
-    weighted: bool = False,
-):
-    """:func:`_edge_id_pairs` plus one dst-bucket grouping that sorts each
-    bucket by (dst_id, src_id), materialized once — the edge layout the
-    Dataset-exchange iterations (label propagation, SCC) read."""
-
-    def with_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "bucket", pc.divide(t.column("dst_id"), per_bucket).cast(pa.int32())
-        )
-
-    def sort_group(g: pa.Table) -> pa.Table:
-        return g.sort_by(
-            [("dst_id", "ascending"), ("src_id", "ascending")]
-        ).drop_columns(["bucket"])
-
-    return (
-        _edge_id_pairs(pairs_ds, index_ds, n_buckets=n_buckets, weighted=weighted)
-        .map_batches(with_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(sort_group, batch_format="pyarrow")
-        .materialize()
-    )
-
-
 # ---------------------------------------------------------------------------
 # rank kernel: bucket slices pinned once, iterations as map/reduce task rounds
 #
@@ -665,7 +615,7 @@ def _task_bucket(n: int, n_buckets: int) -> int:
 
 
 def _rank_regime(n: int, mode: str, n_buckets: int | None) -> tuple[str, int]:
-    """(mode, per_bucket) of a rank call over n > 0 nodes. Without
+    """(mode, per_bucket) of a graph call over n > 0 nodes. Without
     ``n_buckets`` the shuffle regime runs one task bucket per L1 bucket
     and the broadcast regime one per session CPU (at most one per L1
     bucket)."""
@@ -682,12 +632,13 @@ def _rank_regime(n: int, mode: str, n_buckets: int | None) -> tuple[str, int]:
     return mode, _task_bucket(n, n_buckets)
 
 
-def _empty_scores(*cols):
-    """The result of a rank call over an empty node set."""
+def _empty_scores(**cols):
+    """The result of a graph call over an empty node set (``cols``: name →
+    type)."""
     import ray.data
 
     return ray.data.from_arrow(
-        pa.table({"url": pa.array([], pa.string()), **{c: pa.array([], pa.int64()) for c in cols}})
+        pa.table({"url": pa.array([], pa.string()), **{c: pa.array([], t) for c, t in cols.items()}})
     )
 
 
@@ -703,14 +654,18 @@ def _id_pairs(t: pa.Table, urls: pa.Array) -> pa.Table:
     return pa.table(cols)
 
 
-def _slice_urls(lo: int, t: pa.Table, urls: pa.Array) -> pa.Table:
-    """Broadcast-regime url attach of one bucket's dense (node_id, *cols)
-    rows: the slice of the shared sorted url array that starts at ``lo``."""
-    return t.drop_columns(["node_id"]).add_column(0, "url", urls.slice(lo, t.num_rows))
+def _take_urls(t: pa.Table, urls: pa.Array, ids) -> pa.Table:
+    """Broadcast-regime url attach of one (node_id, *cols) block: the
+    node ids, and the node-id columns ``ids``, taken from the shared sorted
+    url array."""
+    cols = {"url": pc.take(urls, t.column("node_id"))}
+    for c in t.column_names[1:]:
+        cols[c] = pc.take(urls, t.column(c)) if c in ids else t.column(c)
+    return pa.table(cols)
 
 
 class _RankGraph(NamedTuple):
-    """A rank call's prepared graph: ``n`` nodes in task buckets of
+    """A graph call's prepared graph: ``n`` nodes in task buckets of
     ``per_bucket`` ids and the materialized (src_id, dst_id[, w]) edges, in
     any block layout. Ids are url ranks in sorted order in both regimes;
     how they were assigned — the broadcast regime's shared sorted url
@@ -724,34 +679,77 @@ class _RankGraph(NamedTuple):
     urls_ref: object = None
     index_ds: object = None
 
+    def bounds(self) -> list[tuple[int, int]]:
+        """The [lo, hi) node-id range of each task bucket."""
+        return [(lo, min(lo + self.per_bucket, self.n)) for lo in range(0, self.n, self.per_bucket)]
+
+    def lookup(self, urls: list[str]) -> np.ndarray:
+        """Node ids of the sorted distinct ``urls`` (config-sized seed
+        lists), -1 for a url outside the node set: one small task against
+        the shared url array, or one per block of the node index."""
+        import ray
+
+        if self.index_ds is not None:
+            find = ray.remote(num_cpus=1)(_seed_ids)
+            ids = np.full(len(urls), -1, np.int64)
+            for pos, found in ray.get([find.remote(b, urls) for b in self.index_ds.to_arrow_refs()]):
+                ids[pos] = found
+            return ids
+        return ray.get(ray.remote(num_cpus=1)(_seed_positions).remote(self.urls_ref, urls))
+
     def seed_ids(self, seed_urls: list[str]):
         """ObjectRef to the sorted node ids of ``seed_urls``: at most
         |seeds| ids reach the driver, and a seed outside the node set
         raises ``ValueError`` before any iteration."""
         import ray
 
-        if self.index_ds is not None:
-            return _shuffle_teleport(self.index_ds, seed_urls)
-        find = ray.remote(num_cpus=1)(_seed_positions)
-        return ray.put(ray.get(find.remote(self.urls_ref, sorted(set(seed_urls)))))
+        seeds = sorted(set(seed_urls))
+        ids = self.lookup(seeds)
+        missing = [s for s, i in zip(seeds, ids) if i < 0]
+        if missing:
+            raise ValueError(f"seed_urls not in node set: {missing[:3]}")
+        return ray.put(ids)
 
-    def attach(self, blocks, cols):
-        """Per-bucket (node_id, *cols) score block refs → Dataset of
-        (url, *cols): one task per bucket against the shared url array, or
-        one bucketed exchange against the node index."""
+    def pin(self, layouts) -> list[list]:
+        """The traversal pin round: one :func:`_pin_split` task per edge
+        block, one :func:`_pin_edges` task per bucket. Returns per layout
+        (``fwd``, ``bwd``, ``und``) one pin ref per bucket; nothing reaches
+        the driver."""
+        import ray
+
+        nb = len(self.bounds())
+        split = ray.remote(num_cpus=1)(_pin_split).options(num_returns=2 * nb)
+        parts = [
+            _part_refs(split.remote(b, self.per_bucket, nb, False, True), 2 * nb)
+            for b in self.edges.to_arrow_refs()
+        ]
+        task = ray.remote(num_cpus=1)(_pin_edges).options(num_returns=len(layouts))
+        pins = [
+            _part_refs(
+                task.remote(lo, self.per_bucket, nb, layouts, len(parts),
+                            *(p[b] for p in parts), *(p[nb + b] for p in parts)),
+                len(layouts),
+            )
+            for b, (lo, _) in enumerate(self.bounds())
+        ]
+        return [list(col) for col in zip(*pins)]
+
+    def attach(self, blocks, cols: dict, ids=()):
+        """Per-bucket (node_id, *cols) block refs → Dataset of (url, *cols)
+        (``cols``: name → output type); each column in ``ids`` holds node
+        ids and comes out as their urls. One task per bucket against the
+        shared url array, or bucketed exchanges against the node index."""
         import ray
         import ray.data
 
         if self.index_ds is not None:
-            return _attach_urls(blocks, self.index_ds, self.per_bucket, cols)
-        task = ray.remote(num_cpus=1)(_slice_urls)
-        return ray.data.from_arrow_refs(
-            [task.remote(b * self.per_bucket, blk, self.urls_ref) for b, blk in enumerate(blocks)]
-        )
+            return _attach_urls(blocks, self.index_ds, self.per_bucket, cols, ids)
+        task = ray.remote(num_cpus=1)(_take_urls)
+        return ray.data.from_arrow_refs([task.remote(blk, self.urls_ref, ids) for blk in blocks])
 
 
 def _broadcast_prep(pages_ds, nodes):
-    """Broadcast-regime inputs of :func:`pagerank` / :func:`hits`: the
+    """Broadcast-regime inputs of :func:`_page_graph`: the
     shared sorted url array (object store only) and the id-mapped edges —
     extraction, membership and ids in one fused map, materialized once for
     the pin round."""
@@ -770,7 +768,7 @@ def _broadcast_prep(pages_ds, nodes):
 
 
 def _shuffle_prep(pages_ds, nodes, n: int, per_bucket: int):
-    """Shuffle-regime inputs of :func:`pagerank` / :func:`hits`: the node
+    """Shuffle-regime inputs of :func:`_page_graph`: the node
     index (coalesced to one block per bucket; read by the id exchanges,
     the seed lookup and the url attach) and the id-mapped edges,
     materialized once for the pin round."""
@@ -783,8 +781,8 @@ def _shuffle_prep(pages_ds, nodes, n: int, per_bucket: int):
 
 
 def _page_graph(pages_ds, nodes, n: int, mode: str, n_buckets: int | None) -> _RankGraph:
-    """The corpus link graph of :func:`pagerank` / :func:`hits`, prepared
-    in the regime ``mode`` resolves to."""
+    """The corpus link graph of :func:`pagerank`, :func:`hits` and the
+    traversals, prepared in the regime ``mode`` resolves to."""
     mode, per_bucket = _rank_regime(n, mode, n_buckets)
     if mode == "shuffle":
         index_ds, edges = _shuffle_prep(pages_ds, nodes, n, per_bucket)
@@ -1002,18 +1000,18 @@ def _ppb_block(lo: int, names, divs, *vecs) -> pa.Table:
     return pa.table(cols)
 
 
-def _attach_urls(blocks, index_ds, per_bucket: int, cols):
-    """Per-bucket score blocks ((node_id, *cols) int64 rows, dense over the
-    bucket) → Dataset of (url, *cols): ONE bucketed exchange against the
-    node index; no O(nodes) object anywhere."""
-    import ray.data
+def _index_join(ds, index_ds, per_bucket: int, key: str, name: str, cols: dict):
+    """Rows of ``ds`` with their node-id column ``key`` replaced by the
+    node's url, as the first column ``name``, and the columns ``cols``
+    (name → type) carried: ONE bucketed exchange against the node index;
+    no O(nodes) object anywhere."""
 
-    def pad_scores(t: pa.Table) -> pa.Table:
-        nid = t.column("node_id").to_numpy(zero_copy_only=False)
+    def pad_rows(t: pa.Table) -> pa.Table:
+        nid = t.column(key).to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "db": pa.array(nid // per_bucket, pa.int64()),
-                "node_id": t.column("node_id"),
+                "nid": t.column(key),
                 "url": pa.nulls(t.num_rows, pa.string()),
                 **{c: t.column(c) for c in cols},
             }
@@ -1024,25 +1022,40 @@ def _attach_urls(blocks, index_ds, per_bucket: int, cols):
         return pa.table(
             {
                 "db": pa.array(nid // per_bucket, pa.int64()),
-                "node_id": t.column("node_id"),
+                "nid": t.column("node_id"),
                 "url": t.column("url").cast(pa.string()),
-                **{c: pa.nulls(t.num_rows, pa.int64()) for c in cols},
+                **{c: pa.nulls(t.num_rows, ty) for c, ty in cols.items()},
             }
         )
 
-    def fin_group(g: pa.Table) -> pa.Table:
+    def join(g: pa.Table) -> pa.Table:
         is_idx = pc.is_valid(g.column("url"))
-        urls = g.filter(is_idx).sort_by("node_id")
-        scores = g.filter(pc.invert(is_idx)).sort_by("node_id")
-        return pa.table({"url": urls.column("url"), **{c: scores.column(c) for c in cols}})
+        urls = g.filter(is_idx).sort_by("nid")  # the bucket's dense id range
+        rows = g.filter(pc.invert(is_idx))
+        pos = pc.subtract(rows.column("nid"), urls.column("nid")[0])
+        return pa.table({name: pc.take(urls.column("url"), pos), **{c: rows.column(c) for c in cols}})
 
     return (
-        ray.data.from_arrow_refs(blocks)
-        .map_batches(pad_scores, batch_format="pyarrow", zero_copy_batch=True)
+        ds.map_batches(pad_rows, batch_format="pyarrow", zero_copy_batch=True)
         .union(index_ds.map_batches(pad_index, batch_format="pyarrow", zero_copy_batch=True))
         .groupby("db")
-        .map_groups(fin_group, batch_format="pyarrow")
+        .map_groups(join, batch_format="pyarrow")
     )
+
+
+def _attach_urls(blocks, index_ds, per_bucket: int, cols: dict, ids=()):
+    """Shuffle-regime url attach of per-bucket (node_id, *cols) blocks: one
+    :func:`_index_join` per node-id column in ``ids``, then one for the
+    node ids."""
+    import ray.data
+
+    ds = ray.data.from_arrow_refs(blocks)
+    types = {c: pa.int64() if c in ids else t for c, t in cols.items()}
+    for c in ids:
+        carried = {"node_id": pa.int64(), **{o: t for o, t in types.items() if o != c}}
+        ds = _index_join(ds, index_ds, per_bucket, c, c, carried)
+        types[c] = pa.string()
+    return _index_join(ds, index_ds, per_bucket, "node_id", "url", types)
 
 
 def _rank_loop(g: _RankGraph, *, n_iters, damping, seed_urls, weighted=False):
@@ -1063,7 +1076,7 @@ def _rank_loop(g: _RankGraph, *, n_iters, damping, seed_urls, weighted=False):
     )
     ppb = ray.remote(num_cpus=1)(_ppb_block)
     blocks = [ppb.remote(b * g.per_bucket, ("rank_ppb",), (1.0,), r) for b, r in enumerate(ranks)]
-    return g.attach(blocks, ("rank_ppb",))
+    return g.attach(blocks, {"rank_ppb": pa.int64()})
 
 
 def pagerank(
@@ -1104,7 +1117,7 @@ def pagerank(
         raise ValueError("seed_urls must be non-empty when given")
     n = nodes.count()
     if n == 0:
-        return _empty_scores("rank_ppb")
+        return _empty_scores(rank_ppb=pa.int64())
     g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
     return _rank_loop(g, n_iters=n_iters, damping=damping, seed_urls=seed_urls)
 
@@ -1185,7 +1198,7 @@ def hits(
 
     n = nodes.count()
     if n == 0:
-        return _empty_scores("auth_ppb", "hub_ppb")
+        return _empty_scores(auth_ppb=pa.int64(), hub_ppb=pa.int64())
     g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
     auth, div_a, hub, div_h = _hits_shuffle_slices(
         g.edges, g.n, n_iters=n_iters, per_bucket=g.per_bucket
@@ -1196,7 +1209,7 @@ def hits(
         ppb.remote(b * g.per_bucket, cols, (div_a, div_h), a, h)
         for b, (a, h) in enumerate(zip(auth, hub))
     ]
-    return g.attach(blocks, cols)
+    return g.attach(blocks, dict.fromkeys(cols, pa.int64()))
 
 
 def _pin_dst(lo, per_bucket, l1, nb, *parts):
@@ -1947,10 +1960,122 @@ def _tri_run_starts(sorted_arr: pa.Array) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# traversal kernel: BFS, k-core, label propagation, SCC and bow-tie
+#
+# The rank kernel's task rounds with integer state. The pin round cuts the
+# id-mapped edges into per-bucket slices in up to three layouts, each the
+# distinct (key, other) pairs whose key endpoint is in the bucket, sorted by
+# (other, key) and cut by the other endpoint's bucket: ``fwd`` (out-edges,
+# key = src), ``bwd`` (in-edges reversed, key = dst) and ``und`` (the
+# symmetric closure, key = either endpoint). In a round, the map task of a
+# pinned bucket sends the other endpoint of each edge whose key endpoint its
+# state slice selects (with a value of the key's state) to that endpoint's
+# bucket; the reduce task of a bucket folds what it receives into its new
+# dense state slice and returns it with the count of nodes that changed. A
+# convergence loop fetches nb ints a round; no Ray Data execution starts
+# after the pin round. labelprop.py and scc.py run their rounds on this too.
+
+
+def _pin_edges(lo, per_bucket, nb, layouts, m, *parts):
+    """Traversal pin-round reduce task for the bucket at ``lo``: from its
+    ``m`` src-bucket parts (out-edges) and ``m`` dst-bucket parts
+    (in-edges) of :func:`_pin_split`, one pin per layout."""
+    out_src, out_dst = _concat_parts(parts[:m], 2)
+    in_src, in_dst = _concat_parts(parts[m:], 2)
+    ends = {
+        "fwd": (out_src, out_dst),
+        "bwd": (in_dst, in_src),
+        "und": (np.r_[out_src, in_dst], np.r_[out_dst, in_src]),
+    }
+    pins = []
+    for layout in layouts:
+        key, other = ends[layout]
+        other, key = np.unique(np.stack([other, key]), axis=1)  # distinct, (other, key) order
+        pins.append({"lo": lo, "key": key, "other": other, "cuts": _bucket_cuts(other, per_bucket, nb)})
+    return _task_parts(pins)
+
+
+def _emit(pin, sel, val=None):
+    """Traversal map-task body: the other endpoint (and ``val`` of the key
+    endpoint) of each pinned edge whose key endpoint ``sel`` selects (every
+    edge if None), one part per other-endpoint bucket."""
+    k = pin["key"] - pin["lo"]
+    cols = (pin["other"],) if val is None else (pin["other"], val[k])
+    cuts = pin["cuts"]
+    if sel is not None:
+        keep = sel[k]
+        cols = tuple(c[keep] for c in cols)
+        cuts = np.r_[0, np.cumsum(keep)][cuts]
+    return _task_parts(_cut(cuts, *cols))
+
+
+def _sweep(step, fold, pins, states, per_bucket, step_args=(), fold_args=()):
+    """One traversal round (:func:`_shuffle_round`): ``step`` per pinned
+    bucket with its state slice and ``step_args``; ``fold`` per bucket with
+    (lo, its state slice, *fold_args) and num_returns=2. Returns (new state
+    slice refs, changed-count refs)."""
+    fold_args = [(b * per_bucket, s, *fold_args) for b, s in enumerate(states)]
+    out = _shuffle_round(step, fold, pins, states, step_args, fold_args)
+    return [s for s, _ in out], [c for _, c in out]
+
+
+def _init_slice(lo, hi, fill=None) -> np.ndarray:
+    """A bucket's initial state slice: its node ids, or ``fill`` everywhere."""
+    return np.arange(lo, hi, dtype=np.int64) if fill is None else np.full(hi - lo, fill)
+
+
+def _slice_block(lo, name, values, keep=None) -> pa.Table:
+    """A bucket's dense state slice as (node_id, name) rows (the ``keep``
+    rows only, if given)."""
+    ids = np.arange(lo, lo + len(values), dtype=np.int64)
+    if keep is not None:
+        ids, values = ids[keep], values[keep]
+    return pa.table({"node_id": ids, name: values})
+
+
+# ---------------------------------------------------------------------------
 # multi-source BFS distances
 
 
-def bfs_distances(pages_ds, nodes, seeds, *, radius=None, mode="auto", n_buckets=64):
+def _seed_dist(lo, hi, ids) -> np.ndarray:
+    """BFS state slice: distance 0 at the seed ids in [lo, hi), -1
+    (unsettled) elsewhere."""
+    dist = np.full(hi - lo, -1, np.int64)
+    dist[ids[(ids >= lo) & (ids < hi)] - lo] = 0
+    return dist
+
+
+def _frontier_map(pin, dist, d):
+    """BFS map task: the neighbours of the bucket's nodes at distance d − 1."""
+    return _emit(pin, dist == d - 1)
+
+
+def _settle(lo, dist, d, *parts):
+    """BFS reduce task: the received nodes still unsettled settle at d."""
+    (v,) = _concat_parts(parts, 1)
+    v = v - lo
+    new = dist.copy()
+    new[v[dist[v] < 0]] = d
+    return new, int(np.count_nonzero(new != dist))
+
+
+def _bfs_rounds(g, pins, dists, radius=None) -> list:
+    """BFS rounds d = 1, 2, … over ``pins`` from the dist slice refs until
+    ``radius`` or a round that settles nothing → the final slice refs."""
+    import ray
+
+    step = ray.remote(num_cpus=1)(_frontier_map).options(num_returns=len(pins))
+    fold = ray.remote(num_cpus=1)(_settle).options(num_returns=2)
+    d = 0
+    while radius is None or d < radius:
+        d += 1
+        dists, counts = _sweep(step, fold, pins, dists, g.per_bucket, (d,), (d,))
+        if sum(ray.get(counts)) == 0:
+            break
+    return dists
+
+
+def bfs_distances(pages_ds, nodes, seeds, *, radius=None, mode="auto", n_buckets=None):
     """Minimum link-hop distance from any seed, as (url, dist) rows.
 
     The graph-analytics analog of the crawler's depth-limited wave loop
@@ -1959,433 +2084,101 @@ def bfs_distances(pages_ds, nodes, seeds, *, radius=None, mode="auto", n_buckets
     same-domain / robots gating — that is the crawl engine's job).
     ``radius`` bounds exploration like ``--max-depth`` bounds the crawl;
     ``None`` runs to fixpoint. Seeds are settled at dist 0 as given,
-    exactly as the crawl engine takes its seed list.
+    exactly as the crawl engine takes its seed list — a seed outside the
+    node set included. Only reached pages are returned.
 
-    Two regimes, the graph family's standard split (both produce the
-    identical (url, dist) set — test-pinned):
-
-    - **broadcast** (``n ≤ SHUFFLE_MODE_NODES``): frontier and settled
-      sets live as sorted Arrow arrays in the object store (the driver
-      holds ObjectRefs and one int per round). Each round is ONE
-      map_batches pass over the materialized edge Dataset (vectorized
-      ``pc.is_in`` probes against frontier + settled) plus ONE remote
-      fold task that dedups candidates and advances the settled array —
-      the same O(nodes) single-object bound as pagerank's rank vector.
-      Per-round frontier tables stay in the object store;
-      ``from_arrow_refs`` assembles the result without driver
-      materialization.
-    - **shuffle** (above it): no O(nodes) object anywhere. Each round is
-      two bucketed exchanges, the crawl engine's admit→claim split over
-      a pre-built edge Dataset: (1) scatter — frontier ∪ edge rows
-      keyed ``hash(src) % B``, in-group ``is_in`` emits the frontier's
-      out-neighborhood; (2) claim — candidate ∪ settled rows keyed
-      ``hash(url) % B``, in-group anti-join keeps first discoveries.
-      Settled state stays a Dataset (union of materialized per-round
-      frontiers); the claim exchange re-ships it each round — O(settled)
-      rows, the stateless tradeoff vs the crawl engine's actor-sharded
-      seen set (state/seen.py), which is the high-churn alternative.
-
-    With a bounded radius both regimes and the recursive-CTE oracle do
-    the same O(radius · reach) edge-probing work.
+    Runs the traversal kernel in either ``mode`` (which, as for
+    :func:`pagerank`, picks only how node ids are assigned and urls
+    attached; ``n_buckets`` changes speed only): out-edges pinned once as
+    bucket slices, then one map/reduce task round per distance — the map
+    sends the out-neighbours of the bucket's frontier (dist d − 1), the
+    reduce settles the unsettled ones at d. State is one dense dist slice
+    per bucket; the driver fetches one changed count per bucket a round.
     """
-    n = nodes.count()
-    edges_b = build_edges(pages_ds, nodes).materialize()
-    seed_urls = sorted(set(seeds))
-    if _resolve_membership(mode, n) == "broadcast":
-        return _bfs_broadcast(edges_b, seed_urls, radius)
-    return _bfs_shuffle(edges_b, seed_urls, radius, n_buckets)
-
-
-def _bfs_broadcast(edges_b, seed_urls, radius):
     import ray
     import ray.data
 
-    @ray.remote(num_cpus=1)
-    def fold(settled, d, *cand_tables):
-        """Dedup candidate dsts across blocks, drop settled, advance both
-        arrays. Returns (frontier_table, frontier_array, new_settled, n_new)."""
-        parts = [_ca(t.column("url")) for t in cand_tables if t.num_rows]
-        if parts:
-            cand = pc.unique(pa.concat_arrays(parts))
-            new = pc.filter(cand, pc.invert(pc.is_in(cand, value_set=settled)))
-            new = new.take(pc.array_sort_indices(new))
-        else:
-            new = pa.array([], pa.string())
-        tbl = pa.table(
-            {
-                "url": new,
-                "dist": pa.array(np.full(len(new), d, np.int64), pa.int64()),
-            }
-        )
-        merged = pa.concat_arrays([_ca(settled), new])
-        merged = merged.take(pc.array_sort_indices(merged))
-        return tbl, new, merged, len(new)
-
-    seed_arr = pa.array(seed_urls, pa.string())
-    settled_ref = ray.put(seed_arr)
-    f0 = pa.table(
-        {
-            "url": seed_arr,
-            "dist": pa.array(np.zeros(len(seed_urls), np.int64), pa.int64()),
-        }
-    )
-    frontier_ref = ray.put(seed_arr)
-    table_refs = [ray.put(f0)]
-
-    d = 0
-    while radius is None or d < radius:
-        d += 1
-        fr, sr = frontier_ref, settled_ref
-
-        def probe(t: pa.Table, _fr=fr, _sr=sr) -> pa.Table:
-            import ray as _ray
-
-            front = _ray.get(_fr)
-            keep = pc.is_in(t.column("src"), value_set=front)
-            dst = pc.unique(_ca(pc.filter(t.column("dst"), keep)))
-            dst = pc.filter(dst, pc.invert(pc.is_in(dst, value_set=_ray.get(_sr))))
-            return pa.table({"url": dst})
-
-        cand = edges_b.map_batches(
-            probe, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
-        tbl_ref, frontier_ref, settled_ref, n_new_ref = fold.options(
-            num_returns=4
-        ).remote(settled_ref, d, *cand.to_arrow_refs())
-        if ray.get(n_new_ref) == 0:
-            break
-        table_refs.append(tbl_ref)
-
-    return ray.data.from_arrow_refs(table_refs)
-
-
-def _bfs_shuffle(edges_b, seed_urls, radius, n_buckets):
-    import functools
-
-    import ray.data
-
-    from .sketch import hash64_column
-
-    f0 = ray.data.from_arrow(
+    seed_urls = sorted(set(seeds))
+    n = nodes.count()
+    g = _page_graph(pages_ds, nodes, n, mode, n_buckets) if n else None
+    ids = g.lookup(seed_urls) if g else np.full(len(seed_urls), -1, np.int64)
+    outside = ray.data.from_arrow(
         pa.table(
             {
-                "url": pa.array(seed_urls, pa.string()),
-                "dist": pa.array([0] * len(seed_urls), pa.int64()),
+                "url": pa.array([s for s, i in zip(seed_urls, ids) if i < 0], pa.string()),
+                "dist": pa.array(np.zeros(int(np.sum(ids < 0)), np.int64)),
             }
         )
-    ).materialize()
-    frontiers = [f0]
+    )
+    if g is None:
+        return outside
+    (pins,) = g.pin(("fwd",))
+    init = ray.remote(num_cpus=1)(_seed_dist)
+    seed_ref = ray.put(ids[ids >= 0])
+    dists = _bfs_rounds(g, pins, [init.remote(lo, hi, seed_ref) for lo, hi in g.bounds()], radius)
+    block = ray.remote(num_cpus=1)(_reached)
+    ds = g.attach([block.remote(lo, d) for (lo, _), d in zip(g.bounds(), dists)], {"dist": pa.int64()})
+    return ds.union(outside) if np.any(ids < 0) else ds
 
-    def edge_pad(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("src")) % n_buckets).astype(np.int64)
-        return pa.table(
-            {"bk": pa.array(bk, pa.int64()), "src": t.column("src"), "dst": t.column("dst")}
-        )
 
-    def frontier_pad(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("url")) % n_buckets).astype(np.int64)
-        return pa.table(
-            {
-                "bk": pa.array(bk, pa.int64()),
-                "src": t.column("url"),
-                "dst": pa.array([None] * t.num_rows, pa.string()),
-            }
-        )
-
-    def scatter_group(g: pa.Table) -> pa.Table:
-        is_f = pc.is_null(g.column("dst"))
-        front = _ca(pc.filter(g.column("src"), is_f))
-        e = g.filter(pc.invert(is_f))
-        keep = pc.is_in(e.column("src"), value_set=front)
-        return pa.table({"url": pc.unique(_ca(pc.filter(e.column("dst"), keep)))})
-
-    def cand_pad(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("url")) % n_buckets).astype(np.int64)
-        return pa.table(
-            {
-                "bk": pa.array(bk, pa.int64()),
-                "url": t.column("url"),
-                "is_cand": pa.array(np.ones(t.num_rows, bool)),
-            }
-        )
-
-    def settled_pad(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("url")) % n_buckets).astype(np.int64)
-        return pa.table(
-            {
-                "bk": pa.array(bk, pa.int64()),
-                "url": t.column("url"),
-                "is_cand": pa.array(np.zeros(t.num_rows, bool)),
-            }
-        )
-
-    d = 0
-    while radius is None or d < radius:
-        d += 1
-        cand = (
-            frontiers[-1]
-            .map_batches(frontier_pad, batch_format="pyarrow", zero_copy_batch=True)
-            .union(edges_b.map_batches(edge_pad, batch_format="pyarrow", zero_copy_batch=True))
-            .groupby("bk")
-            .map_groups(scatter_group, batch_format="pyarrow")
-        )
-        settled = functools.reduce(lambda a, b: a.union(b), frontiers)
-
-        def claim_group(g: pa.Table, _d=d) -> pa.Table:
-            is_c = g.column("is_cand")
-            seen = _ca(pc.filter(g.column("url"), pc.invert(is_c)))
-            cand_urls = pc.unique(_ca(pc.filter(g.column("url"), is_c)))
-            new = pc.filter(cand_urls, pc.invert(pc.is_in(cand_urls, value_set=seen)))
-            return pa.table(
-                {
-                    "url": new,
-                    "dist": pa.array(np.full(len(new), _d, np.int64), pa.int64()),
-                }
-            )
-
-        newf = (
-            cand.map_batches(cand_pad, batch_format="pyarrow", zero_copy_batch=True)
-            .union(
-                settled.map_batches(settled_pad, batch_format="pyarrow", zero_copy_batch=True)
-            )
-            .groupby("bk")
-            .map_groups(claim_group, batch_format="pyarrow")
-            .materialize()
-        )
-        if newf.count() == 0:
-            break
-        frontiers.append(newf)
-
-    import functools as _ft
-
-    return _ft.reduce(lambda a, b: a.union(b), frontiers)
+def _reached(lo, dist) -> pa.Table:
+    """A bucket's settled nodes as (node_id, dist) rows."""
+    return _slice_block(lo, "dist", dist, dist >= 0)
 
 
 # ---------------------------------------------------------------------------
 # k-core decomposition (fixed k)
 
 
-def kcore(pages_ds, nodes, *, k=3, mode="auto", max_rounds=64, n_buckets=_MAP_BUCKETS):
+def _alive_map(pin, alive):
+    """k-core map task: the neighbours of the bucket's surviving nodes."""
+    return _emit(pin, alive)
+
+
+def _peel(lo, alive, k, *parts):
+    """k-core reduce task: a survivor stays if at least max(k, 1)
+    surviving neighbours sent it an edge."""
+    (v,) = _concat_parts(parts, 1)
+    new = alive & (np.bincount(v - lo, minlength=len(alive)) >= max(k, 1))
+    return new, int(np.count_nonzero(new != alive))
+
+
+def kcore(pages_ds, nodes, *, k=3, mode="auto", max_rounds=64, n_buckets=None):
     """k-core membership of the undirected link graph: (url, in_core).
 
     The k-core is the maximal subgraph where every node has undirected
     degree ≥ k (Seidman 1983) — the standard dense-center vs fringe
-    split of a web graph. Synchronous peeling: drop all nodes with
-    degree < k, remove their edges, repeat to fixpoint (``max_rounds``
-    bounds the peel depth; the registered toy-scale query converges in
-    ≤4 rounds).
+    split of a web graph. Synchronous peeling: the first survivors are the
+    nodes of degree ≥ k, then each round drops the survivors with fewer
+    than k surviving neighbours, until a round drops none (``max_rounds``
+    bounds the peel depth; the registered toy-scale query converges in ≤4
+    rounds). Isolated nodes are never in the core, even for k ≤ 0.
 
-    The symmetric distinct edge closure is built ONCE with a single
-    ``groupby(u, v)`` exchange (string pairs move once). Then the graph
-    family's standard two regimes (identical output, test-pinned):
-
-    - **broadcast** (``n ≤ SHUFFLE_MODE_NODES``): the survivor set is a
-      sorted Arrow array in the object store. Each round is ONE
-      map_batches pass over the closure (``pc.is_in`` on both endpoints
-      + per-batch dictionary-encoded partial degree counts) and ONE
-      remote fold task summing partials into the next survivor array —
-      O(nodes) single-object state, pagerank's broadcast bound. The
-      driver holds an ObjectRef and one int per round.
-    - **shuffle** (above it): survivors stay a Dataset. Each round is
-      TWO :func:`_member_semijoin` exchanges (endpoint ∈ survivors, one
-      per direction with a row-local swap between) plus ONE degree
-      exchange (per-batch partials → ``groupby(url).sum``). No O(nodes)
-      object anywhere.
-
-    Output: every node flagged — broadcast probes the final survivor
-    array row-locally; shuffle unions node and survivor rows through one
-    keyed exchange.
+    Runs the traversal kernel in either ``mode`` (as :func:`bfs_distances`):
+    the distinct symmetric closure pinned once as bucket slices, state one
+    dense alive mask per bucket, one map/reduce task round per peel — the
+    map sends each survivor's edges to its neighbours' buckets, the reduce
+    counts surviving neighbours. Output: every node, flagged.
     """
-    from ray.data.aggregate import Count
-
-    n = nodes.count()
-    edges_b = build_edges(pages_ds, nodes)
-
-    def sym_pad(t: pa.Table) -> pa.Table:
-        keep = pc.invert(pc.equal(t.column("src"), t.column("dst")))
-        e = t.filter(keep)
-        return pa.table(
-            {
-                "u": pa.chunked_array([_ca(e.column("src")), _ca(e.column("dst"))]),
-                "v": pa.chunked_array([_ca(e.column("dst")), _ca(e.column("src"))]),
-            }
-        )
-
-    sym = (
-        edges_b.map_batches(sym_pad, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["u", "v"])
-        .aggregate(Count(alias_name="_n"))
-        .map_batches(lambda t: t.select(["u", "v"]), batch_format="pyarrow")
-        .materialize()
-    )
-    if _resolve_membership(mode, n) == "broadcast":
-        return _kcore_broadcast(sym, nodes, k, max_rounds)
-    return _kcore_shuffle(sym, nodes, k, max_rounds, n_buckets)
-
-
-def _kcore_broadcast(sym, nodes, k, max_rounds):
     import ray
 
-    @ray.remote(num_cpus=1)
-    def fold(k_, *deg_tables):
-        """Sum per-batch (url, dpart) partials; survivors = deg ≥ k."""
-        tabs = [t for t in deg_tables if t.num_rows]
-        if not tabs:
-            return pa.array([], pa.string()), 0
-        merged = pa.concat_tables(tabs)
-        agg = merged.group_by("url").aggregate([("dpart", "sum")])
-        keep = pc.greater_equal(agg.column("dpart_sum"), pa.scalar(k_, pa.int64()))
-        surv = _ca(pc.filter(agg.column("url"), keep))
-        surv = surv.take(pc.array_sort_indices(surv))
-        return surv, len(surv)
-
-    def partials(t: pa.Table, _sref=None) -> pa.Table:
-        import ray as _ray
-
-        if _sref is not None:
-            s = _ray.get(_sref)
-            keep = pc.and_(
-                pc.is_in(t.column("u"), value_set=s), pc.is_in(t.column("v"), value_set=s)
-            )
-            t = t.filter(keep)
-        enc = pc.dictionary_encode(_ca(t.column("u")))
-        idx = enc.indices.to_numpy(zero_copy_only=False)
-        cnt = np.bincount(idx, minlength=len(enc.dictionary))
-        return pa.table(
-            {
-                "url": enc.dictionary,
-                "dpart": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
-
-    def survivors_of(surv_ref):
-        import functools
-
-        fn = functools.partial(partials, _sref=surv_ref)
-        parts = sym.map_batches(
-            fn, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
-        return fold.options(num_returns=2).remote(k, *parts.to_arrow_refs())
-
-    surv_ref, n_ref = survivors_of(None)
-    n_surv = ray.get(n_ref)
+    cols = {"in_core": pa.bool_()}
+    n = nodes.count()
+    if n == 0:
+        return _empty_scores(**cols)
+    g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
+    (pins,) = g.pin(("und",))
+    step = ray.remote(num_cpus=1)(_alive_map).options(num_returns=len(pins))
+    fold = ray.remote(num_cpus=1)(_peel).options(num_returns=2)
+    init = ray.remote(num_cpus=1)(_init_slice)
+    alive = [init.remote(lo, hi, True) for lo, hi in g.bounds()]
+    alive, _ = _sweep(step, fold, pins, alive, g.per_bucket, (), (k,))
     for _ in range(max_rounds):
-        surv2_ref, n2_ref = survivors_of(surv_ref)
-        n2 = ray.get(n2_ref)
-        surv_ref = surv2_ref
-        if n2 == n_surv:
+        alive, counts = _sweep(step, fold, pins, alive, g.per_bucket, (), (k,))
+        if sum(ray.get(counts)) == 0:
             break
-        n_surv = n2
-
-    def flag(t: pa.Table, _sref=surv_ref) -> pa.Table:
-        import ray as _ray
-
-        s = _ray.get(_sref)
-        return pa.table(
-            {"url": t.column("url"), "in_core": pc.is_in(t.column("url"), value_set=s)}
-        )
-
-    return nodes.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _kcore_shuffle(sym, nodes, k, max_rounds, n_buckets):
-    from ray.data.aggregate import Sum
-
-    from .sketch import hash64_column
-
-    def deg_partials(t: pa.Table) -> pa.Table:
-        enc = pc.dictionary_encode(_ca(t.column("u")))
-        idx = enc.indices.to_numpy(zero_copy_only=False)
-        cnt = np.bincount(idx, minlength=len(enc.dictionary))
-        return pa.table(
-            {
-                "url": enc.dictionary,
-                "dpart": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
-
-    def survivors_of(sym_ds):
-        return (
-            sym_ds.map_batches(deg_partials, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("url")
-            .aggregate(Sum("dpart", alias_name="deg"))
-            .map_batches(
-                lambda t: t.filter(
-                    pc.greater_equal(t.column("deg"), pa.scalar(k, pa.int64()))
-                ).select(["url"]),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
-
-    surv = survivors_of(sym)
-    n_surv = surv.count()
-    for _ in range(max_rounds):
-        # keep edges with BOTH endpoints surviving: semi-join on v, swap,
-        # semi-join on the other endpoint (row-local rename between)
-        half = _member_semijoin(
-            sym.map_batches(
-                lambda t: pa.table({"src": t.column("u"), "dst": t.column("v")}),
-                batch_format="pyarrow",
-            ),
-            surv,
-            n_buckets=n_buckets,
-        )
-        sym2 = _member_semijoin(
-            half.map_batches(
-                lambda t: pa.table({"src": t.column("dst"), "dst": t.column("src")}),
-                batch_format="pyarrow",
-            ),
-            surv,
-            n_buckets=n_buckets,
-        ).map_batches(
-            lambda t: pa.table({"u": t.column("src"), "v": t.column("dst")}),
-            batch_format="pyarrow",
-        )
-        surv2 = survivors_of(sym2)
-        n2 = surv2.count()
-        sym, surv = sym2.materialize(), surv2
-        if n2 == n_surv:
-            break
-        n_surv = n2
-
-    def node_pad(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("url")) % n_buckets).astype(np.int64)
-        return pa.table(
-            {
-                "bk": pa.array(bk, pa.int64()),
-                "url": t.column("url"),
-                "is_surv": pa.array(np.zeros(t.num_rows, bool)),
-            }
-        )
-
-    def surv_pad(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("url")) % n_buckets).astype(np.int64)
-        return pa.table(
-            {
-                "bk": pa.array(bk, pa.int64()),
-                "url": t.column("url"),
-                "is_surv": pa.array(np.ones(t.num_rows, bool)),
-            }
-        )
-
-    def flag_group(g: pa.Table) -> pa.Table:
-        is_s = g.column("is_surv")
-        survs = _ca(pc.filter(g.column("url"), is_s))
-        node_urls = _ca(pc.filter(g.column("url"), pc.invert(is_s)))
-        return pa.table(
-            {
-                "url": node_urls,
-                "in_core": pc.is_in(node_urls, value_set=survs),
-            }
-        )
-
-    return (
-        nodes.map_batches(node_pad, batch_format="pyarrow", zero_copy_batch=True)
-        .union(surv.map_batches(surv_pad, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("bk")
-        .map_groups(flag_group, batch_format="pyarrow")
-    )
+    block = ray.remote(num_cpus=1)(_slice_block)
+    return g.attach([block.remote(lo, "in_core", a) for (lo, _), a in zip(g.bounds(), alive)], cols)
 
 
 # ---------------------------------------------------------------------------
@@ -2766,7 +2559,7 @@ def weighted_pagerank(
         n_buckets=n_buckets,
     )
     if g is None:
-        return _empty_scores("rank_ppb")
+        return _empty_scores(rank_ppb=pa.int64())
     return _rank_loop(g, n_iters=n_iters, damping=damping, seed_urls=seed_urls, weighted=True)
 
 
@@ -2819,35 +2612,21 @@ def _weighted_prepared(
     return _RankGraph(n, per_bucket, edges.materialize(), urls_ref=urls_ref)
 
 
-def _seed_ids(t: pa.Table, seeds: list[str]) -> np.ndarray:
-    """Node ids of the seed urls found in one node-index block."""
-    hit = t.filter(pc.is_in(t.column("url"), value_set=pa.array(seeds, pa.string())))
-    return hit.column("node_id").to_numpy(zero_copy_only=False).astype(np.int64)
-
-
-def _shuffle_teleport(index_ds, seed_urls: list[str]):
-    """Seed-id ObjectRef for the shuffle regime: one small task per block
-    of the materialized node index finds the seeds' ids, so no Dataset job
-    runs and ≤ |seed_urls| ids reach the driver (seed lists are
-    config-sized)."""
-    import ray
-
-    ss = sorted(set(seed_urls))
-    find = ray.remote(num_cpus=1)(_seed_ids)
-    found = ray.get([find.remote(b, ss) for b in index_ds.to_arrow_refs()])
-    ids = np.sort(np.concatenate([np.empty(0, np.int64), *found]))
-    if len(ids) != len(ss):
-        raise ValueError("seed_urls not all present in the node set")
-    return ray.put(ids)
+def _seed_ids(t: pa.Table, seeds: list[str]):
+    """(position in ``seeds``, node id) of the seed urls found in one
+    node-index block."""
+    pos = pc.index_in(t.column("url"), value_set=pa.array(seeds, pa.string()))
+    hit = pc.is_valid(pos)
+    return (
+        pos.filter(hit).to_numpy(zero_copy_only=False),
+        t.column("node_id").filter(hit).to_numpy(zero_copy_only=False),
+    )
 
 
 def _seed_positions(urls_arr: pa.Array, seeds: list[str]) -> np.ndarray:
-    """Positions of the seed urls in the shared sorted node array."""
+    """Per seed url its position in the shared sorted node array, else -1."""
     pos = pc.index_in(pa.array(seeds, pa.string()), value_set=urls_arr)
-    if pos.null_count:
-        missing = [s for s, p in zip(seeds, pos.to_pylist()) if p is None]
-        raise ValueError(f"seed_urls not in node set: {missing[:3]}")
-    return pos.to_numpy(zero_copy_only=False).astype(np.int64)
+    return pc.fill_null(pos, -1).to_numpy(zero_copy_only=False).astype(np.int64)
 
 
 def weighted_spam_mass(
@@ -2883,7 +2662,7 @@ def weighted_spam_mass(
         n_buckets=n_buckets,
     )
     if g is None:
-        return _empty_scores("spam_mass_ppb")
+        return _empty_scores(spam_mass_ppb=pa.int64())
     pr, tr = _shuffle_rank_slices(
         g.edges,
         g.n,
@@ -2895,7 +2674,7 @@ def weighted_spam_mass(
     )
     mass = ray.remote(num_cpus=1)(_mass_block)
     blocks = [mass.remote(b * g.per_bucket, p, t) for b, (p, t) in enumerate(zip(pr, tr))]
-    return g.attach(blocks, ("spam_mass_ppb",))
+    return g.attach(blocks, {"spam_mass_ppb": pa.int64()})
 
 
 def _mass_block(lo: int, pr: np.ndarray, tr: np.ndarray) -> pa.Table:

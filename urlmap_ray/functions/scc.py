@@ -37,24 +37,18 @@ peeling of in/out-degree-0 tendril nodes between phases) compose
 trivially with this loop and are documented, not implemented — the
 phase loop alone is already fixpoint-correct.
 
-Scale shapes (the graph family's standard split, identical output,
-test-pinned):
-
-- **broadcast** (n ≤ graph.SHUFFLE_MODE_NODES): colors / flags / active
-  are O(n) driver vectors (8B + 2×1B per node — pagerank's documented
-  bound) and the id edge list is pinned ONCE into an actor pool. MIN
-  and OR are idempotent + associative, so actors may hold ARBITRARY
-  edge subsets and return per-key partials the driver folds again — no
-  whole-bucket integrity requirement (unlike rank sums). One RPC round
-  per propagation step, no per-round Dataset jobs.
-- **shuffle** (above it): no O(n) object anywhere. State is a Dataset
-  of (node_id, color, flag, active) rows; each propagation round is the
-  labelprop shuffle shape — (A) ``groupby(src_bucket)`` scatters state
-  onto out-edges, (B) ``groupby(dst_bucket)`` (forward) or the src-side
-  fold (backward) rebuilds the bucket's dense state slice with MIN/OR.
-  Fixpoint detection is a per-round count of changed rows (a small
-  aggregate). Rounds cost what BFS rounds cost — O(diameter) exchanges
-  per phase, the algorithm's native price.
+Scale shape: graph.py's traversal kernel, the same in both regimes.
+The pin round lays out each bucket's out-edges (``fwd``) and reversed
+in-edges (``bwd``) as slices in the object store; the (colour, flag,
+rep) state is one dense slice per bucket, held by ref (rep = -1 while a
+node is active). Each propagation step is one map/reduce task round:
+forward, the map sends each active node's colour along its out-edges and
+the reduce takes the MIN (and marks the roots); backward, the map sends
+each flagged node's colour against its in-edges and the reduce flags the
+active nodes of the same colour. MIN and OR move each node one way
+only, so rounds run to fixpoint on the reduces' changed counts: the
+driver fetches nb ints a round and never an O(n) array. Rounds cost what BFS rounds cost —
+O(diameter) rounds per phase, the algorithm's native price.
 
 :func:`scc_reference` is a single-process iterative Tarjan with the
 same min-url representative — the expected-parquet trust model of the
@@ -65,523 +59,109 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from .graph import (
-    SHUFFLE_MODE_NODES,
-    _bucketed_edge_ids,
-    _graph_buckets,
-    _resolve_membership,
-    _sorted_urls_ref,
-    build_edges,
-    node_index,
+    _bfs_rounds,
+    _bucket_cuts,
+    _concat_parts,
+    _cut,
+    _emit,
+    _empty_scores,
+    _page_graph,
+    _shuffle_round,
+    _slice_block,
+    _sorted_run_sums,
+    _sweep,
+    _task_parts,
 )
 
 __all__ = ["scc", "scc_reference", "bowtie", "bowtie_reference"]
 
 
-class _SccShard:
-    """Broadcast-regime actor: pins an arbitrary subset of the id edge
-    list (MIN/OR folds are idempotent-associative, so partial per-key
-    results are safe) and answers one vectorized propagation query per
-    round against the shipped state vectors."""
-
-    def __init__(self, block_refs):
-        import ray
-
-        tables = [t for t in map(ray.get, block_refs) if "dst_id" in t.column_names]
-        t = (
-            pa.concat_tables(tables)
-            if tables
-            else pa.table(
-                {"src_id": pa.array([], pa.int64()), "dst_id": pa.array([], pa.int64())}
-            )
-        )
-        self.src = t.column("src_id").to_numpy(zero_copy_only=False)
-        self.dst = t.column("dst_id").to_numpy(zero_copy_only=False)
-
-    def fwd_min(self, colors, active) -> tuple[np.ndarray, np.ndarray]:
-        """Per-dst min of colors[src] over edges with both ends active."""
-        keep = active[self.src] & active[self.dst]
-        s, d = self.src[keep], self.dst[keep]
-        if len(d) == 0:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        c = colors[s]
-        order = np.argsort(d, kind="stable")
-        d, c = d[order], c[order]
-        starts = np.flatnonzero(np.r_[True, np.diff(d) != 0])
-        return d[starts], np.minimum.reduceat(c, starts)
-
-    def bwd_or(self, colors, flags, active) -> np.ndarray:
-        """Unique srcs newly reachable backward: edges v→u with f(u) and
-        color(u) == color(v), both ends active."""
-        keep = (
-            active[self.src]
-            & active[self.dst]
-            & flags[self.dst]
-            & (colors[self.src] == colors[self.dst])
-        )
-        return np.unique(self.src[keep])
+def _color_map(pin, state, backward):
+    """SCC map task: each active node's colour to the other endpoint of
+    its pinned edges — forward over out-edges (``fwd`` pins), backward over
+    in-edges (``bwd`` pins) and from flagged nodes only."""
+    color, flag, rep = state
+    return _emit(pin, (rep < 0) & flag if backward else rep < 0, color)
 
 
-def _broadcast_scc_vector(edges_b, n) -> np.ndarray:
-    """Driver-folded FW-BW coloring → per-node representative id."""
+def _color_fold(lo, state, backward, *parts):
+    """SCC reduce task → (state, changed count). Forward: colour(v) ←
+    MIN(colour(v), received colours), for active v; the roots (active, own
+    id as colour) are flagged. Backward: active v is flagged if it
+    received its own colour."""
+    color, flag, rep = state
+    v, c = _concat_parts(parts, 2)
+    v = v - lo
+    ok = rep[v] < 0
+    if backward:
+        new = flag.copy()
+        new[v[ok & (c == color[v])]] = True
+        return (color, new, rep), int(np.count_nonzero(new != flag))
+    new = color.copy()
+    np.minimum.at(new, v[ok], c[ok])
+    roots = (rep < 0) & (new == np.arange(lo, lo + len(new)))
+    return (new, roots, rep), int(np.count_nonzero(new != color))
+
+
+def _scc_phase(lo, hi, state):
+    """Phase boundary task → (state, active count): flagged active nodes
+    retire into SCC(colour); the active rest restart with their own id as
+    colour. ``state`` None is the all-active start."""
+    if state is None:
+        rep = np.full(hi - lo, -1, np.int64)
+    else:
+        color, flag, rep = state
+        rep = np.where(flag & (rep < 0), color, rep)
+    act = rep < 0
+    color = np.where(act, np.arange(lo, hi, dtype=np.int64), -1)
+    return (color, np.zeros(hi - lo, bool), rep), int(np.count_nonzero(act))
+
+
+def _scc_states(g, fwd, bwd) -> list:
+    """FW-BW phases over the pinned ``fwd`` / ``bwd`` slices until no node
+    is active → the per-bucket final state refs (rep = the SCC's min id)."""
     import ray
 
-    block_refs = edges_b.to_arrow_refs()
-    shard_cls = ray.remote(num_cpus=1)(_SccShard)
-    n_actors = max(1, min(len(block_refs), int(ray.cluster_resources().get("CPU", 8))))
-    actors = [shard_cls.remote(block_refs[i::n_actors]) for i in range(n_actors)]
-    rep = np.full(n, -1, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    ids = np.arange(n, dtype=np.int64)
-    try:
-        while active.any():
-            colors = ids.copy()
-            colors[~active] = -1  # inert; never read through active masks
-            while True:  # forward min-coloring to fixpoint
-                colors_ref = ray.put(colors)
-                active_ref = ray.put(active)
-                new = colors.copy()
-                for d, m in ray.get(
-                    [a.fwd_min.remote(colors_ref, active_ref) for a in actors]
-                ):
-                    np.minimum.at(new, d, m)
-                if np.array_equal(new, colors):
-                    break
-                colors = new
-            flags = active & (colors == ids)  # roots
-            while True:  # backward OR sweep to fixpoint
-                refs = (ray.put(colors), ray.put(flags), ray.put(active))
-                new_flags = flags.copy()
-                for s in ray.get([a.bwd_or.remote(*refs) for a in actors]):
-                    new_flags[s] = True
-                if np.array_equal(new_flags, flags):
-                    break
-                flags = new_flags
-            rep[flags] = colors[flags]
-            active &= ~flags
-    finally:
-        for a in actors:
-            ray.kill(a)
-    return rep
+    step = ray.remote(num_cpus=1)(_color_map).options(num_returns=len(fwd))
+    fold = ray.remote(num_cpus=1)(_color_fold).options(num_returns=2)
+    phase = ray.remote(num_cpus=1)(_scc_phase).options(num_returns=2)
+    states = [None] * len(fwd)
+    while True:
+        out = [phase.remote(lo, hi, s) for (lo, hi), s in zip(g.bounds(), states)]
+        states = [s for s, _ in out]
+        if sum(ray.get([c for _, c in out])) == 0:
+            return states
+        for pins, backward in ((fwd, False), (bwd, True)):
+            changed = 1
+            while changed:
+                states, counts = _sweep(step, fold, pins, states, g.per_bucket, (backward,), (backward,))
+                changed = sum(ray.get(counts))
+
+
+def _rep_block(lo, state) -> pa.Table:
+    """A bucket's (node_id, scc_rep id) rows."""
+    return _slice_block(lo, "scc_rep", state[2])
 
 
 def scc(pages_ds, nodes, *, mode: str = "auto", n_buckets: int | None = None):
     """SCCs of the corpus link graph → Dataset (url, scc_rep) where
     ``scc_rep`` is the lexicographically smallest member url (singleton
     components are their own representative — build_edges drops
-    self-loops, so a node with no cycle through it is a singleton)."""
+    self-loops, so a node with no cycle through it is a singleton).
+    ``mode`` and ``n_buckets`` act as for :func:`graph.pagerank`."""
     import ray
-    import ray.data
 
+    cols = {"scc_rep": pa.string()}
     n = nodes.count()
     if n == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {"url": pa.array([], pa.string()), "scc_rep": pa.array([], pa.string())}
-            )
-        )
-    membership = _resolve_membership(mode, n)
-    per_bucket = (
-        _graph_buckets(n) if n_buckets is None else max(1, -(-n // n_buckets))
-    )
-    if membership == "shuffle":
-        return _scc_shuffle(pages_ds, nodes, n, per_bucket)
-
-    urls_ref = _sorted_urls_ref(nodes)
-    edges_b = _bucketed_edge_ids(
-        build_edges(pages_ds, nodes, membership="broadcast"), urls_ref, per_bucket
-    )
-    rep = _broadcast_scc_vector(edges_b, n)
-
-    @ray.remote(num_cpus=1)
-    def finish(urls_arr: pa.Array, rep_vec: np.ndarray) -> pa.Table:
-        return pa.table(
-            {
-                "url": urls_arr,
-                "scc_rep": pc.take(urls_arr, pa.array(rep_vec, pa.int64())),
-            }
-        )
-
-    return ray.data.from_arrow_refs([finish.remote(urls_ref, rep)])
-
-
-# ---------------------------------------------------------------------------
-# shuffle regime
-
-
-def _scc_shuffle(pages_ds, nodes, n: int, per_bucket: int):
-    """Fully-distributed FW-BW coloring: state is a Dataset of
-    (node_id, color, flag, rep) rows (rep = -1 while unassigned ≡
-    active); each propagation round is two bucketed exchanges in the
-    labelprop shape; fixpoint detection is a per-round changed-row
-    count. No O(n) object anywhere."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    nb = -(-n // per_bucket)
-    index_ds = node_index(nodes)[0].repartition(nb, shuffle=False).materialize()
-    from .graph import _edge_ids_shuffle, _extracted, _candidate_pairs_batch
-
-    pairs = _extracted(pages_ds).map_batches(
-        _candidate_pairs_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
-    edges_b = (
-        _edge_ids_shuffle(pairs, index_ds, per_bucket=per_bucket)
-        .repartition(nb, shuffle=False)
-        .materialize()
-    )
-
-    def init_state(t: pa.Table) -> pa.Table:
-        nid = t.column("node_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "node_id": t.column("node_id"),
-                "color": t.column("node_id"),
-                "flag": pa.array(np.zeros(len(nid), np.int8), pa.int8()),
-                "rep": pa.array(np.full(len(nid), -1, np.int64), pa.int64()),
-            }
-        )
-
-    state = (
-        index_ds.map_batches(init_state, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(nb, shuffle=False)
-        .materialize()
-    )
-
-    def _round(state, *, backward: bool):
-        """One synchronous propagation round → (new state, n_changed).
-
-        Forward: color(v) ← min(color(v), colors of active in-neighbors).
-        Backward: flag(v) ← flag(v) OR any active out-edge v→u with
-        flag(u) and color(u) == color(v)."""
-        key_self = "node_id"
-
-        def state_pad(t: pa.Table) -> pa.Table:
-            nid = t.column("node_id").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    # stage-1 key: edges need the state of their
-                    # forward:src / backward:dst endpoint
-                    "gb": pa.array(
-                        (nid // per_bucket).astype(np.int64), pa.int64()
-                    ),
-                    "src_id": pa.array(np.full(len(nid), -1, np.int64), pa.int64()),
-                    "dst_id": t.column("node_id"),
-                    "color": t.column("color"),
-                    "flag": t.column("flag"),
-                    "rep": t.column("rep"),
-                }
-            )
-
-        def edge_pad(t: pa.Table) -> pa.Table:
-            s = t.column("src_id").to_numpy(zero_copy_only=False)
-            d = t.column("dst_id").to_numpy(zero_copy_only=False)
-            key = d if backward else s
-            z8 = pa.array(np.zeros(len(s), np.int8), pa.int8())
-            return pa.table(
-                {
-                    "gb": pa.array((key // per_bucket).astype(np.int64), pa.int64()),
-                    "src_id": t.column("src_id"),
-                    "dst_id": t.column("dst_id"),
-                    "color": pa.array(np.full(len(s), -1, np.int64), pa.int64()),
-                    "flag": z8,
-                    "rep": pa.array(np.zeros(len(s), np.int64), pa.int64()),
-                }
-            )
-
-        def scatter(g: pa.Table) -> pa.Table:
-            src = g.column("src_id").to_numpy(zero_copy_only=False)
-            dst = g.column("dst_id").to_numpy(zero_copy_only=False)
-            col = g.column("color").to_numpy(zero_copy_only=False)
-            flg = g.column("flag").to_numpy(zero_copy_only=False)
-            rp = g.column("rep").to_numpy(zero_copy_only=False)
-            is_state = src < 0
-            b = int(g.column("gb")[0].as_py())
-            lo = b * per_bucket
-            sn = dst[is_state]
-            dense_c = np.full(per_bucket, -1, np.int64)
-            dense_f = np.zeros(per_bucket, np.int8)
-            dense_r = np.full(per_bucket, -2, np.int64)
-            dense_c[sn - lo] = col[is_state]
-            dense_f[sn - lo] = flg[is_state]
-            dense_r[sn - lo] = rp[is_state]
-            e_src = src[~is_state]
-            e_dst = dst[~is_state]
-            ekey = e_dst if backward else e_src
-            # only edges whose keyed endpoint is ACTIVE (rep == -1) emit
-            act = dense_r[ekey - lo] == -1
-            e_src, e_dst, ekey = e_src[act], e_dst[act], ekey[act]
-            other = e_src if backward else e_dst
-            return pa.table(
-                {
-                    "db": pa.array(
-                        (other // per_bucket).astype(np.int64), pa.int64()
-                    ),
-                    "node_id": pa.array(other, pa.int64()),
-                    "color": pa.array(dense_c[ekey - lo], pa.int64()),
-                    "flag": pa.array(dense_f[ekey - lo], pa.int8()),
-                    "rep": pa.array(np.full(len(other), -2, np.int64), pa.int64()),
-                }
-            )
-
-        def state_pad2(t: pa.Table) -> pa.Table:
-            nid = t.column("node_id").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "db": pa.array((nid // per_bucket).astype(np.int64), pa.int64()),
-                    "node_id": t.column("node_id"),
-                    "color": t.column("color"),
-                    "flag": t.column("flag"),
-                    "rep": t.column("rep"),
-                }
-            )
-
-        def fold(g: pa.Table) -> pa.Table:
-            nid = g.column("node_id").to_numpy(zero_copy_only=False)
-            col = g.column("color").to_numpy(zero_copy_only=False)
-            flg = g.column("flag").to_numpy(zero_copy_only=False)
-            rp = g.column("rep").to_numpy(zero_copy_only=False)
-            is_state = rp != -2
-            b = int(g.column("db")[0].as_py())
-            lo = b * per_bucket
-            hi = min(lo + per_bucket, n)
-            sn = nid[is_state]
-            cur_c = np.full(hi - lo, -1, np.int64)
-            cur_f = np.zeros(hi - lo, np.int8)
-            cur_r = np.full(hi - lo, -1, np.int64)
-            cur_c[sn - lo] = col[is_state]
-            cur_f[sn - lo] = flg[is_state]
-            cur_r[sn - lo] = rp[is_state]
-            p_nid = nid[~is_state]
-            p_col = col[~is_state]
-            p_flg = flg[~is_state]
-            changed = 0
-            act = cur_r == -1
-            if backward:
-                # f(v) |= prop.flag where prop.color == color(v)
-                if len(p_nid):
-                    ok = (p_flg > 0) & (p_col == cur_c[p_nid - lo]) & act[p_nid - lo]
-                    new_f = cur_f.copy()
-                    tgt = p_nid[ok] - lo
-                    new_f[tgt] = 1
-                    changed = int(np.sum((new_f > cur_f)))
-                    cur_f = new_f
-            else:
-                if len(p_nid):
-                    new_c = cur_c.copy()
-                    keep = act[p_nid - lo]
-                    np.minimum.at(new_c, p_nid[keep] - lo, p_col[keep])
-                    changed = int(np.sum(new_c != cur_c))
-                    cur_c = new_c
-            return pa.table(
-                {
-                    "node_id": pa.array(np.arange(lo, hi, dtype=np.int64), pa.int64()),
-                    "color": pa.array(cur_c, pa.int64()),
-                    "flag": pa.array(cur_f, pa.int8()),
-                    "rep": pa.array(cur_r, pa.int64()),
-                    "n_changed": pa.array(
-                        np.r_[np.int64(changed), np.zeros(hi - lo - 1, np.int64)]
-                        if hi > lo
-                        else np.empty(0, np.int64),
-                        pa.int64(),
-                    ),
-                }
-            )
-
-        contribs = (
-            state.map_batches(state_pad, batch_format="pyarrow", zero_copy_batch=True)
-            .union(
-                edges_b.map_batches(
-                    edge_pad, batch_format="pyarrow", zero_copy_batch=True
-                )
-            )
-            .groupby("gb")
-            .map_groups(scatter, batch_format="pyarrow")
-        )
-        new_state = (
-            contribs.union(
-                state.map_batches(
-                    state_pad2, batch_format="pyarrow", zero_copy_batch=True
-                )
-            )
-            .groupby("db")
-            .map_groups(fold, batch_format="pyarrow")
-            .repartition(nb, shuffle=False)
-            .materialize()
-        )
-        n_changed = new_state.sum("n_changed")
-        return (
-            new_state.drop_columns(["n_changed"]).materialize(),
-            int(n_changed or 0),
-        )
-
-    def _transform(state, fn):
-        return (
-            state.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(nb, shuffle=False)
-            .materialize()
-        )
-
-    def remaining(state) -> int:
-        def cnt(t: pa.Table) -> pa.Table:
-            rp = t.column("rep").to_numpy(zero_copy_only=False)
-            return pa.table({"n": pa.array([int(np.sum(rp == -1))], pa.int64())})
-
-        return int(
-            state.map_batches(cnt, batch_format="pyarrow", zero_copy_batch=True).sum(
-                "n"
-            )
-            or 0
-        )
-
-    while remaining(state) > 0:
-
-        def reset(t: pa.Table) -> pa.Table:
-            rp = t.column("rep").to_numpy(zero_copy_only=False)
-            nid = t.column("node_id").to_numpy(zero_copy_only=False)
-            col = np.where(rp == -1, nid, np.int64(-1))
-            return pa.table(
-                {
-                    "node_id": t.column("node_id"),
-                    "color": pa.array(col, pa.int64()),
-                    "flag": pa.array(np.zeros(len(nid), np.int8), pa.int8()),
-                    "rep": t.column("rep"),
-                }
-            )
-
-        state = _transform(state, reset)
-        while True:  # forward coloring to fixpoint
-            state, changed = _round(state, backward=False)
-            if changed == 0:
-                break
-
-        def mark_roots(t: pa.Table) -> pa.Table:
-            nid = t.column("node_id").to_numpy(zero_copy_only=False)
-            col = t.column("color").to_numpy(zero_copy_only=False)
-            rp = t.column("rep").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "node_id": t.column("node_id"),
-                    "color": t.column("color"),
-                    "flag": pa.array(
-                        ((rp == -1) & (col == nid)).astype(np.int8), pa.int8()
-                    ),
-                    "rep": t.column("rep"),
-                }
-            )
-
-        state = _transform(state, mark_roots)
-        while True:  # backward sweep to fixpoint
-            state, changed = _round(state, backward=True)
-            if changed == 0:
-                break
-
-        def retire(t: pa.Table) -> pa.Table:
-            col = t.column("color").to_numpy(zero_copy_only=False)
-            flg = t.column("flag").to_numpy(zero_copy_only=False)
-            rp = t.column("rep").to_numpy(zero_copy_only=False)
-            new_rep = np.where((rp == -1) & (flg > 0), col, rp)
-            return pa.table(
-                {
-                    "node_id": t.column("node_id"),
-                    "color": t.column("color"),
-                    "flag": pa.array(np.zeros(len(col), np.int8), pa.int8()),
-                    "rep": pa.array(new_rep, pa.int64()),
-                }
-            )
-
-        state = _transform(state, retire)
-
-    # attach urls: rep ids → urls via two bucketed exchanges against the
-    # index (the graph family's standard id→url attach)
-    def rep_pad(t: pa.Table) -> pa.Table:
-        rp = t.column("rep").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "jb": pa.array((rp // per_bucket).astype(np.int64), pa.int64()),
-                "node_id": t.column("node_id"),
-                "rep": t.column("rep"),
-                "url": pa.array([None] * t.num_rows, pa.string()),
-            }
-        )
-
-    def idx_pad(t: pa.Table) -> pa.Table:
-        nid = t.column("node_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "jb": pa.array((nid // per_bucket).astype(np.int64), pa.int64()),
-                "node_id": pa.array(np.full(len(nid), -1, np.int64), pa.int64()),
-                "rep": t.column("node_id"),
-                "url": t.column("url"),
-            }
-        )
-
-    def join_rep(g: pa.Table) -> pa.Table:
-        nid = g.column("node_id").to_numpy(zero_copy_only=False)
-        is_idx = nid < 0
-        idx_rows = g.filter(pa.array(is_idx))
-        rows = g.filter(pa.array(~is_idx))
-        pos = pc.index_in(rows.column("rep"), value_set=idx_rows.column("rep").combine_chunks())
-        return pa.table(
-            {
-                "node_id": rows.column("node_id"),
-                "rep_url": pc.take(idx_rows.column("url").combine_chunks(), pos),
-            }
-        )
-
-    with_rep = (
-        state.map_batches(rep_pad, batch_format="pyarrow", zero_copy_batch=True)
-        .union(index_ds.map_batches(idx_pad, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("jb")
-        .map_groups(join_rep, batch_format="pyarrow")
-    )
-
-    def node_pad(t: pa.Table) -> pa.Table:
-        nid = t.column("node_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "jb": pa.array((nid // per_bucket).astype(np.int64), pa.int64()),
-                "node_id": t.column("node_id"),
-                "url": pa.array([None] * t.num_rows, pa.string()),
-                "rep_url": t.column("rep_url"),
-            }
-        )
-
-    def idx_pad2(t: pa.Table) -> pa.Table:
-        nid = t.column("node_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "jb": pa.array((nid // per_bucket).astype(np.int64), pa.int64()),
-                "node_id": t.column("node_id"),
-                "url": t.column("url"),
-                "rep_url": pa.array([None] * t.num_rows, pa.string()),
-            }
-        )
-
-    def join_url(g: pa.Table) -> pa.Table:
-        is_idx = pc.is_valid(g.column("url"))
-        idx_rows = g.filter(is_idx)
-        rows = g.filter(pc.invert(is_idx))
-        pos = pc.index_in(
-            rows.column("node_id"), value_set=idx_rows.column("node_id").combine_chunks()
-        )
-        return pa.table(
-            {
-                "url": pc.take(idx_rows.column("url").combine_chunks(), pos),
-                "scc_rep": rows.column("rep_url"),
-            }
-        )
-
-    return (
-        with_rep.map_batches(node_pad, batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            index_ds.map_batches(idx_pad2, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("jb")
-        .map_groups(join_url, batch_format="pyarrow")
-    )
+        return _empty_scores(**cols)
+    g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
+    states = _scc_states(g, *g.pin(("fwd", "bwd")))
+    block = ray.remote(num_cpus=1)(_rep_block)
+    blocks = [block.remote(lo, s) for (lo, _), s in zip(g.bounds(), states)]
+    return g.attach(blocks, cols, ids=("scc_rep",))
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +233,38 @@ def scc_reference(urls: list[str], links_per_url: dict[str, list[str]]) -> dict[
 # bow-tie decomposition
 
 
+def _rep_sizes(pin, state, per_bucket, nb):
+    """Bow-tie map task: the bucket's (rep, member count) partials, cut by
+    rep bucket."""
+    reps, sizes = np.unique(state[2], return_counts=True)
+    return _task_parts(_cut(_bucket_cuts(reps, per_bucket, nb), reps, sizes))
+
+
+def _largest(*parts) -> tuple[int, int]:
+    """Bow-tie reduce task: (size, rep) of the largest SCC whose rep is in
+    the bucket, ties to the smallest rep; (0, -1) if none is."""
+    reps, sizes = _concat_parts(parts, 2)
+    if len(reps) == 0:
+        return 0, -1
+    reps, sizes = _sorted_run_sums(reps, reps, sizes)
+    best = int(np.argmax(sizes))  # the first maximum: the smallest rep
+    return int(sizes[best]), int(reps[best])
+
+
+def _core_dist(state, core) -> np.ndarray:
+    """Reach-sweep state slice: distance 0 on the core, -1 elsewhere."""
+    return np.where(state[2] == core, 0, -1)
+
+
+def _regions(lo, state, core, out_dist, in_dist) -> pa.Table:
+    """A bucket's (node_id, region) rows."""
+    region = np.full(len(out_dist), "other", dtype=object)
+    region[in_dist >= 0] = "in"
+    region[out_dist >= 0] = "out"
+    region[state[2] == core] = "core"
+    return _slice_block(lo, "region", pa.array(region, pa.string()))
+
+
 def bowtie(pages_ds, nodes, *, mode: str = "auto", n_buckets: int | None = None):
     """Broder et al. (2000) bow-tie classification relative to the
     LARGEST SCC → Dataset (url, region) with region ∈ {'core', 'in',
@@ -661,90 +273,36 @@ def bowtie(pages_ds, nodes, *, mode: str = "auto", n_buckets: int | None = None)
     out = reachable from the core but not in it, other = tendrils,
     tubes and disconnected pages.
 
-    Broadcast-regime composition over the SCC vector: the two
-    reachability sweeps are the :class:`_SccShard` OR-propagation run
-    with color equality disabled (flags seeded with the core, once along
-    edges, once against them). The documented bound is pagerank's O(n)
-    driver vector; the shuffle-regime path composes :func:`scc` with two
-    backward/forward BFS sweeps (graph.bfs_distances machinery) and is
-    intentionally not duplicated here."""
+    One pin round serves all of it, in either ``mode``: the :func:`scc`
+    phases, then one map/reduce round that sends per-bucket (rep, size)
+    partials to the rep's bucket, each reduce returning its largest
+    (size, rep) for the driver to fold, then two BFS sweeps from the core
+    (``graph._bfs_rounds``), along the ``fwd`` pins and against the
+    ``bwd`` pins."""
     import ray
-    import ray.data
 
+    cols = {"region": pa.string()}
     n = nodes.count()
     if n == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {"url": pa.array([], pa.string()), "region": pa.array([], pa.string())}
-            )
-        )
-    if _resolve_membership(mode, n) != "broadcast":
-        raise NotImplementedError(
-            "bowtie is registered in the broadcast regime (n ≤ "
-            "SHUFFLE_MODE_NODES); above it compose scc() with two "
-            "bfs_distances sweeps"
-        )
-    per_bucket = (
-        _graph_buckets(n) if n_buckets is None else max(1, -(-n // n_buckets))
-    )
-    urls_ref = _sorted_urls_ref(nodes)
-    edges_b = _bucketed_edge_ids(
-        build_edges(pages_ds, nodes, membership="broadcast"), urls_ref, per_bucket
-    )
-    rep = _broadcast_scc_vector(edges_b, n)
-    # largest SCC; ties broken by smallest representative id (np.argmax
-    # returns the first maximum over the sorted unique reps)
-    reps, counts = np.unique(rep, return_counts=True)
-    core_rep = int(reps[int(np.argmax(counts))])
-    core = rep == core_rep
-
-    block_refs = edges_b.to_arrow_refs()
-    shard_cls = ray.remote(num_cpus=1)(_SccShard)
-    n_actors = max(1, min(len(block_refs), int(ray.cluster_resources().get("CPU", 8))))
-    actors = [shard_cls.remote(block_refs[i::n_actors]) for i in range(n_actors)]
-    try:
-        colors = np.zeros(n, dtype=np.int64)  # equality always holds
-        active = np.ones(n, dtype=bool)
-
-        def sweep(seed: np.ndarray, *, backward: bool) -> np.ndarray:
-            flags = seed.copy()
-            while True:
-                refs = (ray.put(colors), ray.put(flags), ray.put(active))
-                new = flags.copy()
-                if backward:
-                    # nodes with an edge INTO a flagged node
-                    for s in ray.get([a.bwd_or.remote(*refs) for a in actors]):
-                        new[s] = True
-                else:
-                    # nodes with an edge FROM a flagged node: reuse
-                    # fwd_min by treating flags as colors (min over
-                    # flagged sources of 0 < 1)
-                    fcol = np.where(flags, np.int64(0), np.int64(1))
-                    fref = ray.put(fcol)
-                    for d, m in ray.get(
-                        [a.fwd_min.remote(fref, refs[2]) for a in actors]
-                    ):
-                        new[d[m == 0]] = True
-                if np.array_equal(new, flags):
-                    return flags
-                flags = new
-
-        reaches_core = sweep(core, backward=True)
-        reached_from_core = sweep(core, backward=False)
-    finally:
-        for a in actors:
-            ray.kill(a)
-
-    region = np.full(n, "other", dtype=object)
-    region[reaches_core & ~core] = "in"
-    region[reached_from_core & ~core] = "out"
-    region[core] = "core"
-
-    @ray.remote(num_cpus=1)
-    def finish(urls_arr: pa.Array, reg: np.ndarray) -> pa.Table:
-        return pa.table({"url": urls_arr, "region": pa.array(list(reg), pa.string())})
-
-    return ray.data.from_arrow_refs([finish.remote(urls_ref, region)])
+        return _empty_scores(**cols)
+    g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
+    fwd, bwd = g.pin(("fwd", "bwd"))
+    states = _scc_states(g, fwd, bwd)
+    nb = len(fwd)
+    sizes = ray.remote(num_cpus=1)(_rep_sizes).options(num_returns=nb)
+    largest = ray.remote(num_cpus=1)(_largest)
+    best = ray.get(_shuffle_round(sizes, largest, fwd, states, (g.per_bucket, nb), [()] * nb))
+    core = min(best, key=lambda p: (-p[0], p[1]))[1]
+    init = ray.remote(num_cpus=1)(_core_dist)
+    seeds = [init.remote(s, core) for s in states]
+    out_dist = _bfs_rounds(g, fwd, seeds)
+    in_dist = _bfs_rounds(g, bwd, seeds)
+    block = ray.remote(num_cpus=1)(_regions)
+    blocks = [
+        block.remote(lo, s, core, o, i)
+        for (lo, _), s, o, i in zip(g.bounds(), states, out_dist, in_dist)
+    ]
+    return g.attach(blocks, cols)
 
 
 def bowtie_reference(
