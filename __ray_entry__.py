@@ -932,8 +932,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # node set = the corpus url column as a DATASET (a single-column
         # pruned read), never a driver-side list: at 10^10 URLs that list
         # is ~600GB of driver heap. graph.py picks the membership/identity
-        # regime (object-store broadcast probe vs bucketed semi-join +
-        # distributed node_index) from the node count.
+        # regime (object-store broadcast probe vs sorted url buckets built
+        # by task rounds) from the node count.
         import ray.data
 
         from urlmap_ray.expected import ensure_graph_expected

@@ -221,20 +221,18 @@ def _id_edges(urls, links, weighted=False):
 
 def _shuffle_layouts(t, per_bucket):
     """The same id-mapped edges in the block layouts the shuffle kernel
-    must not care about."""
+    must not care about, as lists of block refs (the kernel's input)."""
     import numpy as np
-    import ray.data
+    import ray
 
     t = t.sort_by([("dst_id", "ascending"), ("src_id", "ascending")])
     bucket = t.column("dst_id").to_numpy() // per_bucket
     b0 = next(b for b in np.unique(bucket) if np.count_nonzero(bucket == b) >= 2)
     k = int(np.flatnonzero(bucket == b0)[0]) + 1
     return {
-        "one_block": ray.data.from_arrow(t),
-        "block_per_bucket": ray.data.from_arrow(
-            [t.filter(bucket == b) for b in np.unique(bucket)]
-        ),
-        "split_bucket": ray.data.from_arrow([t[:k], t[k:]]),
+        "one_block": [ray.put(t)],
+        "block_per_bucket": [ray.put(t.filter(bucket == b)) for b in np.unique(bucket)],
+        "split_bucket": [ray.put(t[:k]), ray.put(t[k:])],
     }
 
 
@@ -307,7 +305,7 @@ def test_shuffle_kernel_any_layout_and_bucket_count(ray_session, corpus, truth):
 
     # edgeless: the kernels, and the public calls whose edge build yields no rows
     per_bucket = gr._graph_buckets(n)
-    empty = ray.data.from_arrow(t.slice(0, 0))
+    empty = [ray.put(t.slice(0, 0))]
     no_links = {u: [] for u in urls}
     exp_pr0 = gr.pagerank_reference(urls, no_links, n_iters=n_iters)
     exp_h0 = gr.hits_reference(urls, no_links, n_iters=n_iters)
@@ -375,7 +373,9 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
     counted. And iterations are task rounds, not Dataset jobs: the Ray
     Data executions a call makes do not grow with ``n_iters`` (BFS
     ``radius``, kcore ``max_rounds``), and a traversal starts none after
-    its pin round."""
+    its pin round. The shuffle regime's graph build and url attach are
+    task rounds too: a shuffle-mode call starts no more Ray Data executions
+    than the same call in broadcast mode."""
     import numpy as np
     import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
@@ -454,7 +454,7 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
     monkeypatch.setattr(ray, "get", get)
     monkeypatch.setattr(StreamingExecutor, "execute", execute)
     monkeypatch.setattr(gr._RankGraph, "pin", pin)
-    results = {}
+    results, execs = {}, {}
     for name, call in calls.items():
         per_bucket = gr._rank_regime(n, name[0], name[2])[1]
         bound = max(per_bucket, -(-n // per_bucket), n_l1)
@@ -474,7 +474,12 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
             if name[1] not in ("pagerank", "trustrank", "hits"):
                 assert pinned == [jobs[-1]], f"{name}: Dataset executions after the pin round"
         assert jobs[0] == jobs[1], f"{name}: Dataset executions grow with n_iters: {jobs}"
+        execs[name] = jobs[0]
     monkeypatch.undo()
+    for (mode, alg, k), count in execs.items():
+        if mode == "shuffle":
+            twin = execs.get(("broadcast", alg, k), execs[("broadcast", alg, None)])
+            assert count <= twin, f"{alg}: {count} Dataset executions in shuffle mode, {twin} in broadcast"
     for mode in ("shuffle", "broadcast"):
         assert {r["url"]: r["rank_ppb"] for r in results[(mode, "pagerank", 4)].take_all()} == (
             pagerank_reference(urls, links, n_iters=4)
@@ -485,6 +490,54 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
         assert {r["url"]: r["dist"] for r in results[(mode, "bfs", 4)].take_all()} == (
             _bfs_reference(truth[2], seeds, radius=4)
         ), mode
+
+
+def test_repeated_node_url_raises(ray_session, corpus, truth):
+    """A node set that repeats a url is refused with a ValueError naming
+    the url, in both regimes, by the ranks and the traversals (the sort of
+    each url bucket sees every repeat)."""
+    import re
+
+    import ray.data
+
+    from urlmap_ray.functions.graph import hits
+
+    dup = sorted(truth[0])[17]
+
+    def nodes():
+        return _nodes_ds(corpus).union(ray.data.from_arrow(pa.table({"url": [dup]})))
+
+    calls = {"pagerank": pagerank, "hits": hits, "bfs": _traversals([dup])["bfs"]}
+    for mode in ("broadcast", "shuffle"):
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=re.escape(repr(dup))):
+                call(_pages_ds(corpus), nodes(), mode=mode, n_buckets=7).materialize()
+
+
+def test_shuffle_calls_log_no_schema_mismatch(ray_session, corpus):
+    """Ray Data logs no "RefBundle with a different schema" warning for a
+    shuffle-mode PageRank, HITS or label propagation: every block the graph
+    build and url attach hand to Ray Data carries the result schema."""
+    import logging
+
+    from urlmap_ray.functions.graph import hits
+    from urlmap_ray.functions.labelprop import label_propagation
+
+    seen = []
+
+    class Capture(logging.Handler):
+        def emit(self, record):
+            seen.append(record.getMessage())
+
+    handler = Capture(logging.WARNING)
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        for call in (pagerank, hits, label_propagation):
+            call(_pages_ds(corpus), _nodes_ds(corpus), mode="shuffle", n_buckets=7).materialize()
+    finally:
+        logger.removeHandler(handler)
+    assert not [m for m in seen if "different schema" in m], seen
 
 
 def test_hits_shuffle_mode_identical(ray_session, corpus, truth):

@@ -8,18 +8,22 @@ starts a 2-CPU local Ray session and prints, one ``name value unit`` line
 each, for ``pagerank`` and ``hits`` in broadcast mode at its default
 bucketing (one task bucket per session CPU):
 
-- ``<alg>_pin_s``: the pin round over the materialized id-mapped edges
+- ``<alg>_pin_s``: the pin round over the id-mapped edge blocks
   (``_pin_buckets``; HITS pins both bucket layouts), until every pinned
   slice exists;
 - ``<alg>_round_s``: one map/reduce task round (HITS: one authority and
   one hub round, with the driver's fold of the L1 partials);
 - ``<alg>_total_s``: the public call (``graph.pagerank`` / ``graph.hits``
-  with ``mode="broadcast"``, edge build included), materialized.
+  with ``mode="broadcast"``, edge build included), materialized;
+- ``<alg>_build_s``: the graph build (``_page_graph``: node ids, then
+  the id-mapped edges), until every edge block exists;
+- ``<alg>_attach_s``: the url attach of finished per-bucket result
+  blocks (``_RankGraph.attach``), materialized;
 
-and the same three for the shuffle regime (``<alg>_shuffle_*``;
+and the same five for the shuffle regime (``<alg>_shuffle_*``;
 ``mode="shuffle", n_iters=3, n_buckets=2``, as the perfbench
 ``link_rank`` workload runs it). The regimes share the kernel, so they
-differ in the edge build and url attach, which only the totals include.
+differ in the build and the attach.
 
 Then, in broadcast mode at its default bucketing, the same three for the
 traversals ``bfs_distances`` (from the first url, to fixpoint), ``kcore``
@@ -93,6 +97,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     import numpy as np
+    import pyarrow as pa
     import pyarrow.dataset as pads
     import ray
     import ray.data
@@ -166,13 +171,17 @@ def main(argv=None) -> int:
         f"{a}{r}_{m}": []
         for r in ("", "_shuffle")
         for a in ("pagerank", "hits")
-        for m in ("pin", "round", "total")
+        for m in ("pin", "round", "total", "build", "attach")
     }
     times.update({f"{a}_{m}": [] for a in traversals for m in ("pin", "round", "total")})
 
     def done(refs):  # wait for task outputs without fetching them
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
         return refs
+
+    def built(g):  # wait for the edge blocks (older graph modules hold a materialized Dataset)
+        done(g.edges if isinstance(g.edges, list) else g.edges.to_arrow_refs())
+        return g
 
     def check_pr(ds, exp):
         assert {r["url"]: r["rank_ppb"] for r in ds.take_all()} == exp
@@ -204,6 +213,28 @@ def main(argv=None) -> int:
                 done(src_pins + dst_pins + inits[0][1])
                 return src_pins, dst_pins, inits[0]
 
+            def build():
+                return built(gr._page_graph(*inputs(), n, mode, kw.get("n_buckets")))
+
+            def attach_s(g, alg):
+                """Seconds to attach urls to a one-iteration run's ppb blocks."""
+                if alg == "pagerank":
+                    cols, divs = ("rank_ppb",), (1.0,)
+                    (vecs,) = gr._shuffle_rank_slices(
+                        g.edges, n, n_iters=1, damping=gr._DAMPING, teleports=[None],
+                        per_bucket=per_bucket, weighted=False,
+                    )
+                    vecs = [(v,) for v in vecs]
+                else:
+                    cols = ("auth_ppb", "hub_ppb")
+                    auth, div_a, hub, div_h = gr._hits_shuffle_slices(
+                        g.edges, n, n_iters=1, per_bucket=per_bucket
+                    )
+                    divs, vecs = (div_a, div_h), list(zip(auth, hub))
+                ppb = ray.remote(num_cpus=1)(gr._ppb_block)
+                blocks = done([ppb.remote(lo, cols, divs, *v) for (lo, _, _), v in zip(bounds, vecs)])
+                return _timed(lambda: g.attach(blocks, dict.fromkeys(cols, pa.int64())).materialize())[0]
+
             def l1_total(out):
                 return float(np.sum(np.concatenate(ray.get([t for _, t in out]))))
 
@@ -229,6 +260,11 @@ def main(argv=None) -> int:
                 times[f"hits{tag}_pin"].append(s)
                 s, _ = _timed(lambda: hits_round(srcs, dsts, hubs))
                 times[f"hits{tag}_round"].append(s)
+
+                for alg in ("pagerank", "hits"):
+                    s, g = _timed(build)
+                    times[f"{alg}{tag}_build"].append(s)
+                    times[f"{alg}{tag}_attach"].append(attach_s(g, alg))
 
                 s, ds = _timed(lambda: gr.pagerank(*inputs(), **kw).materialize())
                 times[f"pagerank{tag}_total"].append(s)

@@ -19,15 +19,22 @@ membership/identity regimes by ``nodes.count()``:
   is folded in ONE remote task from the node Dataset's blocks and lives
   only in the object store — the driver holds an ``ObjectRef``, never
   the strings. Membership is a per-batch ``pc.is_in`` probe; node ids
-  are ``pc.index_in`` ranks against the same shared array.
+  are ``pc.index_in`` ranks against the same shared array (the graph
+  calls drop an edge whose endpoint has no rank).
 - **Shuffle regime** (above it): no O(nodes) object exists anywhere.
-  Membership is a bucketed pad→union→``groupby(hash(url) % B)``
-  semi-join (the joins.py shape); node ids come from
-  :func:`node_index` — a distributed zipWithIndex (one range-
-  partitioned sort, then per-block offsets computed from block
-  METADATA row counts, so driver state is O(blocks) integers); edge
-  endpoints are mapped url→id by two more bucketed exchanges against
-  that index.
+  For :func:`build_edges` and :func:`degrees` membership is a bucketed
+  pad→union→``groupby(hash(url) % B)`` semi-join (the joins.py shape).
+  The graph calls and :func:`node_index` cut the node set into sorted
+  url buckets by task rounds (:func:`_url_buckets`): a task samples each
+  node block, one picks the boundary urls, a map per block
+  range-partitions its urls and a reduce per bucket sorts them. Node ids
+  are url ranks; each bucket's first id is a prefix sum of the
+  O(buckets) counts the driver fetches. Edge endpoints are mapped to ids
+  by two more task rounds over the same boundaries (by dst, then by src;
+  ``pc.index_in`` against the bucket, which also drops non-members).
+
+A rank or traversal call, or :func:`node_index`, over a node set that
+repeats a url raises ``ValueError`` naming it, in either regime.
 
 Scale shapes:
 
@@ -58,14 +65,16 @@ Scale shapes:
   ints a round. The exchange is object refs, per-task state is one
   bucket slice, and the driver holds refs and O(buckets) numbers; no
   Ray Data execution starts after the pin round. The regimes differ
-  only at the two ends: the broadcast regime maps urls to ids inside
-  the extraction map against the shared sorted url array and attaches
-  urls (and node-id columns such as labels) by taking from it per
-  bucket; the shuffle regime maps them by two exchanges against
-  :func:`node_index` and attaches urls by one more (plus one per
-  node-id column). The task bucket count (``n_buckets``; by default one
-  per session CPU in the broadcast regime and one per L1 bucket in the
-  shuffle regime) changes speed, never a result.
+  only in the number of url buckets (:func:`_graph`): the broadcast
+  regime has one, against which the extraction map maps urls to ids;
+  the shuffle regime has one per task bucket and maps ids in two task
+  rounds. Either attaches urls with one task per bucket against the url
+  buckets spanning its ids, plus one task round per node-id column
+  (labels, SCC representatives); a graph call reads its nodes and its
+  pages with one Ray Data execution each and runs no exchange. The task
+  bucket count (``n_buckets``; by default one per session CPU in the
+  broadcast regime and one per L1 bucket in the shuffle regime) changes
+  speed, never a result.
 - **Results are bit-identical to the single-process references at any
   block layout, bucket count or mode** (test-asserted). Every per-dst
   sum is ``np.add.reduceat`` over the (dst, src)-sorted contribution
@@ -115,86 +124,136 @@ SHUFFLE_MODE_NODES = 5_000_000
 _DAMPING = 0.85
 _N_ITERS = 10
 
-# Hash-bucket count for the shuffle regime's membership / id-mapping
-# exchanges (a performance knob only — results are bucketing-independent).
+# Hash-bucket count for the shuffle regime's membership exchanges (a
+# performance knob only — results are bucketing-independent).
 _MAP_BUCKETS = 256
 
 
 # ---------------------------------------------------------------------------
-# node-set handshake
+# node-set handshake: sorted url buckets
+#
+# Node ids are url ranks in sorted (byte) order. The sorted url set is built
+# as task rounds over the node Dataset's blocks, in ``nu`` url buckets: one
+# task samples each block, one picks ``nu - 1`` boundary urls from the
+# samples, a map task per block cuts its urls by those boundaries
+# (:func:`_split_by`) and a reduce task per bucket sorts its urls
+# (:func:`_url_sort`). The driver gets only the ``nu`` bucket counts, whose
+# prefix sum gives each bucket's first id. With one bucket (the broadcast
+# regime) the blocks go straight to the one sort task.
+
+
+def _url_sample(k: int, t: pa.Table) -> np.ndarray:
+    """About ``k`` urls of one node block, evenly strided."""
+    if "url" not in t.column_names:  # a zero-row block may carry no schema
+        return np.empty(0, object)
+    urls = t.column("url")
+    return urls.take(np.arange(0, len(urls), max(1, len(urls) // k))).to_numpy(zero_copy_only=False)
+
+
+def _url_bounds(nu: int, *samples) -> np.ndarray:
+    """The ``nu - 1`` boundary urls of ``nu`` url buckets: quantiles of the
+    block samples."""
+    s = np.sort(np.concatenate([np.empty(0, object), *samples]))
+    return s[np.arange(1, nu) * len(s) // nu] if len(s) else np.full(nu - 1, "", object)
+
+
+def _split_by(bounds: np.ndarray, key: str, t: pa.Table):
+    """Map task of a url-bucket round: the rows of one block cut into one
+    part per url bucket of their ``key`` url (bucket j holds the urls from
+    ``bounds[j - 1]`` up to, not including, ``bounds[j]``). Vectorized: one
+    ``np.searchsorted`` over the url column."""
+    k = len(bounds) + 1
+    if key not in t.column_names:  # a zero-row block may carry no schema
+        return _task_parts([t] * k)
+    b = np.searchsorted(bounds, t.column(key).to_numpy(zero_copy_only=False), side="right")
+    order = np.argsort(b, kind="stable")
+    cuts = _bucket_cuts(b[order], 1, k)
+    return _task_parts([t.take(order[i:j]) for i, j in zip(cuts[:-1], cuts[1:])])
+
+
+def _url_sort(*parts) -> tuple[pa.Array, int]:
+    """Reduce task of one url bucket: its urls sorted, and their count. A
+    url the node set repeats raises ``ValueError`` (repeats share a bucket,
+    so every repeat is seen)."""
+    chunks = [c for t in parts if t.num_rows for c in t.column("url").chunks]
+    if not chunks:
+        return pa.array([], pa.string()), 0
+    arr = pa.concat_arrays(chunks)
+    arr = arr.take(pc.array_sort_indices(arr))
+    rep = np.flatnonzero(pc.equal(arr[1:], arr[:-1]).to_numpy(zero_copy_only=False))
+    if len(rep):
+        raise ValueError(f"node set repeats url {arr[int(rep[0])].as_py()!r}")
+    return arr, len(arr)
+
+
+def _url_buckets(blocks: list, nu: int):
+    """Node blocks → (per url bucket a ref to its sorted urls, per bucket a
+    ref to its count, ref to the bucket boundaries or None if ``nu`` is 1).
+    Nothing is fetched; the sort tasks raise ``ValueError`` on a repeated
+    url."""
+    import ray
+
+    if nu == 1:
+        bounds, parts = None, [[b] for b in blocks]
+    else:
+        sample = ray.remote(num_cpus=1)(_url_sample)
+        bounds = ray.remote(num_cpus=1)(_url_bounds).remote(
+            nu, *(sample.remote(16 * nu, b) for b in blocks)
+        )
+        split = ray.remote(num_cpus=1)(_split_by).options(num_returns=nu)
+        parts = [_part_refs(split.remote(bounds, "url", b), nu) for b in blocks]
+    sort = ray.remote(num_cpus=1)(_url_sort).options(num_returns=2)
+    out = [sort.remote(*(p[j] for p in parts)) for j in range(nu)]
+    return [u for u, _ in out], [c for _, c in out], bounds
+
+
+def _offsets(counts: list) -> np.ndarray:
+    """First node id of each url bucket, then n: the prefix sum of the
+    fetched bucket counts (a repeated node url raises here)."""
+    import ray
+
+    return np.concatenate([[0], np.cumsum(ray.get(counts))]).astype(np.int64)
+
+
+def _blocks(ds) -> list:
+    """The block refs of a Dataset, by ONE execution (``to_arrow_refs`` on
+    an unexecuted mapped Dataset runs it a second time for its schema)."""
+    return ds.materialize().to_arrow_refs()
 
 
 def _sorted_urls_ref(nodes_ds):
-    """ObjectRef to the sorted distinct url array of a node Dataset.
-
-    Folded in ONE remote task from the Dataset's blocks — the url column
-    never lands on the driver (the driver keeps only the ref). Broadcast-
-    regime helper: callers must already know ``nodes.count()`` is within
-    ``SHUFFLE_MODE_NODES``.
+    """ObjectRef to the sorted distinct url array of a node Dataset: the
+    one-bucket case of :func:`_url_buckets`, ONE remote task — the url
+    column never lands on the driver. Broadcast-regime helper: callers
+    must already know ``nodes.count()`` is within ``SHUFFLE_MODE_NODES``.
     """
-    import ray
+    return _url_buckets(_blocks(nodes_ds), 1)[0][0]
 
-    refs = nodes_ds.to_arrow_refs()
 
-    @ray.remote(num_cpus=1)
-    def fold(*tables) -> pa.Array:
-        tabs = [t.select(["url"]) for t in tables if t.num_rows]
-        if not tabs:
-            return pa.array([], pa.string())
-        arr = pa.concat_tables(tabs).column("url").combine_chunks()
-        uniq = pc.unique(arr)
-        return pc.take(uniq, pc.array_sort_indices(uniq))
-
-    return fold.remote(*refs)
+def _index_block(lo: int, urls: pa.Array) -> pa.Table:
+    """One url bucket's (node_id, url) rows."""
+    return pa.table({"node_id": pa.array(np.arange(lo, lo + len(urls), dtype=np.int64)), "url": urls})
 
 
 def node_index(nodes_ds):
     """Distributed zipWithIndex over the node table → ((node_id, url)
     Dataset, n) with ``node_id`` = the url's rank in global sorted order.
 
-    One range-partitioned sort; ids are assigned per block from block
-    METADATA row counts, so the driver holds O(blocks) integers and never
-    the url column. The node Dataset must be distinct on ``url`` (the
-    corpus url column is — it is the pages table's key).
+    The url buckets of :func:`_url_buckets` (one per node block), one
+    (node_id, url) block each: the driver holds O(blocks) integers and
+    never the url column. The node Dataset must be distinct on ``url`` (the
+    corpus url column is — it is the pages table's key); a repeated url
+    raises ``ValueError``.
     """
     import ray
     import ray.data
 
-    sorted_ds = nodes_ds.sort("url").materialize()
-    refs: list = []
-    counts: list[int] = []
-    for bundle in sorted_ds.iter_internal_ref_bundles():
-        for ref, meta in zip(bundle.block_refs, bundle.metadata):
-            assert meta.num_rows is not None  # known after materialize()
-            if meta.num_rows == 0:
-                continue  # zero-row blocks may carry an empty schema
-            refs.append(ref)
-            counts.append(int(meta.num_rows))
-    n = int(sum(counts))
-    if n == 0:
-        empty = pa.table(
-            {"node_id": pa.array([], pa.int64()), "url": pa.array([], pa.string())}
-        )
-        return ray.data.from_arrow(empty), 0
-    offsets = [0]
-    for c in counts[:-1]:
-        offsets.append(offsets[-1] + c)
-
-    @ray.remote(num_cpus=1)
-    def assign(t: pa.Table, off: int) -> pa.Table:
-        return pa.table(
-            {
-                "node_id": pa.array(
-                    np.arange(off, off + t.num_rows, dtype=np.int64), pa.int64()
-                ),
-                "url": t.column("url"),
-            }
-        )
-
-    index_ds = ray.data.from_arrow_refs(
-        [assign.remote(r, int(o)) for r, o in zip(refs, offsets)]
-    )
-    return index_ds, n
+    blocks = _blocks(nodes_ds)
+    urls, counts, _ = _url_buckets(blocks, max(1, len(blocks)))
+    offsets = _offsets(counts)
+    block = ray.remote(num_cpus=1)(_index_block)
+    index = [block.remote(int(lo), u) for lo, u in zip(offsets, urls)]
+    return ray.data.from_arrow_refs(index), int(offsets[-1])
 
 
 def _resolve_membership(membership: str, n: int) -> str:
@@ -475,117 +534,6 @@ def _graph_buckets(n: int) -> int:
     return max(1, -(-n // max(16, min(4096, -(-n // 100_000)))))
 
 
-def _edge_id_pairs(pairs_ds, index_ds, *, n_buckets: int = _MAP_BUCKETS, weighted: bool = False):
-    """Shuffle-regime edge identity: (src, dst) string candidates →
-    (src_id, dst_id) int64 rows via TWO bucketed pad→union exchanges
-    against the node index (endpoints absent from the index are dropped —
-    this doubles as the membership semi-join). Lazy, in no particular
-    order or block layout; no O(nodes) object anywhere. ``weighted=True``
-    (host graph) carries the pairs' int64 ``w`` column through both
-    exchanges into the output."""
-    from .sketch import hash64_column
-
-    # --- exchange 1: dst → dst_id (and membership filter) ---------------
-    def pad_pairs_dst(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("dst")) % n_buckets).astype(np.int64)
-        cols = {
-            "bk": pa.array(bk, pa.int64()),
-            "k": t.column("dst"),
-            "other": t.column("src"),
-            "nid": pa.array(np.full(t.num_rows, -1, np.int64), pa.int64()),
-        }
-        if weighted:
-            cols["w"] = t.column("w").cast(pa.int64())
-        return pa.table(cols)
-
-    def pad_index(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("url")) % n_buckets).astype(np.int64)
-        cols = {
-            "bk": pa.array(bk, pa.int64()),
-            "k": t.column("url"),
-            "other": pa.array([None] * t.num_rows, pa.string()),
-            "nid": t.column("node_id"),
-        }
-        if weighted:
-            cols["w"] = pa.array(np.zeros(t.num_rows, np.int64), pa.int64())
-        return pa.table(cols)
-
-    def map_dst(g: pa.Table) -> pa.Table:
-        nid = g.column("nid")
-        is_idx = pc.greater_equal(nid, 0)
-        idx_rows = g.filter(is_idx)
-        e = g.filter(pc.invert(is_idx))
-        keys = idx_rows.column("k").combine_chunks()
-        pos = pc.index_in(e.column("k"), value_set=keys)
-        keep = pc.is_valid(pos)
-        e = e.filter(keep)
-        pos = pos.filter(keep)
-        dst_id = pc.take(idx_rows.column("nid"), pos)
-        if isinstance(dst_id, pa.ChunkedArray):
-            dst_id = dst_id.combine_chunks()
-        cols = {"src": e.column("other"), "dst_id": dst_id}
-        if weighted:
-            cols["w"] = e.column("w")
-        return pa.table(cols)
-
-    stage1 = (
-        pairs_ds.map_batches(pad_pairs_dst, batch_format="pyarrow", zero_copy_batch=True)
-        .union(index_ds.map_batches(pad_index, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("bk")
-        .map_groups(map_dst, batch_format="pyarrow")
-    )
-
-    # --- exchange 2: src → src_id ---------------------------------------
-    def pad_pairs_src(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("src")) % n_buckets).astype(np.int64)
-        cols = {
-            "bk": pa.array(bk, pa.int64()),
-            "k": t.column("src"),
-            "carry": t.column("dst_id"),
-            "nid": pa.array(np.full(t.num_rows, -1, np.int64), pa.int64()),
-        }
-        if weighted:
-            cols["w"] = t.column("w")
-        return pa.table(cols)
-
-    def pad_index2(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("url")) % n_buckets).astype(np.int64)
-        cols = {
-            "bk": pa.array(bk, pa.int64()),
-            "k": t.column("url"),
-            "carry": pa.array(np.full(t.num_rows, -1, np.int64), pa.int64()),
-            "nid": t.column("node_id"),
-        }
-        if weighted:
-            cols["w"] = pa.array(np.zeros(t.num_rows, np.int64), pa.int64())
-        return pa.table(cols)
-
-    def map_src(g: pa.Table) -> pa.Table:
-        nid = g.column("nid")
-        is_idx = pc.greater_equal(nid, 0)
-        idx_rows = g.filter(is_idx)
-        e = g.filter(pc.invert(is_idx))
-        keys = idx_rows.column("k").combine_chunks()
-        pos = pc.index_in(e.column("k"), value_set=keys)
-        keep = pc.is_valid(pos)
-        e = e.filter(keep)
-        pos = pos.filter(keep)
-        src_id = pc.take(idx_rows.column("nid"), pos)
-        if isinstance(src_id, pa.ChunkedArray):
-            src_id = src_id.combine_chunks()
-        cols = {"src_id": src_id, "dst_id": e.column("carry")}
-        if weighted:
-            cols["w"] = e.column("w")
-        return pa.table(cols)
-
-    return (
-        stage1.map_batches(pad_pairs_src, batch_format="pyarrow", zero_copy_batch=True)
-        .union(index_ds.map_batches(pad_index2, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("bk")
-        .map_groups(map_src, batch_format="pyarrow")
-    )
-
-
 # ---------------------------------------------------------------------------
 # rank kernel: bucket slices pinned once, iterations as map/reduce task rounds
 #
@@ -599,8 +547,8 @@ def _edge_id_pairs(pairs_ds, index_ds, *, n_buckets: int = _MAP_BUCKETS, weighte
 # ref; the driver holds refs and O(buckets) floats. Reduces re-sort what they
 # receive, so results do not depend on how edges or buckets are split into
 # blocks, nor on the bucket count. Both regimes run this kernel; they differ
-# only in how node ids are assigned and how urls are attached
-# (:class:`_RankGraph`).
+# only in the number of sorted url buckets the graph's node ids come from
+# (:func:`_graph`).
 
 
 def _task_bucket(n: int, n_buckets: int) -> int:
@@ -644,40 +592,87 @@ def _empty_scores(**cols):
 
 def _id_pairs(t: pa.Table, urls: pa.Array) -> pa.Table:
     """(src, dst[, w]) url rows → (src_id, dst_id[, w]) rows, ids being
-    ``pc.index_in`` positions in the shared sorted node array."""
-    cols = {
-        "src_id": pc.index_in(t.column("src"), value_set=urls).cast(pa.int64()),
-        "dst_id": pc.index_in(t.column("dst"), value_set=urls).cast(pa.int64()),
-    }
+    ``pc.index_in`` positions in the shared sorted node array; rows with
+    an endpoint outside the node set are dropped."""
+    if "src" not in t.column_names:  # a zero-row block may carry no schema
+        return t
+    src = pc.index_in(t.column("src"), value_set=urls)
+    dst = pc.index_in(t.column("dst"), value_set=urls)
+    keep = pc.and_(pc.is_valid(src), pc.is_valid(dst))
+    cols = {"src_id": src.filter(keep).cast(pa.int64()), "dst_id": dst.filter(keep).cast(pa.int64())}
     if "w" in t.column_names:  # weighted graphs (host graph) carry w
-        cols["w"] = t.column("w").cast(pa.int64())
+        cols["w"] = t.column("w").filter(keep).cast(pa.int64())
     return pa.table(cols)
 
 
-def _take_urls(t: pa.Table, urls: pa.Array, ids) -> pa.Table:
-    """Broadcast-regime url attach of one (node_id, *cols) block: the
-    node ids, and the node-id columns ``ids``, taken from the shared sorted
-    url array."""
-    cols = {"url": pc.take(urls, t.column("node_id"))}
+def _url_ids(lo: int, urls: pa.Array, key: str, bounds, *parts) -> pa.Table:
+    """Edge-round reduce task of the url bucket whose sorted urls ``urls``
+    start at node id ``lo``: the url column ``key`` of its rows replaced by
+    ``key_id`` (``pc.index_in`` against the bucket, which also drops the
+    rows whose ``key`` is not a node). Given ``bounds``, the rows come out
+    cut by url bucket of ``src`` for the next round."""
+    tabs = [t for t in parts if t.num_rows]
+    t = pa.concat_tables(tabs) if tabs else pa.table({})
+    if t.num_rows:
+        pos = pc.index_in(t.column(key), value_set=urls)
+        keep = pc.is_valid(pos)
+        ids = pc.add(pos.filter(keep).cast(pa.int64()), lo)
+        t = t.filter(keep)
+        t = t.set_column(t.schema.get_field_index(key), f"{key}_id", ids)
+    return t if bounds is None else _split_by(bounds, "src", t)
+
+
+def _seed_ids(lo: int, urls: pa.Array, seeds: list[str]):
+    """(position in ``seeds``, node id) of the seeds found in the url
+    bucket whose sorted urls ``urls`` start at node id ``lo``."""
+    pos = pc.index_in(pa.array(seeds, pa.string()), value_set=urls)
+    hit = pc.is_valid(pos)
+    return np.flatnonzero(hit.to_numpy(zero_copy_only=False)), lo + pos.filter(hit).to_numpy().astype(np.int64)
+
+
+def _id_split(t: pa.Table, col: str, offsets: np.ndarray):
+    """Attach-round map task: one block's node-id column ``col``, sorted,
+    cut into one part per url bucket."""
+    v = np.sort(t.column(col).to_numpy())
+    return _task_parts(np.split(v, np.searchsorted(v, offsets[1:-1])))
+
+
+def _id_urls(lo: int, urls: pa.Array, *parts):
+    """Attach-round reduce task of the url bucket starting at node id
+    ``lo``: each block's ids → their urls."""
+    return _task_parts([urls.take(pa.array(p - lo)) for p in parts])
+
+
+def _take_urls(t: pa.Table, lo: int, ids, k: int, *args) -> pa.Table:
+    """Url attach of one bucket's (node_id, *cols) block. ``args``: the
+    ``k`` url buckets spanning its node ids (the first starting at id
+    ``lo``), then per column in ``ids`` the urls of its sorted ids from
+    each url bucket (:func:`_id_urls`), put back in row order."""
+    urls = pa.chunked_array(args[:k])
+    cols = {"url": urls.take(pc.subtract(t.column("node_id"), lo))}
+    found = args[k:]
+    nu = len(found) // max(1, len(ids))
     for c in t.column_names[1:]:
-        cols[c] = pc.take(urls, t.column(c)) if c in ids else t.column(c)
+        cols[c] = t.column(c)
+        if c in ids:
+            i = ids.index(c)
+            order = np.argsort(t.column(c).to_numpy(), kind="stable")
+            cols[c] = pa.concat_arrays(found[i * nu : (i + 1) * nu]).take(pa.array(np.argsort(order)))
     return pa.table(cols)
 
 
 class _RankGraph(NamedTuple):
     """A graph call's prepared graph: ``n`` nodes in task buckets of
-    ``per_bucket`` ids and the materialized (src_id, dst_id[, w]) edges, in
-    any block layout. Ids are url ranks in sorted order in both regimes;
-    how they were assigned — the broadcast regime's shared sorted url
-    array (``urls_ref``, ≤ ``SHUFFLE_MODE_NODES``) or the shuffle regime's
-    node index (``index_ds``) — decides only the seed lookup and the url
-    attach."""
+    ``per_bucket`` ids, refs to the (src_id, dst_id[, w]) edge blocks in
+    any layout, and the sorted url buckets (``urls``: one ref per bucket,
+    ``offsets``: each bucket's first id, then n; one bucket in the
+    broadcast regime). Ids are url ranks in sorted order."""
 
     n: int
     per_bucket: int
-    edges: object
-    urls_ref: object = None
-    index_ds: object = None
+    edges: list
+    urls: list
+    offsets: np.ndarray
 
     def bounds(self) -> list[tuple[int, int]]:
         """The [lo, hi) node-id range of each task bucket."""
@@ -685,17 +680,15 @@ class _RankGraph(NamedTuple):
 
     def lookup(self, urls: list[str]) -> np.ndarray:
         """Node ids of the sorted distinct ``urls`` (config-sized seed
-        lists), -1 for a url outside the node set: one small task against
-        the shared url array, or one per block of the node index."""
+        lists), -1 for a url outside the node set: one small task per url
+        bucket."""
         import ray
 
-        if self.index_ds is not None:
-            find = ray.remote(num_cpus=1)(_seed_ids)
-            ids = np.full(len(urls), -1, np.int64)
-            for pos, found in ray.get([find.remote(b, urls) for b in self.index_ds.to_arrow_refs()]):
-                ids[pos] = found
-            return ids
-        return ray.get(ray.remote(num_cpus=1)(_seed_positions).remote(self.urls_ref, urls))
+        find = ray.remote(num_cpus=1)(_seed_ids)
+        ids = np.full(len(urls), -1, np.int64)
+        for pos, found in ray.get([find.remote(int(lo), u, urls) for lo, u in zip(self.offsets, self.urls)]):
+            ids[pos] = found
+        return ids
 
     def seed_ids(self, seed_urls: list[str]):
         """ObjectRef to the sorted node ids of ``seed_urls``: at most
@@ -719,10 +712,7 @@ class _RankGraph(NamedTuple):
 
         nb = len(self.bounds())
         split = ray.remote(num_cpus=1)(_pin_split).options(num_returns=2 * nb)
-        parts = [
-            _part_refs(split.remote(b, self.per_bucket, nb, False, True), 2 * nb)
-            for b in self.edges.to_arrow_refs()
-        ]
+        parts = [_part_refs(split.remote(b, self.per_bucket, nb, False, True), 2 * nb) for b in self.edges]
         task = ray.remote(num_cpus=1)(_pin_edges).options(num_returns=len(layouts))
         pins = [
             _part_refs(
@@ -737,58 +727,85 @@ class _RankGraph(NamedTuple):
     def attach(self, blocks, cols: dict, ids=()):
         """Per-bucket (node_id, *cols) block refs → Dataset of (url, *cols)
         (``cols``: name → output type); each column in ``ids`` holds node
-        ids and comes out as their urls. One task per bucket against the
-        shared url array, or bucketed exchanges against the node index."""
+        ids and comes out as their urls. One :func:`_take_urls` task per
+        bucket against the url buckets spanning its ids; each column in
+        ``ids`` adds one task round, a map per block sending its ids to the
+        url buckets holding them and a reduce per url bucket naming them.
+        No Ray Data exchange."""
         import ray
         import ray.data
 
-        if self.index_ds is not None:
-            return _attach_urls(blocks, self.index_ds, self.per_bucket, cols, ids)
-        task = ray.remote(num_cpus=1)(_take_urls)
-        return ray.data.from_arrow_refs([task.remote(blk, self.urls_ref, ids) for blk in blocks])
+        nu, nb = len(self.urls), len(blocks)
+        split = ray.remote(num_cpus=1)(_id_split).options(num_returns=nu)
+        name = ray.remote(num_cpus=1)(_id_urls).options(num_returns=nb)
+        found = []
+        for c in ids:
+            parts = [_part_refs(split.remote(blk, c, self.offsets), nu) for blk in blocks]
+            found.append([
+                _part_refs(name.remote(int(self.offsets[j]), u, *(p[j] for p in parts)), nb)
+                for j, u in enumerate(self.urls)
+            ])
+        take = ray.remote(num_cpus=1)(_take_urls)
+        out = []
+        for b, (blk, (lo, hi)) in enumerate(zip(blocks, self.bounds())):
+            span = np.flatnonzero((self.offsets[:-1] < hi) & (self.offsets[1:] > lo))
+            out.append(take.remote(
+                blk, int(self.offsets[span[0]]), ids, len(span), *(self.urls[j] for j in span),
+                *(f[j][b] for f in found for j in range(nu)),
+            ))
+        return ray.data.from_arrow_refs(out)
 
 
-def _broadcast_prep(pages_ds, nodes):
-    """Broadcast-regime inputs of :func:`_page_graph`: the
-    shared sorted url array (object store only) and the id-mapped edges —
-    extraction, membership and ids in one fused map, materialized once for
-    the pin round."""
+def _graph(nodes, pairs, n: int, mode: str, n_buckets: int | None) -> _RankGraph:
+    """The graph of a rank or traversal call over the ``n`` urls of
+    ``nodes``: the (src, dst[, w]) url rows of ``pairs`` with both ends in
+    the node set, mapped to node ids (url ranks), in the regime ``mode``
+    resolves to. The node ids are sorted url buckets
+    (:func:`_url_buckets`), one per task bucket in the shuffle regime.
+
+    - Broadcast regime: one url bucket; one task per ``pairs`` block maps
+      its edges to ids against it (:func:`_id_pairs`).
+    - Shuffle regime: two task rounds over the ``pairs`` blocks: cut by
+      url bucket of dst, map dst to ids in each bucket and cut by url
+      bucket of src, map src to ids (:func:`_url_ids`). Each src bucket's
+      (src_id, dst_id[, w]) block feeds the pin round.
+
+    One Ray Data execution reads ``nodes`` and one ``pairs``, while the
+    url buckets sort; the driver gets the url bucket counts only."""
     import ray
 
-    urls_ref = _sorted_urls_ref(nodes)
-
-    def to_ids(t: pa.Table) -> pa.Table:
-        urls = ray.get(urls_ref)
-        return _id_pairs(_edges_batch(t, urls), urls)
-
-    edges = _extracted(pages_ds).map_batches(
-        to_ids, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return urls_ref, edges.materialize()
-
-
-def _shuffle_prep(pages_ds, nodes, n: int, per_bucket: int):
-    """Shuffle-regime inputs of :func:`_page_graph`: the node
-    index (coalesced to one block per bucket; read by the id exchanges,
-    the seed lookup and the url attach) and the id-mapped edges,
-    materialized once for the pin round."""
-    nb = -(-n // per_bucket)
-    index_ds = node_index(nodes)[0].repartition(nb, shuffle=False).materialize()
-    pairs = _extracted(pages_ds).map_batches(
-        _candidate_pairs_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return index_ds, _edge_id_pairs(pairs, index_ds).materialize()
+    mode, per_bucket = _rank_regime(n, mode, n_buckets)
+    nu = -(-n // per_bucket) if mode == "shuffle" else 1
+    urls, counts, bounds = _url_buckets(_blocks(nodes), nu)
+    blocks = _blocks(pairs)
+    if nu == 1:
+        ids = ray.remote(num_cpus=1)(_id_pairs)
+        edges = [ids.remote(b, urls[0]) for b in blocks]
+        return _RankGraph(n, per_bucket, edges, urls, _offsets(counts))
+    split = ray.remote(num_cpus=1)(_split_by).options(num_returns=nu)
+    by_dst = [_part_refs(split.remote(bounds, "dst", b), nu) for b in blocks]
+    offsets = _offsets(counts)
+    dst_ids = ray.remote(num_cpus=1)(_url_ids).options(num_returns=nu)
+    src_ids = ray.remote(num_cpus=1)(_url_ids)
+    by_src = [
+        _part_refs(dst_ids.remote(int(offsets[j]), urls[j], "dst", bounds, *(p[j] for p in by_dst)), nu)
+        for j in range(nu)
+    ]
+    edges = [
+        src_ids.remote(int(offsets[j]), urls[j], "src", None, *(p[j] for p in by_src))
+        for j in range(nu)
+    ]
+    return _RankGraph(n, per_bucket, edges, urls, offsets)
 
 
 def _page_graph(pages_ds, nodes, n: int, mode: str, n_buckets: int | None) -> _RankGraph:
     """The corpus link graph of :func:`pagerank`, :func:`hits` and the
-    traversals, prepared in the regime ``mode`` resolves to."""
-    mode, per_bucket = _rank_regime(n, mode, n_buckets)
-    if mode == "shuffle":
-        index_ds, edges = _shuffle_prep(pages_ds, nodes, n, per_bucket)
-        return _RankGraph(n, per_bucket, edges, index_ds=index_ds)
-    urls_ref, edges = _broadcast_prep(pages_ds, nodes)
-    return _RankGraph(n, per_bucket, edges, urls_ref=urls_ref)
+    traversals: the extracted distinct non-self links as :func:`_graph`
+    pairs."""
+    pairs = _extracted(pages_ds).map_batches(
+        _candidate_pairs_batch, batch_format="pyarrow", zero_copy_batch=True
+    )
+    return _graph(nodes, pairs, n, mode, n_buckets)
 
 
 def _task_parts(parts: list):
@@ -892,7 +909,7 @@ def _pin_src(lo, hi, per_bucket, nb, n, damping, teleports, *parts):
 
 def _pin_buckets(edges, n, per_bucket, *, weighted=False, hits=False, damping=_DAMPING,
                  teleports=(None,)):
-    """The pin round over the materialized id-mapped edge blocks: one
+    """The pin round over the id-mapped edge blocks (refs): one
     :func:`_pin_split` task per block, one :func:`_pin_src` (and for HITS
     one :func:`_pin_dst`) task per bucket. Returns (src pins, dst pins,
     per teleport variant the (base, rank0) slice refs), one ref per bucket
@@ -903,8 +920,7 @@ def _pin_buckets(edges, n, per_bucket, *, weighted=False, hits=False, damping=_D
     k = 2 * nb if hits else nb
     split = ray.remote(num_cpus=1)(_pin_split).options(num_returns=k)
     parts = [
-        _part_refs(split.remote(b, per_bucket, nb, weighted, hits), k)
-        for b in edges.to_arrow_refs()
+        _part_refs(split.remote(b, per_bucket, nb, weighted, hits), k) for b in edges
     ]
     pin_src = ray.remote(num_cpus=1)(_pin_src).options(num_returns=1 + 2 * len(teleports))
     pin_dst = ray.remote(num_cpus=1)(_pin_dst)
@@ -1000,64 +1016,6 @@ def _ppb_block(lo: int, names, divs, *vecs) -> pa.Table:
     return pa.table(cols)
 
 
-def _index_join(ds, index_ds, per_bucket: int, key: str, name: str, cols: dict):
-    """Rows of ``ds`` with their node-id column ``key`` replaced by the
-    node's url, as the first column ``name``, and the columns ``cols``
-    (name → type) carried: ONE bucketed exchange against the node index;
-    no O(nodes) object anywhere."""
-
-    def pad_rows(t: pa.Table) -> pa.Table:
-        nid = t.column(key).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "db": pa.array(nid // per_bucket, pa.int64()),
-                "nid": t.column(key),
-                "url": pa.nulls(t.num_rows, pa.string()),
-                **{c: t.column(c) for c in cols},
-            }
-        )
-
-    def pad_index(t: pa.Table) -> pa.Table:
-        nid = t.column("node_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "db": pa.array(nid // per_bucket, pa.int64()),
-                "nid": t.column("node_id"),
-                "url": t.column("url").cast(pa.string()),
-                **{c: pa.nulls(t.num_rows, ty) for c, ty in cols.items()},
-            }
-        )
-
-    def join(g: pa.Table) -> pa.Table:
-        is_idx = pc.is_valid(g.column("url"))
-        urls = g.filter(is_idx).sort_by("nid")  # the bucket's dense id range
-        rows = g.filter(pc.invert(is_idx))
-        pos = pc.subtract(rows.column("nid"), urls.column("nid")[0])
-        return pa.table({name: pc.take(urls.column("url"), pos), **{c: rows.column(c) for c in cols}})
-
-    return (
-        ds.map_batches(pad_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .union(index_ds.map_batches(pad_index, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("db")
-        .map_groups(join, batch_format="pyarrow")
-    )
-
-
-def _attach_urls(blocks, index_ds, per_bucket: int, cols: dict, ids=()):
-    """Shuffle-regime url attach of per-bucket (node_id, *cols) blocks: one
-    :func:`_index_join` per node-id column in ``ids``, then one for the
-    node ids."""
-    import ray.data
-
-    ds = ray.data.from_arrow_refs(blocks)
-    types = {c: pa.int64() if c in ids else t for c, t in cols.items()}
-    for c in ids:
-        carried = {"node_id": pa.int64(), **{o: t for o, t in types.items() if o != c}}
-        ds = _index_join(ds, index_ds, per_bucket, c, c, carried)
-        types[c] = pa.string()
-    return _index_join(ds, index_ds, per_bucket, "node_id", "url", types)
-
-
 def _rank_loop(g: _RankGraph, *, n_iters, damping, seed_urls, weighted=False):
     """Power iteration shared by :func:`pagerank` and
     :func:`weighted_pagerank`: one teleport variant through
@@ -1101,10 +1059,10 @@ def pagerank(
     ``mode`` picks only how node ids are assigned and urls attached:
     "broadcast" (the ≤``SHUFFLE_MODE_NODES`` regime: ids against one
     shared sorted url array, which the result slices per bucket),
-    "shuffle" (ids from the distributed node index, urls attached by one
-    bucketed exchange), or "auto". ``n_buckets`` sets the task bucket
-    count (rounded to whole L1 buckets, see :func:`_task_bucket`); it
-    changes speed only, never a result.
+    "shuffle" (ids from one sorted url bucket per task bucket, built and
+    read by task rounds, see :func:`_graph`), or "auto". ``n_buckets``
+    sets the task bucket count (rounded to whole L1 buckets, see
+    :func:`_task_bucket`); it changes speed only, never a result.
 
     ``seed_urls`` personalizes the teleport (TrustRank, Gyöngyi et al.
     2004): restart mass lands only on the seed set (p = 1/|S| on seeds,
@@ -2538,7 +2496,7 @@ def weighted_pagerank(
     Runs the unweighted engine's kernel, the weight riding each pinned
     out-edge; ``mode`` picks, as there, only how node ids are assigned
     (the sorted endpoint array folded into the object store ≤
-    ``SHUFFLE_MODE_NODES``, the distributed node index above) and urls
+    ``SHUFFLE_MODE_NODES``, its sorted url buckets above) and urls
     attached. Ranks are bit-identical in either mode and to
     :func:`weighted_pagerank_reference` — the kernel computes the
     ``_contrib_sums`` product ``(rank·inv)·w`` in pinned order.
@@ -2576,8 +2534,7 @@ def _weighted_prepared(
     the edge columns, derive the node set distributedly, resolve the
     regime, and map the edges to ids ONCE — so callers that run several
     teleports over the same graph (spam mass, seed-set sweeps) pay the
-    identity exchanges a single time. Returns None for an empty graph."""
-    import ray
+    id mapping a single time. Returns None for an empty graph."""
 
     def to_pairs(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -2591,42 +2548,11 @@ def _weighted_prepared(
     pairs = edges_ds.map_batches(
         to_pairs, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
-    nodes = _endpoint_nodes(pairs)
+    nodes = _endpoint_nodes(pairs).materialize()
     n = nodes.count()
     if n == 0:
         return None
-    mode, per_bucket = _rank_regime(n, mode, n_buckets)
-
-    if mode == "shuffle":
-        nb = -(-n // per_bucket)
-        index_ds = node_index(nodes)[0].repartition(nb, shuffle=False).materialize()
-        edges = _edge_id_pairs(pairs, index_ds, weighted=True).materialize()
-        return _RankGraph(n, per_bucket, edges, index_ds=index_ds)
-
-    urls_ref = _sorted_urls_ref(nodes)
-
-    def to_ids(t: pa.Table) -> pa.Table:
-        return _id_pairs(t, ray.get(urls_ref))
-
-    edges = pairs.map_batches(to_ids, batch_format="pyarrow", zero_copy_batch=True)
-    return _RankGraph(n, per_bucket, edges.materialize(), urls_ref=urls_ref)
-
-
-def _seed_ids(t: pa.Table, seeds: list[str]):
-    """(position in ``seeds``, node id) of the seed urls found in one
-    node-index block."""
-    pos = pc.index_in(t.column("url"), value_set=pa.array(seeds, pa.string()))
-    hit = pc.is_valid(pos)
-    return (
-        pos.filter(hit).to_numpy(zero_copy_only=False),
-        t.column("node_id").filter(hit).to_numpy(zero_copy_only=False),
-    )
-
-
-def _seed_positions(urls_arr: pa.Array, seeds: list[str]) -> np.ndarray:
-    """Per seed url its position in the shared sorted node array, else -1."""
-    pos = pc.index_in(pa.array(seeds, pa.string()), value_set=urls_arr)
-    return pc.fill_null(pos, -1).to_numpy(zero_copy_only=False).astype(np.int64)
+    return _graph(nodes, pairs, n, mode, n_buckets)
 
 
 def weighted_spam_mass(
@@ -2643,7 +2569,7 @@ def weighted_spam_mass(
 ):
     """Spam mass over a weighted edge list in ONE prepared pass →
     (url, spam_mass_ppb): the uniform and seed-personalized ranks share
-    the graph preparation (node derivation, identity exchanges) and one
+    the graph preparation (node derivation, id mapping) and one
     pin of the edges, so the capstone costs one graph build plus two
     cheap iteration sweeps instead of two full rank jobs. Ranks and the
     integer mass rule are bit-identical to composing

@@ -171,11 +171,6 @@ def admission_index(seeds: list[str], same_path_prefix: bool) -> AdmissionIndex:
     return idx
 
 
-def admit_link(link: str, seeds: list[str], same_path_prefix: bool) -> bool:
-    """Single-link form (kept for tests/oracle parity checks)."""
-    return admission_index(seeds, same_path_prefix).admits(link)
-
-
 def flatten_candidates(
     batch: pa.Table,
     *,
