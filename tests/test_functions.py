@@ -162,6 +162,40 @@ def test_embedding_neardup_matches_bruteforce(ray_session, emb_tbl):
     assert set(zip(out["a"], out["b"])) == expect
 
 
+@pytest.mark.parametrize("site", ["bm25_topk", "topk_cosine", "topk_cosine_q8"])
+def test_partial_topk_map_runs_once(ray_session, monkeypatch, docs_tbl, emb_tbl, site):
+    """Each top-k call runs its per-block ``partial_topk`` map in ONE
+    execution: ``to_arrow_refs()`` on the unexecuted mapped Dataset would
+    run the whole map a second time for the schema."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from urlmap_ray.functions.ranking import bm25_topk
+    from urlmap_ray.functions.similarity import topk_cosine_q8
+
+    q = np.asarray(emb_tbl.column("embedding").to_pylist()[:2], dtype=np.float64)
+    calls = {
+        "bm25_topk": lambda: bm25_topk(
+            ray.data.from_arrow(docs_tbl.select(["doc_id", "text"])), ["the", "data"], k=5
+        ),
+        "topk_cosine": lambda: topk_cosine(ray.data.from_arrow(emb_tbl), q, k=5),
+        "topk_cosine_q8": lambda: topk_cosine_q8(ray.data.from_arrow(emb_tbl), q, k=5),
+    }
+    runs = []
+    real_execute = StreamingExecutor.execute
+
+    def names(op) -> list[str]:
+        return [op.name] + [n for dep in op.input_dependencies for n in names(dep)]
+
+    def execute(self, dag, *a, **kw):
+        runs.append(names(dag))
+        return real_execute(self, dag, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    assert calls[site]().num_rows
+    assert sum(any("partial_topk" in n for n in ops) for ops in runs) == 1, runs
+
+
 def test_topk_matches_bruteforce(ray_session, emb_tbl):
     import ray.data
 

@@ -78,6 +78,18 @@ def _md5_hex(texts: list) -> pa.Array:
     )
 
 
+def _rank_codes(col) -> tuple[np.ndarray, pa.Array]:
+    """Dictionary-encode a string column and remap its codes to the
+    lexicographic RANKS of their values: (rank per row, rank-sorted vocab),
+    so sorting ranks sorts the strings and one ``take`` decodes them."""
+    enc = pc.dictionary_encode(col.combine_chunks())
+    order = pc.sort_indices(enc.dictionary).to_numpy(zero_copy_only=False).astype(np.int64)
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order))
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    return rank[codes], enc.dictionary.take(pa.array(order, pa.int64()))
+
+
 def _pairs_from_runs(
     keys: np.ndarray, vals: np.ndarray, max_run: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -165,17 +177,8 @@ def mirror_hosts(
         # Python list.
         d = g.group_by(["fp", "host"]).aggregate([])
         fp_enc = pc.dictionary_encode(d.column("fp").combine_chunks())
-        h_enc = pc.dictionary_encode(d.column("host").combine_chunks())
         fp_idx = fp_enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        h_idx = h_enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        vocab = h_enc.dictionary
-        order = (
-            pc.sort_indices(vocab).to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        rank = np.empty(len(order), np.int64)
-        rank[order] = np.arange(len(order))
-        sorted_vocab = vocab.take(pa.array(order, pa.int64()))
-        h_rank = rank[h_idx]
+        h_rank, sorted_vocab = _rank_codes(d.column("host"))
         perm = np.lexsort((h_rank, fp_idx))
         a_r, b_r = _pairs_from_runs(fp_idx[perm], h_rank[perm], max_hosts_per_fp)
         # per-host distinct-fp counts in this bucket (size partials)
@@ -485,24 +488,28 @@ def dust_rules(
         return sub.append_column("bk", bk)
 
     def per_bucket(g: pa.Table) -> pa.Table:
+        # The host_mirrors run scan: (fp, url) as lexicographic ranks,
+        # lexsorted; only the urls of kept run members are decoded, in
+        # (fp, url) order, so a run's first member is its canonical.
         d = g.group_by(["fp", "u"]).aggregate([])
-        d = d.sort_by([("fp", "ascending"), ("u", "ascending")])
-        fp = np.asarray(d.column("fp").to_pylist(), dtype=object)
-        urls = np.asarray(d.column("u").to_pylist(), dtype=object)
+        fp, _ = _rank_codes(d.column("fp"))
+        u, vocab = _rank_codes(d.column("u"))
+        perm = np.lexsort((u, fp))
+        fp, u = fp[perm], u[perm]
+        starts = np.flatnonzero(np.r_[True, fp[1:] != fp[:-1]])
+        sizes = np.diff(np.r_[starts, len(fp)])
+        pos = np.arange(len(fp)) - np.repeat(starts, sizes)  # position in run
+        keep = (np.repeat(sizes, sizes) >= 2) & (pos < max_group_urls)
+        members = vocab.take(pa.array(u[keep], pa.int64())).to_pylist()
         froms: list[str] = []
         tos: list[str] = []
-        if len(fp):
-            starts = np.flatnonzero(np.r_[True, fp[1:] != fp[:-1]])
-            ends = np.r_[starts[1:], len(fp)]
-            for lo, hi in zip(starts, ends):
-                if hi - lo < 2:
-                    continue
-                members = urls[lo : min(hi, lo + max_group_urls)]
-                canon = members[0]  # sorted ⇒ lexicographic min
-                for alias in members[1:]:
-                    f, to = _dust_rule(alias, canon)
-                    froms.append(f)
-                    tos.append(to)
+        for url, first in zip(members, pos[keep] == 0):
+            if first:
+                canon = url  # sorted ⇒ lexicographic min
+                continue
+            f, to = _dust_rule(url, canon)
+            froms.append(f)
+            tos.append(to)
         return (
             pa.table(
                 {

@@ -274,7 +274,7 @@ def bm25_topk(
         )
 
     parts = ds.map_batches(partial_topk, batch_format="pyarrow", zero_copy_batch=True)
-    tables = [ray.get(r) for r in parts.to_arrow_refs()]
+    tables = [ray.get(r) for r in parts.materialize().to_arrow_refs()]
     tables = [t for t in tables if t.num_rows]
     if not tables:
         return pa.table(

@@ -82,7 +82,7 @@ def topk_cosine(
         )
 
     parts = ds.map_batches(partial_topk, batch_format="pyarrow", zero_copy_batch=True)
-    tables = [ray.get(r) for r in parts.to_arrow_refs()]
+    tables = [ray.get(r) for r in parts.materialize().to_arrow_refs()]
     merged = pa.concat_tables([t for t in tables if t.num_rows])
     # Final merge: tiny (num_blocks × Q × k rows) — driver-side is correct.
     import pyarrow.compute as pc
@@ -442,7 +442,7 @@ def topk_cosine_q8(
         )
 
     parts = ds.map_batches(partial_topk, batch_format="pyarrow", zero_copy_batch=True)
-    tables = [ray.get(r) for r in parts.to_arrow_refs()]
+    tables = [ray.get(r) for r in parts.materialize().to_arrow_refs()]
     merged = pa.concat_tables([t for t in tables if t.num_rows])
     if stats is not None:
         import pyarrow.compute as pc

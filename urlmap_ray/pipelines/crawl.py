@@ -8,7 +8,7 @@ is three steps of ``CrawlEngine._run_wave``, the only wave method:
                                  row-local map_batches (no budget) / bucketed
                                  groupby(hash(key)).map_groups (budget) [A2-A3]
               cluster            admitted rows sorted by (bucket, url)
-    execute   corpus fetch       fetch_batch               [selective bucket read]
+    execute   corpus fetch       fetch_batch               [cached row groups]
               link extraction    extract_links_batch       [zero-copy Arrow]
               results_d          deterministic per-block write (part-<md5>)
               candidates         flatten_candidates        [admission filter M5]
@@ -477,7 +477,6 @@ class CrawlEngine:
                 _fetch_gated,
                 dict(
                     pages_dir=self.corpus.pages_path,
-                    partitions=self.corpus.partitions,
                     max_attempts=self.cfg.max_attempts,
                 ),
                 {},
@@ -806,9 +805,7 @@ def _attempt_col(tbl: pa.Table) -> pa.ChunkedArray | pa.Array:
     return pa.array([1] * tbl.num_rows, pa.int32())
 
 
-def _fetch_gated(
-    batch: pa.Table, *, pages_dir: str, partitions: int, max_attempts: int = 3
-) -> pa.Table:
+def _fetch_gated(batch: pa.Table, *, pages_dir: str, max_attempts: int = 3) -> pa.Table:
     """Fetch bodies for admitted rows; defer/skip rows pass through with
     status=-1 and no html. A transient failure (flaky page within its
     window) with attempts left flips the verdict to "retry" — the engine
@@ -817,7 +814,7 @@ def _fetch_gated(
     admit_mask = pc.equal(batch.column("verdict"), "admit")
     admitted = batch.filter(admit_mask)
     rest = batch.filter(pc.invert(admit_mask))
-    fetched = fetch_batch(admitted, pages_dir=pages_dir, partitions=partitions)
+    fetched = fetch_batch(admitted, pages_dir=pages_dir)
     retry = pc.and_(
         fetched.column("transient"),
         pc.less(fetched.column("attempt"), pa.scalar(max_attempts, pa.int32())),

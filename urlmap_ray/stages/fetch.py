@@ -2,11 +2,17 @@
 
 "Fetching" a frontier URL means looking its body up in the url-hash-bucketed
 ``pages`` Parquet corpus. Rather than a relational join (which would shuffle
-the 100TB pages side), each fetch task does a *selective read*: it groups its
-batch's URLs by bucket and scans only those bucket files with an
-``url ∈ batch`` predicate — bucket files are written sorted by url with
-small row groups, so parquet statistics prune most of the file. The pages
-table itself never moves; only the (small) frontier shuffles.
+the 100TB pages side), fetch does a *selective read*: it groups its batch's
+URLs by bucket, and in each bucket file (written sorted by url) it takes only
+the row groups whose ``url`` min/max statistics overlap the batch's range.
+The pages table itself never moves; only the (small) frontier shuffles.
+
+Each process keeps those row groups decoded in a cache keyed by (path,
+mtime, size, row group), so a rewritten file is never served stale, and
+bounded by :data:`ROW_GROUP_CACHE_BYTES` of decoded bytes, least recently
+used evicted first. A budget crawl's drain waves touch the same hot row
+groups every wave; each is decoded once per process (the driver, or a Ray
+worker, which Ray Data reuses across tasks and waves).
 
 Misses come back with ``status=0`` (the reference's network-error case,
 crawler.go:323-326: a dangling link deterministically never exists, so it is
@@ -23,72 +29,96 @@ frontier's ``attempt`` column (default 1) selects the behavior; the crawl
 engine re-enqueues transient rows for the next wave until
 ``CrawlConfig.max_attempts`` is spent, then records the final 503. Worker
 failures are covered by Ray task retries instead.
-
-Used as ``map_batches(CorpusFetcher, fn_constructor_kwargs=...,
-concurrency=N, batch_format="pyarrow")`` — an actor pool so the per-bucket
-``pyarrow.dataset`` handles (file metadata) are opened once per actor, not
-per batch.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+
+#: Upper bound on the decoded row-group bytes one process keeps.
+ROW_GROUP_CACHE_BYTES = 64 << 20
+
+_COLUMNS = ("url", "html", "status", "flaky_fails")
 
 
-# Per-bucket pyarrow dataset handles, cached per worker process. Ray Data
-# reuses worker processes across tasks and dataset executions, so the cache
-# survives the whole crawl (waves re-launch stages every iteration; an actor
-# pool would be re-created per wave, costing seconds of spin-up each time —
-# worker-cached task state gives the same amortization without the respawns).
-_BUCKET_CACHE: dict[str, pads.Dataset] = {}
+class _RowGroupCache:
+    """Decoded ``_COLUMNS`` of corpus row groups, LRU within the byte bound;
+    one open ``ParquetFile`` (with its url ranges) per bucket path."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.files: dict[str, tuple] = {}  # path -> (stamp, file, url ranges)
+        self.groups: OrderedDict[tuple, pa.Table] = OrderedDict()
+        self.held = 0
+
+    def clear(self) -> None:
+        with self.lock:
+            self.files.clear()
+            self.groups.clear()
+            self.held = 0
+
+    def overlapping(self, path: str, lo: str, hi: str) -> list[pa.Table]:
+        """The decoded row groups of ``path`` whose url range meets [lo, hi]."""
+        st = os.stat(path)
+        stamp = (st.st_mtime_ns, st.st_size)
+        with self.lock:
+            entry = self.files.get(path)
+            if entry is None or entry[0] != stamp:
+                pf = pq.ParquetFile(path)
+                md, col = pf.metadata, pf.schema.names.index("url")
+                stats = (md.row_group(i).column(col).statistics for i in range(md.num_row_groups))
+                ranges = [
+                    (s.min, s.max) if s is not None and s.has_min_max else None for s in stats
+                ]
+                entry = self.files[path] = (stamp, pf, ranges)
+            _, pf, ranges = entry
+            return [
+                self._decoded(pf, (path, *stamp, i))
+                for i, r in enumerate(ranges)
+                if r is None or (r[0] <= hi and r[1] >= lo)
+            ]
+
+    def _decoded(self, pf: pq.ParquetFile, key: tuple) -> pa.Table:
+        tbl = self.groups.pop(key, None)
+        if tbl is None:
+            tbl = pf.read_row_group(key[-1], columns=[c for c in _COLUMNS if c in pf.schema.names])
+            if "flaky_fails" not in tbl.column_names:  # pre-flaky_fails fixtures: all stable
+                tbl = tbl.append_column("flaky_fails", pa.array(np.zeros(tbl.num_rows, np.int32)))
+            self.held += tbl.nbytes
+        self.groups[key] = tbl
+        while self.held > ROW_GROUP_CACHE_BYTES:
+            self.held -= self.groups.popitem(last=False)[1].nbytes
+        return tbl
 
 
-def _bucket_ds(pages_dir: str, b: int) -> pads.Dataset:
-    key = f"{pages_dir}/bucket-{b:05d}.parquet"
-    ds = _BUCKET_CACHE.get(key)
-    if ds is None:
-        ds = pads.dataset(key, format="parquet")
-        _BUCKET_CACHE[key] = ds
-    return ds
+_CACHE = _RowGroupCache()
 
 
-def fetch_batch(batch: pa.Table, *, pages_dir: str, partitions: int) -> pa.Table:
+def fetch_batch(batch: pa.Table, *, pages_dir: str) -> pa.Table:
     """Look up each frontier URL's body in its corpus bucket (selective read).
 
-    Fully vectorized: per bucket a range-pruned read + ``pc.is_in``
-    membership filter, then one ``pc.index_in``/``take`` aligns hit bodies
-    to the batch's row order (misses → null html, status 0)."""
+    Fully vectorized: per bucket the cached row groups overlapping the wanted
+    url range + a ``pc.is_in`` membership filter, then one
+    ``pc.index_in``/``take`` aligns hit bodies to the batch's row order
+    (misses → null html, status 0)."""
     url_col = batch.column("url")
     buckets = batch.column("bucket").to_numpy(zero_copy_only=False)
     hit_parts: list[pa.Table] = []
     for b in np.unique(buckets):
-        wanted = url_col.filter(pa.array(buckets == b))
-        # Range predicate on the url-sorted bucket file: row-group min/max
-        # stats prune everything outside [lo, hi]. The engine range-sorts
-        # the frontier by (bucket, url), so a task's wanted set is a tight
-        # range and only its contiguous slice is read/decompressed. Exact
-        # membership is applied in memory after the pruned read.
+        # The engine sorts the frontier by (bucket, url), so a task's wanted
+        # urls are a tight range and only the row groups over it are read.
+        wanted = url_col.filter(pa.array(buckets == b)).combine_chunks()
         mm = pc.min_max(wanted)
-        bds = _bucket_ds(pages_dir, int(b))
-        cols = ["url", "html", "status"]
-        # pre-flaky_fails corpora (hand-built test fixtures) → all-stable
-        if "flaky_fails" in bds.schema.names:
-            cols.append("flaky_fails")
-        loaded = bds.to_table(
-            columns=cols,
-            filter=(pc.field("url") >= mm["min"].as_py())
-            & (pc.field("url") <= mm["max"].as_py()),
-        )
-        if "flaky_fails" not in loaded.column_names:
-            loaded = loaded.append_column(
-                "flaky_fails", pa.array([0] * loaded.num_rows, pa.int32())
-            )
-        hit_parts.append(
-            loaded.filter(pc.is_in(loaded.column("url"), value_set=wanted.combine_chunks()))
-        )
+        path = f"{pages_dir}/bucket-{int(b):05d}.parquet"
+        for group in _CACHE.overlapping(path, mm["min"].as_py(), mm["max"].as_py()):
+            hit_parts.append(group.filter(pc.is_in(group.column("url"), value_set=wanted)))
     hits = pa.concat_tables(hit_parts) if hit_parts else pa.table(
         {
             "url": pa.array([], pa.string()),
@@ -131,14 +161,3 @@ def fetch_batch(batch: pa.Table, *, pages_dir: str, partitions: int) -> pa.Table
         }
     )
 
-
-class CorpusFetcher:
-    """Actor-pool form of fetch_batch (use when per-actor state must be
-    pinned, e.g. remote filesystems with expensive connections)."""
-
-    def __init__(self, pages_dir: str, partitions: int):
-        self.pages_dir = pages_dir
-        self.partitions = partitions
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return fetch_batch(batch, pages_dir=self.pages_dir, partitions=self.partitions)
