@@ -1022,8 +1022,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def page_triangles(sf_dir):
         # per-node triangle participation + local clustering coefficient,
         # degree-ordered (wedges only at oriented out-neighborhoods, O(√m)
-        # each — hub-safe); every stage a bucketed exchange; oracle = the
-        # classic three-way self-join over the page_edges ground truth
+        # each — hub-safe); two task rounds on the pinned graph, no
+        # exchange; oracle = the classic three-way self-join over the
+        # page_edges ground truth
         from urlmap_ray.functions import graph as gr
 
         pages, nodes = _graph_inputs(sf_dir)
@@ -1032,8 +1033,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def page_edge_jaccard(sf_dir):
         # per-edge common-neighbor counts + neighbor-set Jaccard (link
         # prediction / related-page similarity): common = triangles
-        # through the edge, reusing the degree-ordered wedge machinery;
-        # oracle = sym-closure self-joins over the page_edges ground truth
+        # through the edge, the task rounds of page_triangles crediting
+        # edges; oracle = sym-closure self-joins over the page_edges
+        # ground truth
         from urlmap_ray.functions import graph as gr
 
         pages, nodes = _graph_inputs(sf_dir)

@@ -89,14 +89,12 @@ def test_build_edges_matches_pure_both_regimes(ray_session, corpus, truth):
 def test_degrees_match_counter_both_regimes(ray_session, corpus, truth):
     urls, _, edges = truth
     out_c, in_c = Counter(e[0] for e in edges), Counter(e[1] for e in edges)
-    for membership in ("broadcast", "shuffle"):
-        rows = degrees(
-            _pages_ds(corpus), _nodes_ds(corpus), membership=membership
-        ).take_all()
+    for mode in ("broadcast", "shuffle"):
+        rows = degrees(_pages_ds(corpus), _nodes_ds(corpus), mode=mode).take_all()
         assert len(rows) == len(urls)  # isolated pages keep (0, 0) rows
         for r in rows:
-            assert r["out_deg"] == out_c.get(r["url"], 0), (membership, r["url"])
-            assert r["in_deg"] == in_c.get(r["url"], 0), (membership, r["url"])
+            assert r["out_deg"] == out_c.get(r["url"], 0), (mode, r["url"])
+            assert r["in_deg"] == in_c.get(r["url"], 0), (mode, r["url"])
 
 
 def test_node_index_is_sorted_rank(ray_session, corpus, truth):
@@ -352,12 +350,23 @@ def _traversals(seeds):
     }
 
 
+def _counts():
+    """The three round-free counting calls on the pinned graph, each as
+    call(pages, nodes, rounds=None, **kw) like :func:`_traversals`."""
+    from urlmap_ray.functions.graph import edge_jaccard, triangle_counts
+
+    return {
+        name: lambda p, n, rounds=None, fn=fn, **kw: fn(p, n, **kw)
+        for name, fn in (("degrees", degrees), ("triangles", triangle_counts), ("jaccard", edge_jaccard))
+    }
+
+
 def test_rank_rejects_bad_n_buckets(ray_session, corpus):
     """A task bucket count below one is refused before any graph work, by
-    the ranks and the traversals alike."""
+    the ranks, the traversals and the counting calls alike."""
     from urlmap_ray.functions.graph import hits
 
-    calls = {"pagerank": pagerank, "hits": hits, **_traversals(["https://x.example/"])}
+    calls = {"pagerank": pagerank, "hits": hits, **_traversals(["https://x.example/"]), **_counts()}
     for mode in ("broadcast", "shuffle"):
         for bad in (0, -2):
             for name, call in calls.items():
@@ -372,10 +381,11 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
     elements. Ray Data's own exchanges (their sort samples) are not
     counted. And iterations are task rounds, not Dataset jobs: the Ray
     Data executions a call makes do not grow with ``n_iters`` (BFS
-    ``radius``, kcore ``max_rounds``), and a traversal starts none after
-    its pin round. The shuffle regime's graph build and url attach are
-    task rounds too: a shuffle-mode call starts no more Ray Data executions
-    than the same call in broadcast mode."""
+    ``radius``, kcore ``max_rounds``), and a traversal or a counting call
+    (degrees, triangles, edge Jaccard) starts none after its pin round.
+    The shuffle regime's graph build and url attach are task rounds too: a
+    shuffle-mode call starts no more Ray Data executions than the same
+    call in broadcast mode."""
     import numpy as np
     import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
@@ -446,7 +456,7 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
         )
     for mode in ("shuffle", "broadcast"):
         for k in (None, nb):
-            for alg, call in _traversals(seeds).items():
+            for alg, call in {**_traversals(seeds), **_counts()}.items():
                 calls[(mode, alg, k)] = lambda i, call=call, kw={"mode": mode, "n_buckets": k}: (
                     call(_pages_ds(corpus), _nodes_ds(corpus), i, **kw)
                 )
@@ -494,8 +504,8 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
 
 def test_repeated_node_url_raises(ray_session, corpus, truth):
     """A node set that repeats a url is refused with a ValueError naming
-    the url, in both regimes, by the ranks and the traversals (the sort of
-    each url bucket sees every repeat)."""
+    the url, in both regimes, by the ranks, the traversals and the
+    counting calls (the sort of each url bucket sees every repeat)."""
     import re
 
     import ray.data
@@ -507,7 +517,7 @@ def test_repeated_node_url_raises(ray_session, corpus, truth):
     def nodes():
         return _nodes_ds(corpus).union(ray.data.from_arrow(pa.table({"url": [dup]})))
 
-    calls = {"pagerank": pagerank, "hits": hits, "bfs": _traversals([dup])["bfs"]}
+    calls = {"pagerank": pagerank, "hits": hits, "bfs": _traversals([dup])["bfs"], **_counts()}
     for mode in ("broadcast", "shuffle"):
         for name, call in calls.items():
             with pytest.raises(ValueError, match=re.escape(repr(dup))):
@@ -650,16 +660,17 @@ def test_triangle_counts_known_graph(ray_session):
         )
     )
     nodes = ray.data.from_arrow(pa.table({"url": pa.array(urls, pa.string())}))
-    for buckets in (1, 7):
-        out = {
-            r["url"]: (r["n_tri"], r["deg"], r["clustering_ppb"])
-            for r in triangle_counts(pages, nodes, n_buckets=buckets).take_all()
-        }
-        assert out[a] == (3, 4, (2 * 3 * 10**9) // (4 * 3))
-        for u in (b, c, d):
-            assert out[u] == (3, 3, 10**9)
-        assert out[e] == (0, 1, 0)
-        assert out[f] == (0, 0, 0)
+    for mode in ("broadcast", "shuffle"):
+        for buckets in (1, 7):
+            out = {
+                r["url"]: (r["n_tri"], r["deg"], r["clustering_ppb"])
+                for r in triangle_counts(pages, nodes, mode=mode, n_buckets=buckets).take_all()
+            }
+            assert out[a] == (3, 4, (2 * 3 * 10**9) // (4 * 3)), (mode, buckets)
+            for u in (b, c, d):
+                assert out[u] == (3, 3, 10**9), (mode, buckets)
+            assert out[e] == (0, 1, 0), (mode, buckets)
+            assert out[f] == (0, 0, 0), (mode, buckets)
 
 
 def test_edge_jaccard_known_graph(ray_session):
@@ -707,17 +718,56 @@ def test_edge_jaccard_known_graph(ray_session):
         denom = da + db - common
         want[(lo, hi)] = (common, da, db, (common * 10**9) // denom if denom else 0)
 
-    for buckets in (1, 7):
-        rows = edge_jaccard(pages, nodes, n_buckets=buckets).take_all()
-        got = {
-            (r["a"], r["b"]): (r["common"], r["deg_a"], r["deg_b"], r["jaccard_ppb"])
-            for r in rows
-        }
-        assert got == want
+    for mode in ("broadcast", "shuffle"):
+        for buckets in (1, 7):
+            rows = edge_jaccard(pages, nodes, mode=mode, n_buckets=buckets).take_all()
+            got = {
+                (r["a"], r["b"]): (r["common"], r["deg_a"], r["deg_b"], r["jaccard_ppb"])
+                for r in rows
+            }
+            assert got == want, (mode, buckets)
     # spot-check hand values: K4 edge (a,b) shares {c,d}
     assert want[(a, b)] == (2, 4, 3, (2 * 10**9) // 5)
     assert want[(b, c)] == (2, 3, 3, (2 * 10**9) // 4)
     assert want[(a, e)] == (0, 4, 1, 0)
+
+
+def test_triangles_and_jaccard_match_neighbour_sets(ray_session, corpus, truth):
+    """On the corpus graph (many degree ties across buckets) both calls
+    equal a brute-force reference over undirected neighbour sets, in both
+    modes and at any bucket count."""
+    from urlmap_ray.functions.graph import edge_jaccard, triangle_counts
+
+    urls, _, edges = truth
+    nbr = {u: set() for u in urls}
+    for s, t in edges:
+        nbr[s].add(t)
+        nbr[t].add(s)
+    tri_want = {}
+    for u, vs in nbr.items():
+        d = len(vs)
+        tri = sum(len(vs & nbr[v]) for v in vs) // 2
+        tri_want[u] = (tri, d, (2 * tri * 10**9) // (d * (d - 1)) if d > 1 else 0)
+    jac_want = {}
+    for u, vs in nbr.items():
+        for v in vs:
+            if u < v:
+                common = len(vs & nbr[v])
+                da, db = len(vs), len(nbr[v])
+                jac_want[(u, v)] = (common, da, db, (common * 10**9) // (da + db - common))
+    assert any(t for t, _, _ in tri_want.values())
+    for mode in ("broadcast", "shuffle"):
+        for nb in (None, 7):
+            kw = {"mode": mode, "n_buckets": nb}
+            rows = triangle_counts(_pages_ds(corpus), _nodes_ds(corpus), **kw).take_all()
+            got = {r["url"]: (r["n_tri"], r["deg"], r["clustering_ppb"]) for r in rows}
+            assert len(rows) == len(urls) and got == tri_want, kw
+            rows = edge_jaccard(_pages_ds(corpus), _nodes_ds(corpus), **kw).take_all()
+            got = {
+                (r["a"], r["b"]): (r["common"], r["deg_a"], r["deg_b"], r["jaccard_ppb"])
+                for r in rows
+            }
+            assert len(rows) == len(jac_want) and got == jac_want, kw
 
 
 def test_neighborhood_sizes_hyperanf(ray_session):

@@ -33,9 +33,15 @@ one map/reduce task round from the initial state (BFS: distance 1; SCC:
 one forward colour round), ``<alg>_total_s`` the public call,
 materialized.
 
+Then, the same way, the two for the counting calls ``degrees``,
+``triangle_counts`` and ``edge_jaccard``: ``<alg>_pin_s`` the pin round of
+the layouts they read (``fwd`` and ``bwd``; ``und``), ``<alg>_total_s`` the
+public call, materialized.
+
 Each call is checked against its reference (``pagerank_reference``,
 ``hits_reference``, ``label_propagation_reference``, ``scc_reference``,
-and a sequential BFS and peel here). Timings are medians over ``--reps``
+and a sequential BFS, peel, degree count and neighbour-set triangle and
+Jaccard count here). Timings are medians over ``--reps``
 repetitions; the session is shut down at the end.
 """
 
@@ -48,6 +54,7 @@ import statistics
 import sys
 import tempfile
 import time
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
@@ -87,6 +94,28 @@ def _kcore_reference(edges, k) -> set:
         for u in drop:
             for v in nbr.pop(u):
                 nbr[v].discard(u)
+
+
+def _count_references(urls, edges):
+    """Sequential (out_deg, in_deg) per url, (n_tri, deg, clustering_ppb)
+    per url and (common, deg_a, deg_b, jaccard_ppb) per undirected edge
+    (a, b), a < b, over the distinct edge set."""
+    nbr = {u: set() for u in urls}
+    for s, d in edges:
+        nbr[s].add(d)
+        nbr[d].add(s)
+    out_c, in_c = Counter(s for s, _ in edges), Counter(d for _, d in edges)
+    deg = {u: (out_c[u], in_c[u]) for u in urls}
+    tri, jac = {}, {}
+    for u, vs in nbr.items():
+        d = len(vs)
+        t = sum(len(vs & nbr[v]) for v in vs) // 2
+        tri[u] = (t, d, 2 * t * 10**9 // (d * (d - 1)) if d > 1 else 0)
+        for v in vs:
+            if u < v:
+                c, dv = len(vs & nbr[v]), len(nbr[v])
+                jac[(u, v)] = (c, d, dv, c * 10**9 // (d + dv - c))
+    return deg, tri, jac
 
 
 def main(argv=None) -> int:
@@ -156,6 +185,29 @@ def main(argv=None) -> int:
         ),
     }
 
+    deg_ref, tri_ref, jac_ref = _count_references(urls, edges)
+    # name: (pin layouts, public call, result rows → comparable value,
+    # expected value)
+    counts = {
+        "degrees": (
+            ("fwd", "bwd"), lambda p, n: gr.degrees(p, n, mode="broadcast"),
+            lambda rows: {r["url"]: (r["out_deg"], r["in_deg"]) for r in rows}, deg_ref,
+        ),
+        "triangle_counts": (
+            ("und",), lambda p, n: gr.triangle_counts(p, n, mode="broadcast"),
+            lambda rows: {r["url"]: (r["n_tri"], r["deg"], r["clustering_ppb"]) for r in rows},
+            tri_ref,
+        ),
+        "edge_jaccard": (
+            ("und",), lambda p, n: gr.edge_jaccard(p, n, mode="broadcast"),
+            lambda rows: {
+                (r["a"], r["b"]): (r["common"], r["deg_a"], r["deg_b"], r["jaccard_ppb"])
+                for r in rows
+            },
+            jac_ref,
+        ),
+    }
+
     def inputs():
         pages = ray.data.read_parquet(info.pages_path, columns=["url", "html"])
         return pages, ray.data.read_parquet(info.pages_path, columns=["url"])
@@ -174,6 +226,7 @@ def main(argv=None) -> int:
         for m in ("pin", "round", "total", "build", "attach")
     }
     times.update({f"{a}_{m}": [] for a in traversals for m in ("pin", "round", "total")})
+    times.update({f"{a}_{m}": [] for a in counts for m in ("pin", "total")})
 
     def done(refs):  # wait for task outputs without fetching them
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
@@ -233,7 +286,7 @@ def main(argv=None) -> int:
                     divs, vecs = (div_a, div_h), list(zip(auth, hub))
                 ppb = ray.remote(num_cpus=1)(gr._ppb_block)
                 blocks = done([ppb.remote(lo, cols, divs, *v) for (lo, _, _), v in zip(bounds, vecs)])
-                return _timed(lambda: g.attach(blocks, dict.fromkeys(cols, pa.int64())).materialize())[0]
+                return _timed(lambda: g.attach(blocks).materialize())[0]
 
             def l1_total(out):
                 return float(np.sum(np.concatenate(ray.get([t for _, t in out]))))
@@ -285,6 +338,13 @@ def main(argv=None) -> int:
                     lambda: done(gr._sweep(step, fold, pins, states, g.per_bucket, margs, rargs)[0])
                 )
                 times[f"{name}_round"].append(s)
+                s, ds = _timed(lambda: call(*inputs()).materialize())
+                times[f"{name}_total"].append(s)
+                assert result(ds.take_all()) == want, name
+        for name, (layouts, call, result, want) in counts.items():
+            for _ in range(args.reps):
+                s, _ = _timed(lambda: [done(p) for p in g.pin(layouts)])
+                times[f"{name}_pin"].append(s)
                 s, ds = _timed(lambda: call(*inputs()).materialize())
                 times[f"{name}_total"].append(s)
                 assert result(ds.take_all()) == want, name

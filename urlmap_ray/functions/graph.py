@@ -1,5 +1,6 @@
 """Web-graph analytics over the corpus link graph: edge extraction,
-degree distributions, PageRank, HITS, BFS distances, k-core.
+degree distributions, PageRank, HITS, BFS distances, k-core, triangles
+and edge Jaccard.
 
 The reference stops at the visited-URL set; the natural next consumer of
 a 100TB crawl is the link GRAPH — in/out-degree statistics and a
@@ -22,7 +23,7 @@ membership/identity regimes by ``nodes.count()``:
   are ``pc.index_in`` ranks against the same shared array (the graph
   calls drop an edge whose endpoint has no rank).
 - **Shuffle regime** (above it): no O(nodes) object exists anywhere.
-  For :func:`build_edges` and :func:`degrees` membership is a bucketed
+  For :func:`build_edges` membership is a bucketed
   pad→union→``groupby(hash(url) % B)`` semi-join (the joins.py shape).
   The graph calls and :func:`node_index` cut the node set into sorted
   url buckets by task rounds (:func:`_url_buckets`): a task samples each
@@ -33,8 +34,8 @@ membership/identity regimes by ``nodes.count()``:
   by two more task rounds over the same boundaries (by dst, then by src;
   ``pc.index_in`` against the bucket, which also drops non-members).
 
-A rank or traversal call, or :func:`node_index`, over a node set that
-repeats a url raises ``ValueError`` naming it, in either regime.
+A rank, traversal or counting call, or :func:`node_index`, over a node
+set that repeats a url raises ``ValueError`` naming it, in either regime.
 
 Scale shapes:
 
@@ -42,16 +43,20 @@ Scale shapes:
   (src, dst) edge originates from exactly one page row, so "globally
   distinct edges" = per-row dedup — vectorized Arrow kernels, no
   exchange) and ONE bucketed semi-join in the shuffle regime.
-- **Degrees are ONE single-key shuffle.** Out-degree is row-local;
-  only in-degree crosses blocks. Per-batch partial counts pre-aggregate
-  before the ``groupby(url)``.
+- **Degrees, triangles and edge Jaccard count on the pinned graph**
+  (below) with no Ray Data exchange: :func:`degrees` pins the ``fwd``
+  and ``bwd`` layouts and counts them with one task per bucket;
+  :func:`triangle_counts` and :func:`edge_jaccard` pin ``und`` and run
+  two task rounds (neighbour lists sorted by (deg, id), then wedges
+  closed at their first endpoint's bucket) and a counting task per
+  bucket.
 - **Every iterative graph operator is one kernel in both regimes:
   edges pinned once as bucket slices, then rounds of stateless tasks.**
   PageRank, HITS, BFS (:func:`bfs_distances`), k-core (:func:`kcore`),
   label propagation (labelprop.py), SCC and bow-tie (scc.py) all run
-  on it. No actor pool and no Dataset job per iteration: tasks run on
-  the pooled workers, retry on worker death, and a lost pinned array is
-  rebuilt from lineage. Node ids are range-bucketed; a pin round cuts
+  on it, and so do the counting calls above. No actor pool and no
+  Dataset job per iteration: tasks run on the pooled workers, retry on
+  worker death, and a lost pinned array is rebuilt from lineage. Node ids are range-bucketed; a pin round cuts
   the id-mapped edges into per-bucket slices; each round is a map task
   per pinned bucket returning one part per destination bucket, and a
   reduce task per bucket folding them. PageRank pins per-src-bucket
@@ -386,99 +391,6 @@ def build_edges(pages_ds, nodes, *, membership: str = "auto", n_buckets: int = _
     return _member_semijoin(pairs, nodes, n_buckets=n_buckets)
 
 
-def degrees(pages_ds, nodes, *, membership: str = "auto", n_buckets: int = _MAP_BUCKETS):
-    """Per-node (url, out_deg, in_deg) in one single-key shuffle.
-
-    Every edge contributes per-batch pre-aggregated partial rows; node
-    rows contribute (url, 0, 0) so isolated pages keep their zero row; a
-    single ``groupby(url)`` sums. In the broadcast regime the out-degree
-    partials stay fused with extraction (zero extra passes); the shuffle
-    regime feeds the semi-joined edge stream through the same partials.
-    """
-    import ray
-    from ray.data.aggregate import Sum
-
-    membership = _resolve_membership(membership, nodes.count())
-
-    if membership == "broadcast":
-        keep_ref = _sorted_urls_ref(nodes)
-
-        def partials(t: pa.Table) -> pa.Table:
-            edges = _edges_batch(t, ray.get(keep_ref))
-            out_counts = edges.group_by(["src"]).aggregate([([], "count_all")])
-            pos = pc.index_in(t.column("url"), value_set=out_counts.column("src"))
-            out_partial = pc.fill_null(
-                pc.take(out_counts.column("count_all"), pos), 0
-            ).cast(pa.int64())
-            if isinstance(out_partial, pa.ChunkedArray):
-                out_partial = out_partial.combine_chunks()
-            page_rows = pa.table(
-                {
-                    "url": t.column("url"),
-                    "out_partial": out_partial,
-                    "in_partial": pa.array(np.zeros(t.num_rows, np.int64), pa.int64()),
-                }
-            )
-            in_counts = edges.group_by(["dst"]).aggregate([([], "count_all")])
-            in_rows = pa.table(
-                {
-                    "url": in_counts.column("dst"),
-                    "out_partial": pa.array(
-                        np.zeros(in_counts.num_rows, np.int64), pa.int64()
-                    ),
-                    "in_partial": in_counts.column("count_all").cast(pa.int64()),
-                }
-            )
-            return pa.concat_tables([page_rows, in_rows])
-
-        partial_ds = _extracted(pages_ds).map_batches(
-            partials, batch_format="pyarrow", zero_copy_batch=True
-        )
-    else:
-        edges_ds = build_edges(
-            pages_ds, nodes, membership="shuffle", n_buckets=n_buckets
-        )
-
-        def edge_partials(t: pa.Table) -> pa.Table:
-            out_counts = t.group_by(["src"]).aggregate([([], "count_all")])
-            in_counts = t.group_by(["dst"]).aggregate([([], "count_all")])
-            return pa.concat_tables(
-                [
-                    pa.table(
-                        {
-                            "url": out_counts.column("src"),
-                            "out_partial": out_counts.column("count_all").cast(pa.int64()),
-                            "in_partial": pa.array(
-                                np.zeros(out_counts.num_rows, np.int64), pa.int64()
-                            ),
-                        }
-                    ),
-                    pa.table(
-                        {
-                            "url": in_counts.column("dst"),
-                            "out_partial": pa.array(
-                                np.zeros(in_counts.num_rows, np.int64), pa.int64()
-                            ),
-                            "in_partial": in_counts.column("count_all").cast(pa.int64()),
-                        }
-                    ),
-                ]
-            )
-
-        def node_zeros(t: pa.Table) -> pa.Table:
-            z = pa.array(np.zeros(t.num_rows, np.int64), pa.int64())
-            return pa.table({"url": t.column("url"), "out_partial": z, "in_partial": z})
-
-        partial_ds = edges_ds.map_batches(
-            edge_partials, batch_format="pyarrow", zero_copy_batch=True
-        ).union(nodes.map_batches(node_zeros, batch_format="pyarrow", zero_copy_batch=True))
-
-    return partial_ds.groupby("url").aggregate(
-        Sum("out_partial", alias_name="out_deg"),
-        Sum("in_partial", alias_name="in_deg"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # shared deterministic primitives
 
@@ -724,14 +636,13 @@ class _RankGraph(NamedTuple):
         ]
         return [list(col) for col in zip(*pins)]
 
-    def attach(self, blocks, cols: dict, ids=()):
-        """Per-bucket (node_id, *cols) block refs → Dataset of (url, *cols)
-        (``cols``: name → output type); each column in ``ids`` holds node
-        ids and comes out as their urls. One :func:`_take_urls` task per
-        bucket against the url buckets spanning its ids; each column in
-        ``ids`` adds one task round, a map per block sending its ids to the
-        url buckets holding them and a reduce per url bucket naming them.
-        No Ray Data exchange."""
+    def attach(self, blocks, ids=()):
+        """Per-bucket (node_id, *cols) block refs → Dataset of (url, *cols);
+        each column in ``ids`` holds node ids and comes out as their urls.
+        One :func:`_take_urls` task per bucket against the url buckets
+        spanning its ids; each column in ``ids`` adds one task round, a map
+        per block sending its ids to the url buckets holding them and a
+        reduce per url bucket naming them. No Ray Data exchange."""
         import ray
         import ray.data
 
@@ -1034,7 +945,7 @@ def _rank_loop(g: _RankGraph, *, n_iters, damping, seed_urls, weighted=False):
     )
     ppb = ray.remote(num_cpus=1)(_ppb_block)
     blocks = [ppb.remote(b * g.per_bucket, ("rank_ppb",), (1.0,), r) for b, r in enumerate(ranks)]
-    return g.attach(blocks, {"rank_ppb": pa.int64()})
+    return g.attach(blocks)
 
 
 def pagerank(
@@ -1167,7 +1078,7 @@ def hits(
         ppb.remote(b * g.per_bucket, cols, (div_a, div_h), a, h)
         for b, (a, h) in enumerate(zip(auth, hub))
     ]
-    return g.attach(blocks, dict.fromkeys(cols, pa.int64()))
+    return g.attach(blocks)
 
 
 def _pin_dst(lo, per_bucket, l1, nb, *parts):
@@ -1427,9 +1338,7 @@ def anchor_text_index(pairs_ds, *, dst_col: str = "dst", anchor_col: str = "anch
 
 
 # ---------------------------------------------------------------------------
-# triangle counting / clustering coefficient
-
-_TRI_SEP = "\x01"
+# hash buckets and run helpers of the string-keyed exchanges (HyperANF)
 
 
 def _tri_bucket(col, n_buckets: int) -> pa.Array:
@@ -1437,469 +1346,6 @@ def _tri_bucket(col, n_buckets: int) -> pa.Array:
 
     return pa.array(
         (hash64_column(col) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-    )
-
-
-def _tri_run_pairs(run_starts: np.ndarray, run_lens: np.ndarray):
-    """All within-run unordered index pairs (i < j), vectorized per
-    DISTINCT run length: one ``np.triu_indices`` per distinct degree,
-    broadcast over every run of that length — the Python loop is over
-    O(√m) distinct degrees, never over runs or pairs."""
-    out_i, out_j = [], []
-    for d in np.unique(run_lens):
-        if d < 2:
-            continue
-        sel = run_starts[run_lens == d]
-        ti, tj = np.triu_indices(int(d), k=1)
-        out_i.append((sel[:, None] + ti[None, :]).ravel())
-        out_j.append((sel[:, None] + tj[None, :]).ravel())
-    if not out_i:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z
-    return np.concatenate(out_i), np.concatenate(out_j)
-
-
-def _tri_base(edges, nodes, n_buckets: int):
-    """Shared stages of the degree-ordered triangle machinery, reused by
-    :func:`triangle_counts` (per-node counts) and :func:`edge_jaccard`
-    (per-edge common-neighbor counts): undirected distinct edges, degree
-    fold, fused degree attach, (deg, url)-orientation, wedge generation
-    and the wedge∪edge closing union. Returns ``(und, deg, oriented,
-    closing)`` — ``und``/``deg``/``oriented`` materialized (each is
-    consumed by more than one downstream stage), ``closing`` lazy.
-
-    ``oriented`` carries BOTH endpoint degrees (u, v, deg_u, deg_v, ubk)
-    so consumers needing per-edge degrees never re-run the attach
-    exchange.
-    """
-
-    # -- stage A: undirected distinct edges (one exchange) ------------------
-    def undirect(t: pa.Table) -> pa.Table:
-        src, dst = t.column("src"), t.column("dst")
-        keep = pc.not_equal(src, dst)
-        src, dst = src.filter(keep), dst.filter(keep)
-        lt = pc.less(src, dst)
-        a = pc.if_else(lt, src, dst)
-        b = pc.if_else(lt, dst, src)
-        key = pc.binary_join_element_wise(a, b, _TRI_SEP)
-        return pa.table(
-            {"a": a, "b": b, "ebk": _tri_bucket(key, n_buckets)}
-        )
-
-    def dedup_ab(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return pa.table({"a": pa.array([], pa.string()), "b": pa.array([], pa.string())})
-        d = g.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
-        return d
-
-    und = (
-        edges.map_batches(undirect, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ebk")
-        .map_groups(dedup_ab, batch_format="pyarrow")
-        .materialize()  # reused by degree, attach and closing stages
-    )
-
-    # -- stage B: undirected degrees (one exchange, partial-agg'd) ---------
-    def deg_partials(t: pa.Table) -> pa.Table:
-        both = pa.table(
-            {"url": pa.concat_arrays([_ca(t.column("a")), _ca(t.column("b"))])}
-        )
-        p = both.group_by(["url"]).aggregate([([], "count_all")])
-        return p.rename_columns(["url", "dpart"])
-
-    def node_zeros(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "url": t.column("url"),
-                "dpart": pa.array(np.zeros(t.num_rows, np.int64), pa.int64()),
-            }
-        )
-
-    deg = (
-        und.map_batches(deg_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .union(nodes.map_batches(node_zeros, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("url")
-        .sum("dpart")
-        .map_batches(
-            lambda t: t.rename_columns(["url", "deg"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .materialize()
-    )
-
-    # -- stage C: fused degree attach + orientation (two exchanges) --------
-    def edge_halves(t: pa.Table) -> pa.Table:
-        # each edge enters twice: keyed by a (side 1) and by b (side 2)
-        a, b = _ca(t.column("a")), _ca(t.column("b"))
-        return pa.table(
-            {
-                "key": pa.concat_arrays([a, b]),
-                "a": pa.concat_arrays([a, a]),
-                "b": pa.concat_arrays([b, b]),
-                "side": pa.array(
-                    np.concatenate(
-                        [np.ones(len(a), np.int8), np.full(len(b), 2, np.int8)]
-                    ),
-                    pa.int8(),
-                ),
-                "kbk": _tri_bucket(pa.concat_arrays([a, b]), n_buckets),
-            }
-        )
-
-    def deg_rows(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t.column("url"),
-                "a": t.column("url"),
-                "b": pa.nulls(t.num_rows, pa.string()),
-                "side": pa.array(np.zeros(t.num_rows, np.int8), pa.int8()),
-                "kbk": _tri_bucket(t.column("url"), n_buckets),
-                "deg": t.column("deg"),
-            }
-        )
-
-    halves = und.map_batches(
-        edge_halves, batch_format="pyarrow", zero_copy_batch=True
-    ).map_batches(
-        lambda t: t.append_column("deg", pa.nulls(t.num_rows, pa.int64())),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    unioned = halves.union(
-        deg.map_batches(deg_rows, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    def attach(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        dmask = side == 0
-        dkeys = _ca(g.column("key").filter(pa.array(dmask)))
-        dvals = (
-            g.column("deg")
-            .filter(pa.array(dmask))
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        e = g.filter(pa.array(~dmask))
-        pos = pc.index_in(e.column("key"), value_set=dkeys)
-        got = dvals[pos.to_numpy(zero_copy_only=False).astype(np.int64)]
-        es = e.column("side").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "a": e.column("a"),
-                "b": e.column("b"),
-                "deg_a_p": pa.array(np.where(es == 1, got, 0), pa.int64()),
-                "deg_b_p": pa.array(np.where(es == 2, got, 0), pa.int64()),
-            }
-        )
-
-    attached = (
-        unioned.groupby("kbk")
-        .map_groups(attach, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .sum(["deg_a_p", "deg_b_p"])
-        .map_batches(
-            lambda t: t.rename_columns(["a", "b", "deg_a", "deg_b"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    )
-
-    # -- orient: u → v from lower (deg, url) to higher ----------------------
-    def orient(t: pa.Table) -> pa.Table:
-        da = t.column("deg_a").to_numpy(zero_copy_only=False)
-        db = t.column("deg_b").to_numpy(zero_copy_only=False)
-        a_lt = pc.less(t.column("a"), t.column("b")).to_numpy(zero_copy_only=False)
-        a_first = (da < db) | ((da == db) & a_lt)
-        af = pa.array(a_first)
-        u = pc.if_else(af, t.column("a"), t.column("b"))
-        v = pc.if_else(af, t.column("b"), t.column("a"))
-        du = np.where(a_first, da, db).astype(np.int64)
-        dv = np.where(a_first, db, da).astype(np.int64)
-        return pa.table(
-            {
-                "u": u,
-                "v": v,
-                "deg_u": pa.array(du, pa.int64()),
-                "deg_v": pa.array(dv, pa.int64()),
-                "ubk": _tri_bucket(u, n_buckets),
-            }
-        )
-
-    oriented = attached.map_batches(
-        orient, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    # -- stage D: adjacency grouping → wedge generation (one exchange) -----
-    def wedges(g: pa.Table) -> pa.Table:
-        n = g.num_rows
-        empty = pa.table(
-            {
-                "key": pa.array([], pa.string()),
-                "apex": pa.array([], pa.string()),
-            }
-        )
-        if not n:
-            return empty
-        order = pc.sort_indices(
-            g, sort_keys=[("u", "ascending"), ("deg_v", "ascending"), ("v", "ascending")]
-        )
-        u_s = _ca(g.column("u")).take(order)
-        v_s = _ca(g.column("v")).take(order)
-        starts = np.flatnonzero(_tri_run_starts(u_s))
-        lens = np.diff(np.append(starts, n))
-        i_idx, j_idx = _tri_run_pairs(starts, lens)
-        if not len(i_idx):
-            return empty
-        x = v_s.take(pa.array(i_idx, pa.int64()))
-        y = v_s.take(pa.array(j_idx, pa.int64()))
-        apex = u_s.take(pa.array(i_idx, pa.int64()))
-        # (x, y) is already canonical: neighbors sorted by (deg, url) is
-        # exactly the edge-orientation order, so the closing edge is x→y.
-        # Only (key, apex) cross the exchange — x/y are recovered from the
-        # key after the close, keeping the widest exchange ~40% narrower.
-        key = pc.binary_join_element_wise(x, y, _TRI_SEP)
-        return pa.table({"key": key, "apex": apex})
-
-    wedge_rows = (
-        oriented.groupby("ubk")
-        .map_groups(wedges, batch_format="pyarrow")
-        .map_batches(
-            lambda t: t.append_column("wbk", _tri_bucket(t.column("key"), n_buckets)),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    )
-
-    def edge_keys(t: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(t.column("u"), t.column("v"), _TRI_SEP)
-        return pa.table(
-            {
-                "key": key,
-                "apex": pa.nulls(t.num_rows, pa.string()),
-                "wbk": _tri_bucket(key, n_buckets),
-            }
-        )
-
-    closing = wedge_rows.union(
-        oriented.map_batches(edge_keys, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    return und, deg, oriented, closing
-
-
-def triangle_counts(
-    pages_ds,
-    nodes,
-    *,
-    membership: str = "auto",
-    n_buckets: int = _MAP_BUCKETS,
-):
-    """Per-node triangle participation + local clustering coefficient over
-    the undirected corpus link graph → (url, n_tri, deg, clustering_ppb).
-
-    The classic degree-ordered formulation (node-iterator++ / the GraphX
-    triangleCount shape): orient every undirected edge from its lower
-    (degree, url) endpoint to the higher, enumerate wedges only at each
-    node's ORIENTED out-neighborhood — whose size is O(√m) by the
-    degree-ordering bound, so hub nodes cannot explode the wedge set —
-    and close each wedge against the oriented edge set. Each triangle is
-    found exactly once (at its unique (deg, url)-minimal apex).
-
-    Every stage is a bucketed exchange (groupby(hash % B), never one
-    group per key): undirected dedup, degree sum, one FUSED degree
-    attach (each edge enters twice, recombined by an exact int64
-    hash-agg — the collocations pattern), adjacency grouping + wedge
-    generation, wedge⋈edge closing, and the final per-node fold. Inside
-    buckets everything is Arrow sorts + run-boundary numpy; the wedge
-    pair generation vectorizes per distinct degree (``_tri_run_pairs``).
-
-    ``clustering_ppb = (2·n_tri·10^9) // (deg·(deg−1))`` — integer floor
-    division, mirrored exactly by SQL ``//`` (documented int64 bound:
-    per-node n_tri < 4.6·10^9; beyond that carry the division in Python
-    ints). Dangling nodes keep (0, 0, 0) rows.
-    """
-    edges = build_edges(pages_ds, nodes, membership=membership, n_buckets=n_buckets)
-    _und, deg, _oriented, closing = _tri_base(edges, nodes, n_buckets)
-
-    # -- stage E: close wedges against edges (one exchange) ----------------
-    def close(g: pa.Table) -> pa.Table:
-        is_edge = pc.is_null(g.column("apex"))
-        ekeys = _ca(g.column("key").filter(is_edge))
-        w = g.filter(pc.invert(is_edge))
-        if not w.num_rows or not len(ekeys):
-            return pa.table({"url": pa.array([], pa.string()), "tpart": pa.array([], pa.int64())})
-        hit = pc.is_in(w.column("key"), value_set=ekeys)
-        tri = w.filter(hit)
-        parts = pc.split_pattern(_ca(tri.column("key")), _TRI_SEP)
-        xy = pc.list_flatten(parts)
-        urls = pa.concat_arrays([_ca(tri.column("apex")), _ca(xy)])
-        p = pa.table({"url": urls}).group_by(["url"]).aggregate([([], "count_all")])
-        return p.rename_columns(["url", "tpart"])
-
-    tri_parts = closing.groupby("wbk").map_groups(close, batch_format="pyarrow")
-
-    # -- stage F: per-node fold + clustering coefficient (one exchange) ----
-    def tri_pad(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "url": t.column("url"),
-                "tpart": t.column("tpart").cast(pa.int64()),
-                "dpart": pa.array(np.zeros(t.num_rows, np.int64), pa.int64()),
-            }
-        )
-
-    def deg_pad(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "url": t.column("url"),
-                "tpart": pa.array(np.zeros(t.num_rows, np.int64), pa.int64()),
-                "dpart": t.column("deg"),
-            }
-        )
-
-    def finish(t: pa.Table) -> pa.Table:
-        tri = t.column("sum(tpart)").to_numpy(zero_copy_only=False).astype(np.int64)
-        dg = t.column("sum(dpart)").to_numpy(zero_copy_only=False).astype(np.int64)
-        denom = dg * (dg - 1)
-        ppb = np.where(denom >= 2, (2 * tri * 1_000_000_000) // np.maximum(denom, 1), 0)
-        return pa.table(
-            {
-                "url": t.column("url"),
-                "n_tri": pa.array(tri, pa.int64()),
-                "deg": pa.array(dg, pa.int64()),
-                "clustering_ppb": pa.array(ppb.astype(np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        tri_parts.map_batches(tri_pad, batch_format="pyarrow", zero_copy_batch=True)
-        .union(deg.map_batches(deg_pad, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("url")
-        .sum(["tpart", "dpart"])
-        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-
-def edge_jaccard(
-    pages_ds,
-    nodes,
-    *,
-    membership: str = "auto",
-    n_buckets: int = _MAP_BUCKETS,
-):
-    """Per-edge common-neighbor counts + neighbor-set Jaccard over the
-    undirected corpus link graph → (a, b, common, deg_a, deg_b,
-    jaccard_ppb), one row per distinct undirected edge (a < b) — the
-    classic link-prediction / related-page similarity signal.
-
-    ``common = |N(a) ∩ N(b)|`` is exactly the number of triangles through
-    the edge, so it reuses the degree-ordered wedge machinery of
-    :func:`triangle_counts` (:func:`_tri_base`): each closed wedge
-    (apex u, closing edge x→y) is one triangle {u, x, y}, and the close
-    stage credits all THREE of its edges (lexicographically canonicalized)
-    instead of its three nodes. ``|N(a) ∪ N(b)| = deg_a + deg_b − common``
-    (a and b are in each other's neighbor sets but never in the loop-free
-    intersection), giving ``jaccard_ppb = common·10⁹ // (deg_a + deg_b −
-    common)`` — integer floor division mirrored exactly by the SQL oracle.
-
-    Scale shape: identical to triangle_counts (every stage a bucketed
-    exchange, wedge sets O(√m) per node by degree ordering); per-edge
-    degrees ride along on the materialized oriented edge set, so the
-    final fold is one union + one (a, b) hash-agg with no extra attach
-    exchange. Zero-triangle edges keep common = 0 rows via the oriented
-    pad.
-    """
-    edges = build_edges(pages_ds, nodes, membership=membership, n_buckets=n_buckets)
-    _und, _deg, oriented, closing = _tri_base(edges, nodes, n_buckets)
-
-    # -- close wedges against edges, crediting edges not nodes -------------
-    def close_edges(g: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "a": pa.array([], pa.string()),
-                "b": pa.array([], pa.string()),
-                "cpart": pa.array([], pa.int64()),
-            }
-        )
-        is_edge = pc.is_null(g.column("apex"))
-        ekeys = _ca(g.column("key").filter(is_edge))
-        w = g.filter(pc.invert(is_edge))
-        if not w.num_rows or not len(ekeys):
-            return empty
-        tri = w.filter(pc.is_in(w.column("key"), value_set=ekeys))
-        if not tri.num_rows:
-            return empty
-        parts = pc.split_pattern(_ca(tri.column("key")), _TRI_SEP)
-        x = _ca(pc.list_element(parts, 0))
-        y = _ca(pc.list_element(parts, 1))
-        apex = _ca(tri.column("apex"))
-        lo, hi = [], []
-        for p, q in ((apex, x), (apex, y), (x, y)):
-            lt = pc.less(p, q)
-            lo.append(_ca(pc.if_else(lt, p, q)))
-            hi.append(_ca(pc.if_else(lt, q, p)))
-        per_edge = (
-            pa.table({"a": pa.concat_arrays(lo), "b": pa.concat_arrays(hi)})
-            .group_by(["a", "b"])
-            .aggregate([([], "count_all")])
-        )
-        return per_edge.rename_columns(["a", "b", "cpart"])
-
-    tri_edges = closing.groupby("wbk").map_groups(close_edges, batch_format="pyarrow")
-
-    # -- final fold: triangle credits ∪ per-edge degree pad → one hash-agg --
-    def tri_pad(t: pa.Table) -> pa.Table:
-        zeros = pa.array(np.zeros(t.num_rows, np.int64), pa.int64())
-        return pa.table(
-            {
-                "a": t.column("a"),
-                "b": t.column("b"),
-                "cpart": t.column("cpart").cast(pa.int64()),
-                "dap": zeros,
-                "dbp": zeros,
-            }
-        )
-
-    def deg_pad(t: pa.Table) -> pa.Table:
-        # oriented (u, v, deg_u, deg_v) → lexicographic (a, b) with degrees
-        # swapped alongside; one row per undirected edge already
-        lt = pc.less(t.column("u"), t.column("v"))
-        ltn = lt.to_numpy(zero_copy_only=False)
-        du = t.column("deg_u").to_numpy(zero_copy_only=False)
-        dv = t.column("deg_v").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "a": pc.if_else(lt, t.column("u"), t.column("v")),
-                "b": pc.if_else(lt, t.column("v"), t.column("u")),
-                "cpart": pa.array(np.zeros(t.num_rows, np.int64), pa.int64()),
-                "dap": pa.array(np.where(ltn, du, dv).astype(np.int64), pa.int64()),
-                "dbp": pa.array(np.where(ltn, dv, du).astype(np.int64), pa.int64()),
-            }
-        )
-
-    def finish(t: pa.Table) -> pa.Table:
-        c = t.column("sum(cpart)").to_numpy(zero_copy_only=False).astype(np.int64)
-        da = t.column("sum(dap)").to_numpy(zero_copy_only=False).astype(np.int64)
-        db = t.column("sum(dbp)").to_numpy(zero_copy_only=False).astype(np.int64)
-        denom = da + db - c
-        ppb = np.where(denom > 0, (c * 1_000_000_000) // np.maximum(denom, 1), 0)
-        return pa.table(
-            {
-                "a": t.column("a"),
-                "b": t.column("b"),
-                "common": pa.array(c, pa.int64()),
-                "deg_a": pa.array(da, pa.int64()),
-                "deg_b": pa.array(db, pa.int64()),
-                "jaccard_ppb": pa.array(ppb.astype(np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        tri_edges.map_batches(tri_pad, batch_format="pyarrow", zero_copy_batch=True)
-        .union(oriented.map_batches(deg_pad, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby(["a", "b"])
-        .sum(["cpart", "dap", "dbp"])
-        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
     )
 
 
@@ -2075,7 +1521,7 @@ def bfs_distances(pages_ds, nodes, seeds, *, radius=None, mode="auto", n_buckets
     seed_ref = ray.put(ids[ids >= 0])
     dists = _bfs_rounds(g, pins, [init.remote(lo, hi, seed_ref) for lo, hi in g.bounds()], radius)
     block = ray.remote(num_cpus=1)(_reached)
-    ds = g.attach([block.remote(lo, d) for (lo, _), d in zip(g.bounds(), dists)], {"dist": pa.int64()})
+    ds = g.attach([block.remote(lo, d) for (lo, _), d in zip(g.bounds(), dists)])
     return ds.union(outside) if np.any(ids < 0) else ds
 
 
@@ -2136,7 +1582,258 @@ def kcore(pages_ds, nodes, *, k=3, mode="auto", max_rounds=64, n_buckets=None):
         if sum(ray.get(counts)) == 0:
             break
     block = ray.remote(num_cpus=1)(_slice_block)
-    return g.attach([block.remote(lo, "in_core", a) for (lo, _), a in zip(g.bounds(), alive)], cols)
+    return g.attach([block.remote(lo, "in_core", a) for (lo, _), a in zip(g.bounds(), alive)])
+
+
+# ---------------------------------------------------------------------------
+# degrees, triangles and edge Jaccard
+#
+# Counting tasks and rounds on the traversal pins. Node ids are url ranks, so
+# ascending id is byte-wise url order: the (deg, url) orientation and url
+# tie-breaks these operators define are exactly the (deg, id) ones here.
+# Pairs are matched by lexsort runs over flagged rows, never by a composite
+# ``a * n + b`` int64 key (which overflows above ~3·10⁹ nodes).
+
+
+def _degree_block(lo, hi, fwd, bwd) -> pa.Table:
+    """A bucket's (node_id, out_deg, in_deg) rows: its nodes' pinned
+    distinct out- and in-edges, counted."""
+    return pa.table({
+        "node_id": np.arange(lo, hi, dtype=np.int64),
+        "out_deg": np.bincount(fwd["key"] - lo, minlength=hi - lo),
+        "in_deg": np.bincount(bwd["key"] - lo, minlength=hi - lo),
+    })
+
+
+def degrees(pages_ds, nodes, *, mode="auto", n_buckets=None):
+    """Per-node (url, out_deg, in_deg) over the distinct in-corpus,
+    non-self links; isolated pages keep (0, 0) rows.
+
+    Runs on the traversal kernel's graph in either ``mode`` (as
+    :func:`kcore`): the ``fwd`` and ``bwd`` layouts pinned once, then one
+    counting task per bucket. No round."""
+    import ray
+
+    n = nodes.count()
+    if n == 0:
+        return _empty_scores(out_deg=pa.int64(), in_deg=pa.int64())
+    g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
+    block = ray.remote(num_cpus=1)(_degree_block)
+    fwd, bwd = g.pin(("fwd", "bwd"))
+    return g.attach([block.remote(lo, hi, f, b) for (lo, hi), f, b in zip(g.bounds(), fwd, bwd)])
+
+
+def _und_degree(lo, hi, pin) -> np.ndarray:
+    """A bucket's undirected degree slice: its nodes' pinned ``und`` edges,
+    counted."""
+    return np.bincount(pin["key"] - lo, minlength=hi - lo)
+
+
+def _nbr_map(pin, deg):
+    """Triangle round-1 map task: each pinned ``und`` edge (key, other)
+    sent to the other endpoint's bucket as (other, key, deg_key)."""
+    k = pin["key"]
+    return _task_parts(_cut(pin["cuts"], pin["other"], k, deg[k - pin["lo"]]))
+
+
+def _nbr_lists(lo, deg, *parts) -> dict:
+    """Triangle round-1 reduce task: each node x of the bucket with its
+    neighbours y, sorted by (x, deg_y, y), and ``up`` marking
+    (deg_y, y) > (deg_x, x) — so x's marked rows are its oriented
+    out-list, in (deg, id) order."""
+    x, y, dy = _concat_parts(parts, 3)
+    order = np.lexsort((y, dy, x))
+    x, y, dy = x[order], y[order], dy[order]
+    dx = deg[x - lo]
+    return {"x": x, "y": y, "dx": dx, "dy": dy, "up": (dy > dx) | ((dy == dx) & (y > x))}
+
+
+def _tri_run_pairs(run_starts: np.ndarray, run_lens: np.ndarray):
+    """All within-run unordered index pairs (i < j), vectorized per
+    DISTINCT run length: one ``np.triu_indices`` per distinct degree,
+    broadcast over every run of that length — the Python loop is over
+    O(√m) distinct degrees, never over runs or pairs."""
+    out_i, out_j = [], []
+    for d in np.unique(run_lens):
+        if d < 2:
+            continue
+        sel = run_starts[run_lens == d]
+        ti, tj = np.triu_indices(int(d), k=1)
+        out_i.append((sel[:, None] + ti[None, :]).ravel())
+        out_j.append((sel[:, None] + tj[None, :]).ravel())
+    if not out_i:
+        z = np.zeros(0, dtype=np.int64)
+        return z, z
+    return np.concatenate(out_i), np.concatenate(out_j)
+
+
+def _wedges(s, per_bucket, nb):
+    """Triangle round-2 map task: the wedges (p, q, apex) of each oriented
+    out-list of the bucket (every pair p before q in it, so
+    (deg_p, p) < (deg_q, q)), cut by p's bucket."""
+    x, y = s["x"][s["up"]], s["y"][s["up"]]
+    starts = np.flatnonzero(np.r_[True, np.diff(x) != 0])
+    i, j = _tri_run_pairs(starts, np.diff(np.r_[starts, len(x)]))
+    order = np.argsort(y[i], kind="stable")
+    p, q, apex = y[i][order], y[j][order], x[i][order]
+    return _task_parts(_cut(_bucket_cuts(p, per_bucket, nb), p, q, apex))
+
+
+def _close(per_bucket, nb, edges, s, *parts):
+    """Triangle round-2 reduce task for the bucket of the wedges' p: the
+    wedges whose (p, q) is one of the bucket's (x, y) edges, matched by a
+    lexsort over the edges and the wedges with an edge-first flag. Each
+    closed wedge is one triangle {apex, p, q}, found once, at its
+    (deg, id)-least apex. Returns its credits cut by bucket: its three
+    nodes, or with ``edges`` its three (min, max) edges, cut by min."""
+    p, q, apex = _concat_parts(parts, 3)
+    m = len(s["x"])
+    a, b = np.r_[s["x"], p], np.r_[s["y"], q]
+    order = np.lexsort((np.arange(len(a)) >= m, b, a))
+    a, b = a[order], b[order]
+    new = np.ones(len(a), bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    head = order[np.maximum.accumulate(np.where(new, np.arange(len(a)), 0))]
+    hit = order[(order >= m) & (head < m)] - m
+    p, q, apex = p[hit], q[hit], apex[hit]
+    if edges:
+        lo = np.r_[np.minimum(apex, p), np.minimum(apex, q), np.minimum(p, q)]
+        hi = np.r_[np.maximum(apex, p), np.maximum(apex, q), np.maximum(p, q)]
+        order = np.argsort(lo, kind="stable")
+        cols = (lo[order], hi[order])
+    else:
+        cols = (np.sort(np.r_[apex, p, q]),)
+    return _task_parts(_cut(_bucket_cuts(cols[0], per_bucket, nb), *cols))
+
+
+def _triangle_rounds(pages_ds, nodes, n, mode, n_buckets, edges):
+    """The shared rounds of :func:`triangle_counts` and
+    :func:`edge_jaccard` on the ``und`` pins: a degree task per bucket,
+    round 1 (:func:`_nbr_map` / :func:`_nbr_lists`), round 2
+    (:func:`_wedges` / :func:`_close`). Returns (graph, per bucket its
+    degree slice ref, its neighbour-list ref and its credit part refs)."""
+    import ray
+
+    g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
+    (pins,) = g.pin(("und",))
+    nb = len(pins)
+    task = ray.remote(num_cpus=1)
+    deg = task(_und_degree)
+    degs = [deg.remote(lo, hi, p) for (lo, hi), p in zip(g.bounds(), pins)]
+    nbrs = _shuffle_round(task(_nbr_map).options(num_returns=nb), task(_nbr_lists), pins, degs, (),
+                          [(lo, d) for (lo, _), d in zip(g.bounds(), degs)])
+    step = task(_wedges).options(num_returns=nb)
+    wedges = [_part_refs(step.remote(s, g.per_bucket, nb), nb) for s in nbrs]
+    close = task(_close).options(num_returns=nb)
+    credits = [
+        _part_refs(close.remote(g.per_bucket, nb, edges, s, *(w[b] for w in wedges)), nb)
+        for b, s in enumerate(nbrs)
+    ]
+    return g, degs, nbrs, [[c[b] for c in credits] for b in range(nb)]
+
+
+def _tri_block(lo, deg, *parts) -> pa.Table:
+    """A bucket's (node_id, n_tri, deg, clustering_ppb) rows from its
+    degree slice and the triangle credits of its nodes."""
+    (c,) = _concat_parts(parts, 1)
+    tri = np.bincount(c - lo, minlength=len(deg))
+    denom = deg * (deg - 1)
+    ppb = np.where(denom >= 2, (2 * tri * 1_000_000_000) // np.maximum(denom, 1), 0)
+    return pa.table({
+        "node_id": np.arange(lo, lo + len(deg), dtype=np.int64),
+        "n_tri": tri,
+        "deg": deg,
+        "clustering_ppb": ppb,
+    })
+
+
+def triangle_counts(pages_ds, nodes, *, mode="auto", n_buckets=None):
+    """Per-node triangle participation + local clustering coefficient over
+    the undirected corpus link graph → (url, n_tri, deg, clustering_ppb).
+
+    The classic degree-ordered formulation (node-iterator++ / the GraphX
+    triangleCount shape): orient every undirected edge from its lower
+    (degree, url) endpoint to the higher, enumerate wedges only at each
+    node's ORIENTED out-neighborhood — whose size is O(√m) by the
+    degree-ordering bound, so hub nodes cannot explode the wedge set —
+    and close each wedge against the edge set. Each triangle is found
+    exactly once (at its unique (deg, url)-minimal apex).
+
+    Runs on the traversal kernel's graph in either ``mode`` (as
+    :func:`kcore`), the ``und`` layout pinned once: a degree task per
+    bucket; round 1 sends each edge with its key's degree to the other
+    endpoint, whose bucket sorts its neighbour lists by (deg, id); round 2
+    sends each wedge of an oriented out-list to its first endpoint's
+    bucket, which closes it against its edges and credits the triangle's
+    three nodes; a task per bucket counts its credits. The wedge pairs
+    vectorize per distinct degree (``_tri_run_pairs``).
+
+    ``clustering_ppb = (2·n_tri·10^9) // (deg·(deg−1))`` — integer floor
+    division, mirrored exactly by SQL ``//`` (documented int64 bound:
+    per-node n_tri < 4.6·10^9; beyond that carry the division in Python
+    ints). Dangling nodes keep (0, 0, 0) rows.
+    """
+    import ray
+
+    n = nodes.count()
+    if n == 0:
+        return _empty_scores(n_tri=pa.int64(), deg=pa.int64(), clustering_ppb=pa.int64())
+    g, degs, _, credits = _triangle_rounds(pages_ds, nodes, n, mode, n_buckets, False)
+    block = ray.remote(num_cpus=1)(_tri_block)
+    return g.attach([block.remote(lo, d, *c) for (lo, _), d, c in zip(g.bounds(), degs, credits)])
+
+
+def _jaccard_block(s, *parts) -> pa.Table:
+    """A bucket's (node_id, b, common, deg_a, deg_b, jaccard_ppb) rows:
+    each edge (a, b), a < b, of its neighbour lists with the count of
+    triangle credits it received (every credit follows its edge in the
+    lexsort, and each run starts at one edge)."""
+    a, b = _concat_parts(parts, 2)
+    up = s["y"] > s["x"]
+    x, y = s["x"][up], s["y"][up]
+    order = np.lexsort((np.arange(len(x) + len(a)) >= len(x), np.r_[y, b], np.r_[x, a]))
+    starts = np.flatnonzero(order < len(x))
+    common = np.diff(np.r_[starts, len(order)]) - 1
+    e = order[starts]
+    da, db = s["dx"][up][e], s["dy"][up][e]
+    denom = da + db - common
+    return pa.table({
+        "node_id": x[e],
+        "b": y[e],
+        "common": common,
+        "deg_a": da,
+        "deg_b": db,
+        "jaccard_ppb": np.where(denom > 0, (common * 1_000_000_000) // np.maximum(denom, 1), 0),
+    })
+
+
+def edge_jaccard(pages_ds, nodes, *, mode="auto", n_buckets=None):
+    """Per-edge common-neighbor counts + neighbor-set Jaccard over the
+    undirected corpus link graph → (a, b, common, deg_a, deg_b,
+    jaccard_ppb), one row per distinct undirected edge (a < b) — the
+    classic link-prediction / related-page similarity signal.
+
+    ``common = |N(a) ∩ N(b)|`` is exactly the number of triangles through
+    the edge, so it runs the rounds of :func:`triangle_counts`, whose
+    close credits each triangle's three (min, max) edges instead of its
+    nodes; a task per bucket counts the credits of its nodes' edges.
+    ``|N(a) ∪ N(b)| = deg_a + deg_b − common`` (a and b are in each
+    other's neighbor sets but never in the loop-free intersection), giving
+    ``jaccard_ppb = common·10⁹ // (deg_a + deg_b − common)`` — integer
+    floor division mirrored exactly by the SQL oracle. Zero-triangle edges
+    keep common = 0 rows.
+    """
+    import ray
+
+    n = nodes.count()
+    if n == 0:
+        ints = dict.fromkeys(("common", "deg_a", "deg_b", "jaccard_ppb"), pa.int64())
+        ds = _empty_scores(b=pa.string(), **ints)
+    else:
+        g, _, nbrs, credits = _triangle_rounds(pages_ds, nodes, n, mode, n_buckets, True)
+        block = ray.remote(num_cpus=1)(_jaccard_block)
+        ds = g.attach([block.remote(s, *c) for s, c in zip(nbrs, credits)], ids=("b",))
+    return ds.rename_columns({"url": "a"})
 
 
 # ---------------------------------------------------------------------------
@@ -2600,7 +2297,7 @@ def weighted_spam_mass(
     )
     mass = ray.remote(num_cpus=1)(_mass_block)
     blocks = [mass.remote(b * g.per_bucket, p, t) for b, (p, t) in enumerate(zip(pr, tr))]
-    return g.attach(blocks, {"spam_mass_ppb": pa.int64()})
+    return g.attach(blocks)
 
 
 def _mass_block(lo: int, pr: np.ndarray, tr: np.ndarray) -> pa.Table:

@@ -127,7 +127,7 @@ def label_propagation(
         labels, _ = _sweep(step, fold, pins, labels, g.per_bucket)
     block = ray.remote(num_cpus=1)(_slice_block)
     blocks = [block.remote(lo, "community", lab) for (lo, _), lab in zip(g.bounds(), labels)]
-    return g.attach(blocks, cols, ids=("community",))
+    return g.attach(blocks, ids=("community",))
 
 
 def label_propagation_reference(

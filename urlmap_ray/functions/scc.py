@@ -161,7 +161,7 @@ def scc(pages_ds, nodes, *, mode: str = "auto", n_buckets: int | None = None):
     states = _scc_states(g, *g.pin(("fwd", "bwd")))
     block = ray.remote(num_cpus=1)(_rep_block)
     blocks = [block.remote(lo, s) for (lo, _), s in zip(g.bounds(), states)]
-    return g.attach(blocks, cols, ids=("scc_rep",))
+    return g.attach(blocks, ids=("scc_rep",))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def bowtie(pages_ds, nodes, *, mode: str = "auto", n_buckets: int | None = None)
         block.remote(lo, s, core, o, i)
         for (lo, _), s, o, i in zip(g.bounds(), states, out_dist, in_dist)
     ]
-    return g.attach(blocks, cols)
+    return g.attach(blocks)
 
 
 def bowtie_reference(
