@@ -1012,7 +1012,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # (60-bit md5 of walk|step|cur) mod out-degree over the sorted
         # distinct out-neighbors — the sampling family's cross-engine
         # rule, so an unrolled LEFT-JOIN SQL replay over the page_edges
-        # ground truth is exact. Dead ends terminate the walk.
+        # ground truth is exact. Dead ends terminate the walk. One task
+        # round per step on the pinned graph, no exchange.
         from urlmap_ray.functions import graph as gr
 
         pages, nodes = _graph_inputs(sf_dir)
@@ -1044,7 +1045,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def page_neighborhood(sf_dir):
         # HyperANF (Boldi et al. 2011): per-node ≤3-hop out-reach estimate
         # via sparse HLL registers folded along edges — radius synchronous
-        # rounds, two bucketed exchanges each, register-capped rows; the
+        # task rounds on the pinned graph, register-capped rows; the
         # pinned run estimator makes the dense sequential reference
         # bit-identical (expected.ensure_neighborhood_expected)
         from urlmap_ray.expected import ensure_neighborhood_expected

@@ -23,15 +23,20 @@ def cold_cache():
 
 @pytest.fixture
 def decoded(monkeypatch):
-    """(ParquetFile, row group) of every row group read from here on."""
+    """(file path, row group) of every row group read from here on."""
     reads = []
-    real = pq.ParquetFile.read_row_group
+    real_init, real_read = pq.ParquetFile.__init__, pq.ParquetFile.read_row_group
 
-    def spy(self, i, *a, **kw):
-        reads.append((self, i))
-        return real(self, i, *a, **kw)
+    def init(self, source, *a, **kw):
+        self.spied_source = source
+        real_init(self, source, *a, **kw)
 
-    monkeypatch.setattr(pq.ParquetFile, "read_row_group", spy)
+    def read(self, i, *a, **kw):
+        reads.append((self.spied_source, i))
+        return real_read(self, i, *a, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "__init__", init)
+    monkeypatch.setattr(pq.ParquetFile, "read_row_group", read)
     return reads
 
 
@@ -178,6 +183,28 @@ def test_cache_stays_within_its_byte_bound(pages_dir, monkeypatch, decoded):
     assert len(decoded) == 2 * 5  # each sweep finds every group evicted
 
 
+def test_cache_holds_no_file_open(tmp_path):
+    """Fetching from many bucket files leaves none of them open: the cache
+    keeps each file's stamp and url ranges, and opens a file only while
+    its missed row groups decode. Outputs match the full-read join, cold
+    and cached."""
+    d = str(tmp_path / "many")
+    os.makedirs(d)
+    n_files = 24
+    for b in range(n_files):
+        _write_bucket(d, b, [(f"https://h{b}.test/p{i}", 200, i % 2) for i in range(8)])
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    batches = [_batch([(f"https://h{b}.test/p{i}", b, 1) for i in (1, 6)]) for b in range(n_files)]
+    for batch in batches * 2:
+        assert fetch_batch(batch, pages_dir=d).equals(_reference(d, batch))
+    assert len(fetch._CACHE.files) == n_files
+    assert open_fds() <= before
+
+
 def test_budget_crawl_decodes_each_row_group_once(ray_session, tmp_path, monkeypatch, decoded):
     """A driver-side budget crawl over a corpus rewritten with 16-row row
     groups matches the wave oracle and decodes every (file, row group) at
@@ -212,6 +239,4 @@ def test_budget_crawl_decodes_each_row_group_once(ray_session, tmp_path, monkeyp
     assert {w.mode for w in out.waves} == {"local"}
     got = sorted((r["url"], r["depth"], r["status"]) for r in eng.visited_dataset().take_all())
     assert got == sorted((r.url, r.depth, r.status) for r in oracle.results)
-    paths = {id(pf): path for path, (_, pf, _) in fetch._CACHE.files.items()}
-    reads = [(paths[id(pf)], i) for pf, i in decoded]
-    assert reads and len(reads) == len(set(reads)) and len(calls) > 1
+    assert decoded and len(decoded) == len(set(decoded)) and len(calls) > 1

@@ -361,12 +361,37 @@ def _counts():
     }
 
 
+def _anf_and_walks(edges):
+    """HyperANF and random walks, each as call(pages, nodes, rounds=None,
+    **kw) like :func:`_traversals`, ``rounds`` being HyperANF ``radius`` and
+    walk ``length``. The walks run over the (src, dst) url pairs ``edges``
+    (one block), one walk from each node."""
+    import ray.data
+
+    from urlmap_ray.functions.graph import neighborhood_sizes, random_walks
+
+    def walks(p, n, rounds=None, **kw):
+        e = ray.data.from_arrow(pa.table({"src": [s for s, _ in edges], "dst": [d for _, d in edges]}))
+        return random_walks(e, n, **({"length": rounds} if rounds else {}), **kw)
+
+    return {
+        "hyperanf": lambda p, n, rounds=None, **kw: neighborhood_sizes(
+            p, n, **({"radius": rounds} if rounds else {}), **kw
+        ),
+        "walks": walks,
+    }
+
+
 def test_rank_rejects_bad_n_buckets(ray_session, corpus):
     """A task bucket count below one is refused before any graph work, by
-    the ranks, the traversals and the counting calls alike."""
+    the ranks, the traversals, the counting calls, HyperANF and the walks
+    alike."""
     from urlmap_ray.functions.graph import hits
 
-    calls = {"pagerank": pagerank, "hits": hits, **_traversals(["https://x.example/"]), **_counts()}
+    calls = {
+        "pagerank": pagerank, "hits": hits, **_traversals(["https://x.example/"]), **_counts(),
+        **_anf_and_walks([("https://x.example/", "https://y.example/")]),
+    }
     for mode in ("broadcast", "shuffle"):
         for bad in (0, -2):
             for name, call in calls.items():
@@ -381,8 +406,10 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
     elements. Ray Data's own exchanges (their sort samples) are not
     counted. And iterations are task rounds, not Dataset jobs: the Ray
     Data executions a call makes do not grow with ``n_iters`` (BFS
-    ``radius``, kcore ``max_rounds``), and a traversal or a counting call
-    (degrees, triangles, edge Jaccard) starts none after its pin round.
+    ``radius``, kcore ``max_rounds``, HyperANF ``radius``, walk
+    ``length``), and a traversal, a counting call (degrees, triangles, edge
+    Jaccard), HyperANF or the walks start none after their pin round (the
+    walks read their start blocks before it).
     The shuffle regime's graph build and url attach are task rounds too: a
     shuffle-mode call starts no more Ray Data executions than the same
     call in broadcast mode."""
@@ -456,7 +483,7 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
         )
     for mode in ("shuffle", "broadcast"):
         for k in (None, nb):
-            for alg, call in {**_traversals(seeds), **_counts()}.items():
+            for alg, call in {**_traversals(seeds), **_counts(), **_anf_and_walks(truth[2])}.items():
                 calls[(mode, alg, k)] = lambda i, call=call, kw={"mode": mode, "n_buckets": k}: (
                     call(_pages_ds(corpus), _nodes_ds(corpus), i, **kw)
                 )
@@ -517,7 +544,10 @@ def test_repeated_node_url_raises(ray_session, corpus, truth):
     def nodes():
         return _nodes_ds(corpus).union(ray.data.from_arrow(pa.table({"url": [dup]})))
 
-    calls = {"pagerank": pagerank, "hits": hits, "bfs": _traversals([dup])["bfs"], **_counts()}
+    calls = {
+        "pagerank": pagerank, "hits": hits, "bfs": _traversals([dup])["bfs"], **_counts(),
+        "hyperanf": _anf_and_walks([])["hyperanf"],
+    }
     for mode in ("broadcast", "shuffle"):
         for name, call in calls.items():
             with pytest.raises(ValueError, match=re.escape(repr(dup))):
@@ -832,16 +862,17 @@ def test_neighborhood_sizes_hyperanf(ray_session):
         )
 
     exact = {a: 3, b: 3, c: 2, d: 1, e: 2, f: 2}
-    for buckets in (1, 7):
-        got = {
-            r["url"]: r["n_reach_est"]
-            for r in neighborhood_sizes(
-                pages, nodes, radius=2, n_buckets=buckets
-            ).take_all()
-        }
-        assert got == want
-        for u in urls:  # linear-counting regime: within ±1 of exact
-            assert abs(got[u] - exact[u]) <= 1
+    for mode in ("broadcast", "shuffle"):
+        for buckets in (1, 7, None):
+            got = {
+                r["url"]: r["n_reach_est"]
+                for r in neighborhood_sizes(
+                    pages, nodes, radius=2, mode=mode, n_buckets=buckets
+                ).take_all()
+            }
+            assert got == want, (mode, buckets)
+            for u in urls:  # linear-counting regime: within ±1 of exact
+                assert abs(got[u] - exact[u]) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -1226,6 +1257,19 @@ def test_random_walks_match_sequential_replay(ray_session):
         # bit-identical to the sequential replay at any parallelism:
         # the md5 step rule depends only on (walk, step, node)
         assert sorted((r["start"], r["path"]) for r in out) == want
+    # starts: a strict subset of the nodes, one url twice, one on no edge
+    subset = nodes[::3] + [nodes[3], "n-lone"]
+    want = sorted((w, ref_walk(w)) for w in subset)
+    for mode in ("broadcast", "shuffle"):
+        for k in (None, 7):
+            out = random_walks(
+                ray.data.from_arrow(e_tbl).repartition(2),
+                ray.data.from_arrow(pa.table({"url": subset})).repartition(2),
+                length=3,
+                mode=mode,
+                n_buckets=k,
+            ).take_all()
+            assert sorted((r["start"], r["path"]) for r in out) == want, (mode, k)
 
 
 def test_random_walks_dead_end_and_self_loop(ray_session):

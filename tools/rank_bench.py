@@ -34,15 +34,18 @@ one forward colour round), ``<alg>_total_s`` the public call,
 materialized.
 
 Then, the same way, the two for the counting calls ``degrees``,
-``triangle_counts`` and ``edge_jaccard``: ``<alg>_pin_s`` the pin round of
-the layouts they read (``fwd`` and ``bwd``; ``und``), ``<alg>_total_s`` the
-public call, materialized.
+``triangle_counts`` and ``edge_jaccard`` and for HyperANF
+``neighborhood_sizes`` (radius 3): ``<alg>_pin_s`` the pin round of the
+layouts they read (``fwd`` and ``bwd``; ``und``; ``bwd``),
+``<alg>_total_s`` the public call, materialized. Last,
+``random_walks_total_s``: ``random_walks`` (length 3, one walk from each
+page) over the distinct link pairs, materialized.
 
 Each call is checked against its reference (``pagerank_reference``,
 ``hits_reference``, ``label_propagation_reference``, ``scc_reference``,
-and a sequential BFS, peel, degree count and neighbour-set triangle and
-Jaccard count here). Timings are medians over ``--reps``
-repetitions; the session is shut down at the end.
+and here a sequential BFS, peel, degree count, neighbour-set triangle
+and Jaccard count, dense HyperANF and md5 walk replay). Timings are
+medians over ``--reps`` repetitions; the session is shut down at the end.
 """
 
 from __future__ import annotations
@@ -116,6 +119,55 @@ def _count_references(urls, edges):
                 c, dv = len(vs & nbr[v]), len(nbr[v])
                 jac[(u, v)] = (c, d, dv, c * 10**9 // (d + dv - c))
     return deg, tri, jac
+
+
+def _hyperanf_reference(urls, edges, radius) -> dict:
+    """Dense sequential HyperANF: a 4096-register array per url seeded with
+    its own hash, ``radius`` synchronous max-folds over the out-neighbours,
+    then the run estimator over the nonzero registers."""
+    import numpy as np
+    import pyarrow as pa
+
+    from urlmap_ray.functions.sketch import _HLL_M, _HLL_P, hash64_column, hll_estimate_runs
+
+    h = hash64_column(pa.array(urls, pa.string()))
+    idx = (h >> np.uint64(64 - _HLL_P)).astype(np.int64)
+    w = h & np.uint64((1 << (64 - _HLL_P)) - 1)
+    _, exp = np.frexp(w.astype(np.float64))
+    rho = np.where(w > 0, (64 - _HLL_P) + 1 - exp, (64 - _HLL_P) + 1).astype(np.uint8)
+    regs = {}
+    for i, u in enumerate(urls):
+        regs[u] = np.zeros(_HLL_M, np.uint8)
+        regs[u][idx[i]] = rho[i]
+    out = {u: [] for u in urls}
+    for s, d in edges:
+        out[s].append(d)
+    for _ in range(radius):
+        regs = {u: np.maximum.reduce([regs[u]] + [regs[v] for v in out[u]]) for u in urls}
+    return {
+        u: int(hll_estimate_runs(r[np.flatnonzero(r)].astype(np.int64), np.array([0]))[0])
+        for u, r in regs.items()
+    }
+
+
+def _walk_reference(starts, edges, length) -> list:
+    """Sorted (start, path) of the md5-rule walks, replayed sequentially."""
+    import hashlib
+
+    out: dict = {}
+    for s, d in sorted(edges):
+        out.setdefault(s, []).append(d)
+    rows = []
+    for w in starts:
+        cur = path = w
+        for t in range(length):
+            nb = out.get(cur)
+            if not nb:
+                break
+            cur = nb[int(hashlib.md5(f"{w}|{t}|{cur}".encode()).hexdigest()[:15], 16) % len(nb)]
+            path += " " + cur
+        rows.append((w, path))
+    return sorted(rows)
 
 
 def main(argv=None) -> int:
@@ -206,7 +258,14 @@ def main(argv=None) -> int:
             },
             jac_ref,
         ),
+        "neighborhood_sizes": (
+            ("bwd",), lambda p, n: gr.neighborhood_sizes(p, n, radius=3, mode="broadcast"),
+            lambda rows: {r["url"]: r["n_reach_est"] for r in rows},
+            _hyperanf_reference(urls, sorted(edges), 3),
+        ),
     }
+    walk_edges = pa.table({"src": [s for s, _ in sorted(edges)], "dst": [d for _, d in sorted(edges)]})
+    walk_ref = _walk_reference(urls, edges, 3)
 
     def inputs():
         pages = ray.data.read_parquet(info.pages_path, columns=["url", "html"])
@@ -227,6 +286,7 @@ def main(argv=None) -> int:
     }
     times.update({f"{a}_{m}": [] for a in traversals for m in ("pin", "round", "total")})
     times.update({f"{a}_{m}": [] for a in counts for m in ("pin", "total")})
+    times["random_walks_total"] = []
 
     def done(refs):  # wait for task outputs without fetching them
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
@@ -348,6 +408,12 @@ def main(argv=None) -> int:
                 s, ds = _timed(lambda: call(*inputs()).materialize())
                 times[f"{name}_total"].append(s)
                 assert result(ds.take_all()) == want, name
+        for _ in range(args.reps):
+            s, ds = _timed(lambda: gr.random_walks(
+                ray.data.from_arrow(walk_edges), inputs()[1], length=3, mode="broadcast"
+            ).materialize())
+            times["random_walks_total"].append(s)
+            assert sorted((r["start"], r["path"]) for r in ds.take_all()) == walk_ref
     finally:
         ray.shutdown()
         tmp.cleanup()

@@ -1,6 +1,6 @@
 """Web-graph analytics over the corpus link graph: edge extraction,
-degree distributions, PageRank, HITS, BFS distances, k-core, triangles
-and edge Jaccard.
+degree distributions, PageRank, HITS, BFS distances, k-core, triangles,
+edge Jaccard, HyperANF neighborhood sizes and random walks.
 
 The reference stops at the visited-URL set; the natural next consumer of
 a 100TB crawl is the link GRAPH — in/out-degree statistics and a
@@ -53,8 +53,10 @@ Scale shapes:
 - **Every iterative graph operator is one kernel in both regimes:
   edges pinned once as bucket slices, then rounds of stateless tasks.**
   PageRank, HITS, BFS (:func:`bfs_distances`), k-core (:func:`kcore`),
-  label propagation (labelprop.py), SCC and bow-tie (scc.py) all run
-  on it, and so do the counting calls above. No actor pool and no
+  label propagation (labelprop.py), SCC and bow-tie (scc.py), HyperANF
+  (:func:`neighborhood_sizes`, sparse register rows as state) and random
+  walks (:func:`random_walks`, walker rows as state) all run on it, and
+  so do the counting calls above. No actor pool and no
   Dataset job per iteration: tasks run on the pooled workers, retry on
   worker death, and a lost pinned array is rebuilt from lineage. Node ids are range-bucketed; a pin round cuts
   the id-mapped edges into per-bucket slices; each round is a map task
@@ -108,17 +110,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 __all__ = [
-    "build_edges",
-    "degrees",
-    "node_index",
-    "pagerank",
-    "pagerank_reference",
-    "hits",
-    "hits_reference",
-    "triangle_counts",
-    "bfs_distances",
-    "kcore",
-    "SHUFFLE_MODE_NODES",
+    "build_edges", "node_index", "degrees", "pagerank", "pagerank_reference", "hits",
+    "hits_reference", "anchor_text_index", "bfs_distances", "kcore", "triangle_counts",
+    "edge_jaccard", "neighborhood_sizes", "host_graph", "host_degrees", "weighted_pagerank",
+    "weighted_spam_mass", "weighted_pagerank_reference", "spam_mass", "random_walks",
+    "host_cocitation", "SHUFFLE_MODE_NODES",
 ]
 
 # Above this node count the broadcast rank vector (8B/node — 40MB at 5M)
@@ -573,6 +569,11 @@ def _take_urls(t: pa.Table, lo: int, ids, k: int, *args) -> pa.Table:
     return pa.table(cols)
 
 
+def _url_slice(start: int, k: int, *urls) -> pa.Array:
+    """``k`` urls from position ``start`` of consecutive url buckets."""
+    return pa.chunked_array(urls).slice(start, k).combine_chunks()
+
+
 class _RankGraph(NamedTuple):
     """A graph call's prepared graph: ``n`` nodes in task buckets of
     ``per_bucket`` ids, refs to the (src_id, dst_id[, w]) edge blocks in
@@ -635,6 +636,20 @@ class _RankGraph(NamedTuple):
             for b, (lo, _) in enumerate(self.bounds())
         ]
         return [list(col) for col in zip(*pins)]
+
+    def url_slices(self) -> list:
+        """Per task bucket a ref to its sorted url slice (ids [lo, hi)): one
+        :func:`_url_slice` task over the url buckets spanning its ids, as
+        :meth:`attach` finds them. Nothing reaches the driver."""
+        import ray
+
+        task = ray.remote(num_cpus=1)(_url_slice)
+        out = []
+        for lo, hi in self.bounds():
+            span = np.flatnonzero((self.offsets[:-1] < hi) & (self.offsets[1:] > lo))
+            first = int(self.offsets[span[0]])
+            out.append(task.remote(lo - first, hi - lo, *(self.urls[j] for j in span)))
+        return out
 
     def attach(self, blocks, ids=()):
         """Per-bucket (node_id, *cols) block refs → Dataset of (url, *cols);
@@ -1338,32 +1353,6 @@ def anchor_text_index(pairs_ds, *, dst_col: str = "dst", anchor_col: str = "anch
 
 
 # ---------------------------------------------------------------------------
-# hash buckets and run helpers of the string-keyed exchanges (HyperANF)
-
-
-def _tri_bucket(col, n_buckets: int) -> pa.Array:
-    from .sketch import hash64_column
-
-    return pa.array(
-        (hash64_column(col) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-    )
-
-
-def _ca(col):
-    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-
-
-def _tri_run_starts(sorted_arr: pa.Array) -> np.ndarray:
-    n = len(sorted_arr)
-    starts = np.ones(n, dtype=bool)
-    if n > 1:
-        starts[1:] = pc.not_equal(
-            sorted_arr.slice(1), sorted_arr.slice(0, n - 1)
-        ).to_numpy(zero_copy_only=False)
-    return starts
-
-
-# ---------------------------------------------------------------------------
 # traversal kernel: BFS, k-core, label propagation, SCC and bow-tie
 #
 # The rank kernel's task rounds with integer state. The pin round cuts the
@@ -1838,16 +1827,68 @@ def edge_jaccard(pages_ds, nodes, *, mode="auto", n_buckets=None):
 
 # ---------------------------------------------------------------------------
 # HyperANF neighborhood-size estimation
+#
+# State is sparse HyperLogLog registers on the traversal pins: per bucket the
+# (node, ridx, rho) rows of its nodes sorted by (node, ridx), ``fresh``
+# marking the rows the last round changed.
 
 
-def neighborhood_sizes(
-    pages_ds,
-    nodes,
-    *,
-    radius: int = 3,
-    membership: str = "auto",
-    n_buckets: int = _MAP_BUCKETS,
-):
+def _hll_seed(lo, urls) -> dict:
+    """A bucket's first registers: each node's url hash as one (ridx, rho)
+    row (``sketch.hll_index_rho``); all fresh."""
+    from .sketch import hash64_column, hll_index_rho
+
+    ridx, rho = hll_index_rho(hash64_column(urls))
+    return {
+        "node": np.arange(lo, lo + len(urls), dtype=np.int64),
+        "ridx": ridx.astype(np.int16),
+        "rho": rho.astype(np.int8),
+        "fresh": np.ones(len(urls), bool),
+    }
+
+
+def _hll_map(pin, s):
+    """HyperANF map task over a bucket's ``bwd`` pin: the fresh register
+    rows of each in-edge's dst (the key) sent to its src's bucket as (src,
+    ridx, rho). A row the last round did not change has already reached
+    every predecessor, so only fresh rows travel."""
+    f = s["fresh"]
+    node, ridx, rho = s["node"][f], s["ridx"][f], s["rho"][f]
+    first = np.searchsorted(node, pin["key"])
+    cnt = np.searchsorted(node, pin["key"], "right") - first
+    end = np.cumsum(cnt)
+    rows = np.repeat(first - end + cnt, cnt) + np.arange(end[-1] if len(end) else 0)
+    cuts = np.r_[0, end][pin["cuts"]]
+    return _task_parts(_cut(cuts, np.repeat(pin["other"], cnt), ridx[rows], rho[rows]))
+
+
+def _hll_fold(lo, s, *parts):
+    """HyperANF reduce task: the bucket's register rows with those it
+    received, the max rho kept per (node, ridx) — a stable lexsort by
+    (node, ridx, -rho) with the bucket's own rows first, so an own row wins
+    a tie. Returns the new state, fresh where a received row won, and how
+    many did."""
+    node, ridx, rho = (
+        np.concatenate([s[c], *(p[i] for p in parts)]) for i, c in enumerate(("node", "ridx", "rho"))
+    )
+    order = np.lexsort((-rho, ridx, node))
+    first = np.r_[True, (np.diff(node[order]) != 0) | (np.diff(ridx[order]) != 0)]
+    sel = order[first]
+    fresh = sel >= len(s["node"])
+    return {"node": node[sel], "ridx": ridx[sel], "rho": rho[sel], "fresh": fresh}, int(fresh.sum())
+
+
+def _hll_block(s) -> pa.Table:
+    """A bucket's (node_id, n_reach_est) rows: each node's register run, in
+    ridx order, through ``sketch.hll_estimate_runs``."""
+    from .sketch import hll_estimate_runs
+
+    node = s["node"]
+    starts = np.flatnonzero(np.r_[True, np.diff(node) != 0])
+    return pa.table({"node_id": node[starts], "n_reach_est": hll_estimate_runs(s["rho"], starts)})
+
+
+def neighborhood_sizes(pages_ds, nodes, *, radius=3, mode="auto", n_buckets=None):
     """HyperANF (Boldi, Rosa & Vigna 2011): per-node estimated count of
     distinct nodes reachable within ``radius`` directed hops (the node
     itself included) → (url, n_reach_est). The neighborhood function
@@ -1857,183 +1898,34 @@ def neighborhood_sizes(
     associative, so after r synchronous rounds node u's registers hold
     exactly the hash set of its ≤ r-hop out-neighborhood.
 
-    Ray shape: state is a Dataset of (url, ridx, rho) sparse register
-    rows (≤ min(|N≤t(u)|, 4096) per node — the HLL cap bounds even hub
-    neighborhoods at 4096 rows). Each round is TWO bucketed exchanges:
-    (1) scatter — edges keyed by dst union state keyed by url; inside a
-    bucket each edge (src→dst) re-keys dst's state rows to src via one
-    Arrow sort + searchsorted run-gather; (2) fold — propagated rows
-    union current state, per-(url, register) max by lexsort + run scan.
-    The per-round exchange is Σ_edges |state(dst)| rows — HyperANF's
-    native cost, register-capped, never the neighborhood VALUES. The
-    final estimate reuses the pinned vectorized run estimator
-    (``sketch.hll_estimate_runs``), so the sequential reference is
-    bit-identical.
+    Runs the traversal kernel in either ``mode`` (as :func:`kcore`): the
+    ``bwd`` layout pinned once; state per bucket is its nodes' sparse
+    (node, ridx, rho) register rows (≤ 4096 per node, the HLL cap), seeded
+    from the bucket's url slice. One map/reduce task round per hop: the map
+    sends each in-edge's dst registers that changed last round to the src's
+    bucket, the reduce keeps the max rho per (node, register). A round that
+    changes nothing ends the loop (max is idempotent). The estimate reuses
+    the pinned vectorized run estimator (``sketch.hll_estimate_runs``) over
+    register-sorted runs, so the sequential reference is bit-identical.
     """
-    from .sketch import hash64_column, hll_estimate_runs, _HLL_P, _HLL_M
+    import ray
 
-    edges = build_edges(
-        pages_ds, nodes, membership=membership, n_buckets=n_buckets
-    ).materialize()
-
-    def _idx_rho(h: np.ndarray):
-        idx = (h >> np.uint64(64 - _HLL_P)).astype(np.int64)
-        w = h & np.uint64((1 << (64 - _HLL_P)) - 1)
-        _, exp = np.frexp(w.astype(np.float64))
-        rho = np.where(w > 0, (64 - _HLL_P) + 1 - exp, (64 - _HLL_P) + 1)
-        return idx, rho.astype(np.int64)
-
-    def init_state(t: pa.Table) -> pa.Table:
-        idx, rho = _idx_rho(hash64_column(t.column("url")))
-        return pa.table(
-            {
-                "url": t.column("url"),
-                "ridx": pa.array(idx.astype(np.int32), pa.int32()),
-                "rho": pa.array(rho.astype(np.int32), pa.int32()),
-            }
-        )
-
-    state = nodes.map_batches(
-        init_state, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    def edge_pad(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t.column("dst"),
-                "tgt": t.column("src"),
-                "ridx": pa.nulls(t.num_rows, pa.int32()),
-                "rho": pa.nulls(t.num_rows, pa.int32()),
-                "bk": _tri_bucket(t.column("dst"), n_buckets),
-            }
-        )
-
-    def state_pad(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t.column("url"),
-                "tgt": pa.nulls(t.num_rows, pa.string()),
-                "ridx": t.column("ridx"),
-                "rho": t.column("rho"),
-                "bk": _tri_bucket(t.column("url"), n_buckets),
-            }
-        )
-
-    def scatter(g: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "url": pa.array([], pa.string()),
-                "ridx": pa.array([], pa.int32()),
-                "rho": pa.array([], pa.int32()),
-            }
-        )
-        is_edge = pc.is_valid(g.column("tgt"))
-        e = g.filter(is_edge)
-        s = g.filter(pc.invert(is_edge))
-        if not e.num_rows or not s.num_rows:
-            return empty
-        order = pc.sort_indices(s, sort_keys=[("key", "ascending")])
-        skey = _ca(s.column("key")).take(order)
-        sridx = _ca(s.column("ridx")).take(order).to_numpy(zero_copy_only=False)
-        srho = _ca(s.column("rho")).take(order).to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(_tri_run_starts(skey))
-        uniq = skey.take(pa.array(starts, pa.int64()))
-        lens = np.diff(np.append(starts, len(skey)))
-        pos = (
-            pc.index_in(e.column("key"), value_set=uniq)
-            .fill_null(-1)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        valid = pos >= 0
-        if not valid.any():
-            return empty
-        vpos = pos[valid]
-        counts = lens[vpos]
-        total = int(counts.sum())
-        g0 = np.repeat(starts[vpos], counts)
-        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        gather = g0 + within
-        tgt_rows = np.repeat(np.flatnonzero(valid), counts)
-        return pa.table(
-            {
-                "url": _ca(e.column("tgt")).take(pa.array(tgt_rows, pa.int64())),
-                "ridx": pa.array(sridx[gather], pa.int32()),
-                "rho": pa.array(srho[gather], pa.int32()),
-            }
-        )
-
-    def add_nbk(t: pa.Table) -> pa.Table:
-        return t.append_column("nbk", _tri_bucket(t.column("url"), n_buckets))
-
-    def dedup_max(g: pa.Table) -> pa.Table:
-        urlc = _ca(g.column("url"))
-        codes = (
-            pc.dictionary_encode(urlc)
-            .indices.to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        ridx = g.column("ridx").to_numpy(zero_copy_only=False).astype(np.int64)
-        rho = g.column("rho").to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((-rho, ridx, codes))
-        kc, ic = codes[order], ridx[order]
-        first = np.ones(len(kc), dtype=bool)
-        first[1:] = (kc[1:] != kc[:-1]) | (ic[1:] != ic[:-1])
-        sel = order[first]
-        return pa.table(
-            {
-                "url": urlc.take(pa.array(sel, pa.int64())),
-                "ridx": pa.array(ridx[sel].astype(np.int32), pa.int32()),
-                "rho": pa.array(rho[sel].astype(np.int32), pa.int32()),
-            }
-        )
-
+    n = nodes.count()
+    if n == 0:
+        return _empty_scores(n_reach_est=pa.int64())
+    g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
+    (pins,) = g.pin(("bwd",))
+    task = ray.remote(num_cpus=1)
+    seed = task(_hll_seed)
+    states = [seed.remote(lo, u) for (lo, _), u in zip(g.bounds(), g.url_slices())]
+    step = task(_hll_map).options(num_returns=len(pins))
+    fold = task(_hll_fold).options(num_returns=2)
     for _ in range(radius):
-        prop = (
-            edges.map_batches(edge_pad, batch_format="pyarrow", zero_copy_batch=True)
-            .union(
-                state.map_batches(
-                    state_pad, batch_format="pyarrow", zero_copy_batch=True
-                )
-            )
-            .groupby("bk")
-            .map_groups(scatter, batch_format="pyarrow")
-        )
-        state = (
-            prop.union(state)
-            .map_batches(add_nbk, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("nbk")
-            .map_groups(dedup_max, batch_format="pyarrow")
-            .materialize()
-        )
-
-    def estimate(g: pa.Table) -> pa.Table:
-        urlc = _ca(g.column("url"))
-        codes = (
-            pc.dictionary_encode(urlc)
-            .indices.to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        ridx = g.column("ridx").to_numpy(zero_copy_only=False).astype(np.int64)
-        rho = g.column("rho").to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((ridx, codes))
-        kc = codes[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], kc[1:] != kc[:-1]]) if len(kc) else []
-        )
-        ests = hll_estimate_runs(rho[order], starts)
-        return pa.table(
-            {
-                "url": urlc.take(pa.array(order[starts], pa.int64())),
-                "n_reach_est": pa.array(ests, pa.int64()),
-            }
-        )
-
-    return (
-        state.map_batches(add_nbk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("nbk")
-        .map_groups(estimate, batch_format="pyarrow")
-    )
+        states, counts = _sweep(step, fold, pins, states, g.per_bucket)
+        if sum(ray.get(counts)) == 0:
+            break
+    block = task(_hll_block)
+    return g.attach([block.remote(st) for st in states])
 
 
 def host_graph(pages_ds, nodes, *, membership: str = "auto", n_buckets: int = _MAP_BUCKETS):
@@ -2145,28 +2037,42 @@ def host_degrees(host_edges_ds):
     )
 
 
-def _endpoint_nodes(pairs_ds):
-    """Distinct endpoint Dataset (column ``url``) of a (src, dst[, w])
-    edge Dataset: per-block unique of both endpoint columns, then ONE
-    ``groupby(url)`` for the global distinct — the node table a weighted
-    graph is born with when it arrives as a bare edge list."""
-    from ray.data.aggregate import Count
+def _ends(t: pa.Table) -> pa.Table:
+    """The distinct endpoint urls of one (src, dst[, w]) block."""
+    if "src" not in t.column_names:  # a zero-row block may carry no schema
+        return pa.table({"url": pa.array([], pa.string())})
+    ends = [t.column(c).combine_chunks().cast(pa.string()) for c in ("src", "dst")]
+    return pa.table({"url": pc.unique(pa.concat_arrays(ends))})
 
-    def per_block(t: pa.Table) -> pa.Table:
-        arr = pa.concat_arrays(
-            [
-                t.column("src").combine_chunks().cast(pa.string()),
-                t.column("dst").combine_chunks().cast(pa.string()),
-            ]
-        )
-        return pa.table({"url": pc.unique(arr)})
 
-    return (
-        pairs_ds.map_batches(per_block, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("url")
-        .aggregate(Count())
-        .select_columns(["url"])
-    )
+def _distinct(*parts) -> pa.Table:
+    """Reduce task of an endpoint url bucket: its distinct urls."""
+    urls = [c for t in parts if t.num_rows for c in t.column("url").chunks]
+    return pa.table({"url": pc.unique(pa.chunked_array(urls, pa.string()))})
+
+
+def _endpoint_nodes(*pair_sets):
+    """Distinct endpoint Dataset (column ``url``) of (src, dst[, w]) edge
+    Datasets — the node table a graph is born with when it arrives as a
+    bare edge list. Task rounds in the :func:`_url_buckets` shape, no Ray
+    Data exchange: a task per block takes its distinct endpoints, which are
+    cut by sampled boundary urls into one bucket per ``SHUFFLE_MODE_NODES``
+    endpoint rows, and a task per bucket keeps its distinct urls."""
+    import ray
+    import ray.data
+
+    task = ray.remote(num_cpus=1)
+    pair_sets = [ds.materialize() for ds in pair_sets]
+    ends = [task(_ends).remote(b) for ds in pair_sets for b in ds.to_arrow_refs()]
+    nu = max(1, -(-sum(2 * ds.count() for ds in pair_sets) // SHUFFLE_MODE_NODES))
+    parts = [ends]
+    if nu > 1:
+        sample = task(_url_sample)
+        bounds = task(_url_bounds).remote(nu, *(sample.remote(16 * nu, e) for e in ends))
+        split = task(_split_by).options(num_returns=nu)
+        cut = [split.remote(bounds, "url", e) for e in ends]
+        parts = [[c[j] for c in cut] for j in range(nu)]
+    return ray.data.from_arrow_refs([task(_distinct).remote(*p) for p in parts])
 
 
 def weighted_pagerank(
@@ -2449,12 +2355,81 @@ def spam_mass(pr_ds, tr_ds, *, num_partitions: int = 16):
     )
 
 
-def random_walks(edges_ds, starts_ds, *, length: int = 3, n_buckets: int = 64,
-                 start_col: str = "url", mode: str = "auto"):
+def _walk_split(t: pa.Table, *firsts):
+    """Walker-init map task: a start block's rows cut by task bucket of
+    their url (``firsts``: the first url of each bucket after the first)."""
+    return _split_by(np.array(firsts, object), "src", t)
+
+
+def _first_url(urls: pa.Array) -> str:
+    return urls[0].as_py()
+
+
+def _walkers(lo, urls, *parts) -> pa.Table:
+    """Walker-init reduce task of the bucket whose url slice ``urls``
+    starts at node id ``lo``: one (start, path, cur) walker per start row
+    received, at its url's node id (``pc.index_in`` against the slice, the
+    lookup the edges get), its path the start url."""
+    chunks = [c for t in parts if t.num_rows for c in t.column("src").chunks]
+    start = pa.concat_arrays(chunks) if chunks else pa.array([], pa.string())
+    cur = pc.add(pc.index_in(start, value_set=urls).cast(pa.int64()), lo)
+    return pa.table({"start": start, "path": start, "cur": cur})
+
+
+def _walk_pin(lo, hi, pin, urls) -> dict:
+    """A bucket's walk pin: its ``fwd`` out-edges sorted by (src, dst) once
+    (``ptr``: where each node's run starts) and its url slice."""
+    order = np.lexsort((pin["other"], pin["key"]))
+    deg = np.bincount(pin["key"] - lo, minlength=hi - lo)
+    return {"lo": lo, "dst": pin["other"][order], "ptr": np.r_[0, np.cumsum(deg)], "urls": urls}
+
+
+def _walk_step(pin, s: pa.Table, t: int, per_bucket: int, nb: int):
+    """Random-walk map task, step ``t``: a walker alive at node u of the
+    bucket moves to out-neighbour ``H mod m`` of u's ``m`` out-neighbours
+    in ascending id (= byte-wise url) order, ``H`` the md5 rule of
+    :func:`random_walks` over its start url, t and u's url. A walker at a
+    dead end finishes (cur −1). Each walker goes to its next node's
+    bucket, a finished one to this bucket."""
+    import hashlib
+
+    cur = s.column("cur").to_numpy()
+    live = np.flatnonzero(cur >= 0)
+    c = cur[live] - pin["lo"]
+    first = pin["ptr"][c]
+    m = pin["ptr"][c + 1] - first
+    go = m > 0
+    live, c, first, m = live[go], c[go], first[go], m[go]
+    starts = s.column("start").take(live).to_pylist()
+    here = pin["urls"].take(c).to_pylist()
+    h = [int(hashlib.md5(f"{w}|{t}|{u}".encode()).hexdigest()[:15], 16) for w, u in zip(starts, here)]
+    h = np.array(h, np.int64)
+    nxt = np.full(len(cur), -1, np.int64)
+    nxt[live] = pin["dst"][first + h % m]
+    dest = np.where(nxt >= 0, nxt, pin["lo"]) // per_bucket
+    order = np.argsort(dest, kind="stable")
+    s = s.set_column(2, "cur", pa.array(nxt)).take(order)
+    cuts = _bucket_cuts(dest[order], 1, nb)
+    return _task_parts([s.slice(i, j - i) for i, j in zip(cuts[:-1], cuts[1:])])
+
+
+def _walk_fold(lo, urls, *parts):
+    """Random-walk reduce task of the bucket whose url slice ``urls``
+    starts at node id ``lo``: each walker that moved here appends its new
+    node's url to its path. Returns the walkers and how many moved."""
+    s = pa.concat_tables(parts)
+    cur = s.column("cur").to_numpy()
+    moved = cur >= 0
+    path = s.column("path").combine_chunks()
+    grown = pc.binary_join_element_wise(path, urls.take(np.where(moved, cur - lo, 0)), " ")
+    return s.set_column(1, "path", pc.if_else(moved, grown, path)), int(moved.sum())
+
+
+def random_walks(edges_ds, starts_ds, *, length=3, start_col="url", mode="auto", n_buckets=None):
     """DeepWalk-style walk-corpus generation (Perozzi et al. 2014): one
-    deterministic random walk per start node over the directed link
-    graph → ``(start, path)`` rows, the training sequences graph-
-    embedding models consume.
+    deterministic random walk per start row over the directed link graph
+    → ``(start, path)`` rows, the training sequences graph-embedding
+    models consume.
 
     Pinned step rule (mirrored op-for-op by the SQL oracle): from node
     ``u`` at step ``t`` in the walk started at ``w``, the next node is
@@ -2465,236 +2440,55 @@ def random_walks(edges_ds, starts_ds, *, length: int = 3, n_buckets: int = 64,
     reproducible in any engine and independent of partitioning. Dead
     ends TERMINATE the walk (shorter path, never a repeat-stay). The
     md5 is a per-walker Python call — the sampling family's documented
-    cross-engine-determinism cost, paid on n_walks rows per step, never
-    on edges.
+    cross-engine-determinism cost, paid on walkers per step, never on
+    edges.
 
-    Two regimes, the graph family's standard split (``mode="auto"``
-    picks by edge count vs ``SHUFFLE_MODE_NODES``; both produce the
-    IDENTICAL (start, path) set — the step rule depends only on (walk,
-    step, node) — test-pinned):
-
-    - **broadcast** (edges below the bound): the src-sorted edge arrays
-      live ONCE in the object store; each round is one ``map_batches``
-      pass over the walker Dataset (two searchsorteds + the md5 rule),
-      no exchange at all — pagerank's O(edges) single-object bound.
-    - **shuffle** (above it): ``length`` rounds of ONE bucketed exchange
-      each —
-    walker rows and edge rows pad to a shared (key, walk, path, dst,
-    kind) schema, union, ``groupby(hash(key) % B)``; per bucket the
-    edges sort once (vectorized) and every walker picks its successor
-    via two searchsorteds + the md5 rule. The padded+bucketed edge
-    table is materialized ONCE and reused every round (the stateless
-    re-exchange tradeoff bfs_distances documents; walk state is O(walks)
-    rows, never O(nodes) driver memory). Paths ride the walker rows as
-    strings — at 10^10 nodes emit (walk, step, node) triples instead if
-    paths outgrow block budgets."""
-    import ray.data
-
-    from .sketch import hash64_column
-
-    if mode not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = (
-            "broadcast"
-            if edges_ds.count() <= SHUFFLE_MODE_NODES
-            else "shuffle"
-        )
-    if mode == "broadcast":
-        return _random_walks_broadcast(
-            edges_ds, starts_ds, length=length, start_col=start_col
-        )
-
-    def bucket(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("key")) % np.uint64(n_buckets)).astype(
-            np.int64
-        )
-        return t.append_column("bk", pa.array(bk, pa.int64()))
-
-    def pad_e(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t.column("src").cast(pa.string()),
-                "walk": pa.nulls(t.num_rows, pa.string()),
-                "path": pa.nulls(t.num_rows, pa.string()),
-                "dst": t.column("dst").cast(pa.string()),
-                "kind": pa.array(np.ones(t.num_rows, np.int8), pa.int8()),
-            }
-        )
-
-    def pad_w(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t.column("key"),
-                "walk": t.column("walk"),
-                "path": t.column("path"),
-                "dst": pa.nulls(t.num_rows, pa.string()),
-                "kind": pa.array(np.zeros(t.num_rows, np.int8), pa.int8()),
-            }
-        )
-
-    def init(t: pa.Table) -> pa.Table:
-        u = t.column(start_col).cast(pa.string())
-        return pa.table({"key": u, "walk": u, "path": u})
-
-    def make_fold(step: int):
-        import hashlib
-
-        def fold(g: pa.Table) -> pa.Table:
-            kind = np.asarray(g.column("kind").to_pylist(), np.int8)
-            keys = np.asarray(g.column("key").to_pylist(), dtype=object)
-            is_e = kind == 1
-            src = keys[is_e].astype(str)
-            dst = np.asarray(g.column("dst").to_pylist(), dtype=object)[
-                is_e
-            ].astype(str)
-            if len(src):
-                order = np.lexsort((dst, src))
-                src, dst = src[order], dst[order]
-                keep = np.r_[True, (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])]
-                src, dst = src[keep], dst[keep]
-            is_w = ~is_e
-            if not is_w.any():
-                return pa.table(
-                    {
-                        "key": pa.array([], pa.string()),
-                        "walk": pa.array([], pa.string()),
-                        "path": pa.array([], pa.string()),
-                        "alive": pa.array([], pa.bool_()),
-                    }
-                )
-            cur = keys[is_w].astype(str)
-            walk = np.asarray(g.column("walk").to_pylist(), dtype=object)[is_w]
-            path = np.asarray(g.column("path").to_pylist(), dtype=object)[is_w]
-            lo = np.searchsorted(src, cur, "left")
-            hi = np.searchsorted(src, cur, "right")
-            out_key, out_walk, out_path, out_alive = [], [], [], []
-            for i in range(len(cur)):
-                m = hi[i] - lo[i]
-                if m == 0:
-                    out_key.append(cur[i])
-                    out_walk.append(walk[i])
-                    out_path.append(path[i])
-                    out_alive.append(False)
-                    continue
-                h = int(
-                    hashlib.md5(
-                        f"{walk[i]}|{step}|{cur[i]}".encode()
-                    ).hexdigest()[:15],
-                    16,
-                )
-                nxt = dst[lo[i] + h % m]
-                out_key.append(nxt)
-                out_walk.append(walk[i])
-                out_path.append(path[i] + " " + nxt)
-                out_alive.append(True)
-            return pa.table(
-                {
-                    "key": pa.array(out_key, pa.string()),
-                    "walk": pa.array(out_walk, pa.string()),
-                    "path": pa.array(out_path, pa.string()),
-                    "alive": pa.array(out_alive, pa.bool_()),
-                }
-            )
-
-        return fold
-
-    edges_padded = edges_ds.map_batches(
-        pad_e, batch_format="pyarrow", zero_copy_batch=True
-    ).map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True).materialize()
-
-    alive = starts_ds.map_batches(
-        init, batch_format="pyarrow", zero_copy_batch=True
-    )
-    finished = []
-    for step in range(length):
-        folded = (
-            alive.map_batches(pad_w, batch_format="pyarrow", zero_copy_batch=True)
-            .map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
-            .union(edges_padded)
-            .groupby("bk")
-            .map_groups(make_fold(step), batch_format="pyarrow")
-            .materialize()
-        )
-        finished.append(
-            folded.filter(expr="alive == False").drop_columns(["alive"])
-        )
-        alive = folded.filter(expr="alive == True").drop_columns(["alive"])
-
-    out = alive
-    for f in finished:
-        out = out.union(f)
-
-    def project(t: pa.Table) -> pa.Table:
-        return pa.table({"start": t.column("walk"), "path": t.column("path")})
-
-    return out.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _random_walks_broadcast(edges_ds, starts_ds, *, length: int, start_col: str):
-    """Broadcast regime of :func:`random_walks`: the distinct src-sorted
-    edge arrays sit once in the object store (declared O(edges) bound —
-    the pagerank-broadcast contract); each round is one row-local
-    ``map_batches`` pass over the walker Dataset, zero exchanges."""
-    import hashlib
-
+    Runs the traversal kernel in either ``mode`` (as :func:`kcore`) over
+    the distinct edge endpoints and start urls, whose ids are url ranks
+    (ascending id = byte-wise url order): the ``fwd`` layout pinned once
+    and sorted by (src, dst) per bucket; a walker is a (start, path, cur
+    id) row of its node's bucket. One map/reduce task round per step: the
+    map applies the md5 rule and sends each walker to its next node's
+    bucket, whose reduce appends that node's url. It stops after
+    ``length`` steps or a step that moves no walker (one count per bucket
+    a step); no Ray Data execution starts after the pin round.
+    Paths ride the walker rows as strings — at 10^10 nodes emit (walk,
+    step, node) triples instead if paths outgrow block budgets."""
     import ray
     import ray.data
 
-    tables = [ray.get(r) for r in edges_ds.to_arrow_refs()]
-    live = [t for t in tables if t.num_rows]
-    if live:
-        et = pa.concat_tables(live)
-        src_a = np.asarray(et.column("src").to_pylist(), dtype=object).astype(str)
-        dst_a = np.asarray(et.column("dst").to_pylist(), dtype=object).astype(str)
-        order = np.lexsort((dst_a, src_a))
-        src_a, dst_a = src_a[order], dst_a[order]
-        keep = np.r_[True, (src_a[1:] != src_a[:-1]) | (dst_a[1:] != dst_a[:-1])]
-        src_a, dst_a = src_a[keep], dst_a[keep]
-    else:
-        src_a = np.zeros(0, dtype=str)
-        dst_a = src_a
-    eref = ray.put((src_a, dst_a))
+    def pairs(src, dst):
+        return lambda t: pa.table({"src": t.column(src).cast(pa.string()),
+                                   "dst": t.column(dst).cast(pa.string())})
 
-    def advance_all(t: pa.Table) -> pa.Table:
-        srcs, dsts = ray.get(eref)
-        # object arrays throughout: fixed-width numpy U-dtypes would
-        # silently truncate the growing path strings
-        walk = np.asarray(t.column(start_col).to_pylist(), dtype=object)
-        cur = walk.copy()
-        path = walk.copy()
-        alive = np.ones(len(walk), dtype=bool)
-        for step in range(length):
-            idx = np.flatnonzero(alive)
-            if not len(idx):
-                break
-            cur_u = cur[idx].astype(str)
-            lo = np.searchsorted(srcs, cur_u, "left")
-            hi = np.searchsorted(srcs, cur_u, "right")
-            for j, i in enumerate(idx):
-                m = hi[j] - lo[j]
-                if m == 0:
-                    alive[i] = False
-                    continue
-                h = int(
-                    hashlib.md5(
-                        f"{walk[i]}|{step}|{cur[i]}".encode()
-                    ).hexdigest()[:15],
-                    16,
-                )
-                nxt = dsts[lo[j] + h % m]
-                cur[i] = nxt
-                path[i] = path[i] + " " + nxt
-        return pa.table(
-            {
-                "start": pa.array(walk.tolist(), pa.string()),
-                "path": pa.array(path.tolist(), pa.string()),
-            }
-        )
-
-    return starts_ds.map_batches(
-        advance_all, batch_format="pyarrow", zero_copy_batch=True
-    )
+    edges = edges_ds.map_batches(pairs("src", "dst"), batch_format="pyarrow").materialize()
+    # start urls as (u, u) rows: the node set counts them, the walkers read src
+    starts = starts_ds.map_batches(pairs(start_col, start_col), batch_format="pyarrow").materialize()
+    nodes = _endpoint_nodes(edges, starts).materialize()
+    n = nodes.count()
+    if n == 0:
+        return ray.data.from_arrow(pa.table({c: pa.array([], pa.string()) for c in ("start", "path")}))
+    g = _graph(nodes, edges, n, mode, n_buckets)
+    task = ray.remote(num_cpus=1)
+    slices = g.url_slices()
+    nb = len(slices)
+    fold_args = [(lo, u) for (lo, _), u in zip(g.bounds(), slices)]
+    firsts = [task(_first_url).remote(u) for u in slices[1:]]
+    split = task(_walk_split).options(num_returns=nb)
+    parts = [_part_refs(split.remote(b, *firsts), nb) for b in starts.to_arrow_refs()]
+    init = task(_walkers)
+    walkers = [init.remote(lo, u, *(p[b] for p in parts)) for b, (lo, u) in enumerate(fold_args)]
+    (fwd,) = g.pin(("fwd",))
+    prep = task(_walk_pin)
+    pins = [prep.remote(lo, hi, p, u) for (lo, hi), p, u in zip(g.bounds(), fwd, slices)]
+    step = task(_walk_step).options(num_returns=nb)
+    fold = task(_walk_fold).options(num_returns=2)
+    for t in range(length):
+        out = _shuffle_round(step, fold, pins, walkers, (t, g.per_bucket, nb), fold_args)
+        walkers = [w for w, _ in out]
+        if sum(ray.get([c for _, c in out])) == 0:
+            break
+    return ray.data.from_arrow_refs(walkers).drop_columns(["cur"])
 
 
 def host_cocitation(

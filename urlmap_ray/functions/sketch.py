@@ -615,17 +615,24 @@ _HLL_P = 12
 _HLL_M = 1 << _HLL_P  # 4096 registers, std error ~1.04/sqrt(m) = 1.6%
 
 
-def hll_batch_registers(hashes: np.ndarray) -> np.ndarray:
-    """Fold a batch of 64-bit hashes into a fresh uint8[4096] register
-    array (Flajolet et al. 2007, the 64-bit variant): index = top p bits,
-    rho = leading-zero run of the remaining 64−p bits + 1. The
-    bit-length comes from ``np.frexp`` on a float64 cast — EXACT because
-    the remaining 52 bits always fit float64's 53-bit mantissa (this is
-    why p = 12 is pinned, not tunable)."""
-    idx = (hashes >> _U64(64 - _HLL_P)).astype(np.int64)
+def hll_index_rho(hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(register index, rho) of each 64-bit hash (Flajolet et al. 2007,
+    the 64-bit variant): index = top p bits, rho = leading-zero run of the
+    remaining 64−p bits + 1. The bit-length comes from ``np.frexp`` on a
+    float64 cast — EXACT because the remaining 52 bits always fit
+    float64's 53-bit mantissa (this is why p = 12 is pinned, not
+    tunable)."""
     w = hashes & _U64((1 << (64 - _HLL_P)) - 1)
     _, exp = np.frexp(w.astype(np.float64))
     rho = np.where(w > 0, (64 - _HLL_P) + 1 - exp, (64 - _HLL_P) + 1).astype(np.uint8)
+    return (hashes >> _U64(64 - _HLL_P)).astype(np.int64), rho
+
+
+def hll_batch_registers(hashes: np.ndarray) -> np.ndarray:
+    """Fold a batch of 64-bit hashes into a fresh uint8[4096] register
+    array: each register the max rho of the hashes it indexes
+    (:func:`hll_index_rho`)."""
+    idx, rho = hll_index_rho(hashes)
     regs = np.zeros(_HLL_M, np.uint8)
     np.maximum.at(regs, idx, rho)
     return regs

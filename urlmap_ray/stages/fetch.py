@@ -50,11 +50,12 @@ _COLUMNS = ("url", "html", "status", "flaky_fails")
 
 class _RowGroupCache:
     """Decoded ``_COLUMNS`` of corpus row groups, LRU within the byte bound;
-    one open ``ParquetFile`` (with its url ranges) per bucket path."""
+    per bucket path its stamp and row-group url ranges. No file stays open:
+    a bucket file is opened only while its missed row groups decode."""
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.files: dict[str, tuple] = {}  # path -> (stamp, file, url ranges)
+        self.files: dict[str, tuple] = {}  # path -> (stamp, url ranges)
         self.groups: OrderedDict[tuple, pa.Table] = OrderedDict()
         self.held = 0
 
@@ -71,31 +72,39 @@ class _RowGroupCache:
         with self.lock:
             entry = self.files.get(path)
             if entry is None or entry[0] != stamp:
-                pf = pq.ParquetFile(path)
-                md, col = pf.metadata, pf.schema.names.index("url")
+                md = pq.read_metadata(path)
+                col = md.schema.names.index("url")
                 stats = (md.row_group(i).column(col).statistics for i in range(md.num_row_groups))
                 ranges = [
                     (s.min, s.max) if s is not None and s.has_min_max else None for s in stats
                 ]
-                entry = self.files[path] = (stamp, pf, ranges)
-            _, pf, ranges = entry
-            return [
-                self._decoded(pf, (path, *stamp, i))
-                for i, r in enumerate(ranges)
+                entry = self.files[path] = (stamp, ranges)
+            keys = [
+                (path, *stamp, i)
+                for i, r in enumerate(entry[1])
                 if r is None or (r[0] <= hi and r[1] >= lo)
             ]
+            tables = [self.groups.pop(k, None) for k in keys]
+            self.held -= sum(t.nbytes for t in tables if t is not None)
+            if any(t is None for t in tables):
+                with pq.ParquetFile(path) as pf:
+                    cols = [c for c in _COLUMNS if c in pf.schema.names]
+                    tables = [_decode(pf, k[-1], cols) if t is None else t for k, t in zip(keys, tables)]
+            for k, t in zip(keys, tables):
+                self.groups[k] = t
+                self.held += t.nbytes
+            while self.held > ROW_GROUP_CACHE_BYTES:
+                self.held -= self.groups.popitem(last=False)[1].nbytes
+            return tables
 
-    def _decoded(self, pf: pq.ParquetFile, key: tuple) -> pa.Table:
-        tbl = self.groups.pop(key, None)
-        if tbl is None:
-            tbl = pf.read_row_group(key[-1], columns=[c for c in _COLUMNS if c in pf.schema.names])
-            if "flaky_fails" not in tbl.column_names:  # pre-flaky_fails fixtures: all stable
-                tbl = tbl.append_column("flaky_fails", pa.array(np.zeros(tbl.num_rows, np.int32)))
-            self.held += tbl.nbytes
-        self.groups[key] = tbl
-        while self.held > ROW_GROUP_CACHE_BYTES:
-            self.held -= self.groups.popitem(last=False)[1].nbytes
-        return tbl
+
+def _decode(pf: pq.ParquetFile, i: int, cols: list[str]) -> pa.Table:
+    """Row group ``i`` of an open bucket file, ``flaky_fails`` zero-filled
+    for older fixtures (all pages stable)."""
+    tbl = pf.read_row_group(i, columns=cols)
+    if "flaky_fails" not in tbl.column_names:
+        tbl = tbl.append_column("flaky_fails", pa.array(np.zeros(tbl.num_rows, np.int32)))
+    return tbl
 
 
 _CACHE = _RowGroupCache()
