@@ -2037,7 +2037,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             min_words=10,
             threshold=0.8,
             fractions={"train": 0.8, "val": 0.1, "test": 0.1},
-            cc_buckets=64,
         )
 
     def dedup_exact(sf_dir):
@@ -2111,7 +2110,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # driver gate checks the 100-TB path; dedup_canonical below covers
         # the bounded small-pair-set fast path
         pairs = dd.dedup_minhash_lsh(_docs(sf_dir), threshold=0.8)
-        cc = connected_components(pairs, buckets=64, driver_threshold=0)
+        cc = connected_components(pairs, driver_threshold=0)
         return attach_components(_doc_ids(sf_dir), cc).sort("doc_id")
 
     def dedup_canonical(sf_dir):
@@ -2125,7 +2124,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         pairs = dd.dedup_minhash_lsh(_docs(sf_dir), threshold=0.8)
-        cc = connected_components(pairs, buckets=64)
+        cc = connected_components(pairs)
         return (
             attach_components(_doc_ids(sf_dir), cc)
             .groupby("comp")

@@ -30,17 +30,24 @@ def _emb_table(n=120, d=16, seed=7):
     )
 
 
+def _labels(ds, **kw) -> pa.Table:
+    # the output order is not promised: compare by id
+    return pa.concat_tables(
+        kmeans_assign(ds, **kw).iter_batches(batch_size=None, batch_format="pyarrow")
+    ).sort_by("vec_id")
+
+
 def test_reference_labels_partition_invariant(ray_session):
     tbl = _emb_table()
     expected = kmeans_reference(tbl, k=4, iters=3)
-    for blocks in (1, 7):
-        ds = ray.data.from_arrow(tbl).repartition(blocks)
-        got = pa.concat_tables(
-            kmeans_assign(ds, k=4, iters=3).iter_batches(
-                batch_size=None, batch_format="pyarrow"
-            )
-        )
-        assert got.equals(expected), f"mismatch at {blocks} blocks"
+    layouts = {
+        "1 block": ray.data.from_arrow(tbl).repartition(1),
+        "7 blocks": ray.data.from_arrow(tbl).repartition(7),
+        "a zero-row block": ray.data.from_arrow([tbl.slice(0, 0), tbl]),
+        "more blocks than rows": ray.data.from_arrow(tbl).repartition(tbl.num_rows + 8),
+    }
+    for name, ds in layouts.items():
+        assert _labels(ds, k=4, iters=3).equals(expected), f"mismatch with {name}"
 
 
 def test_reference_shuffled_input_same_labels(ray_session):
@@ -49,12 +56,7 @@ def test_reference_shuffled_input_same_labels(ray_session):
     expected = kmeans_reference(tbl, k=3, iters=4)
     perm = np.random.default_rng(0).permutation(tbl.num_rows)
     ds = ray.data.from_arrow(tbl.take(perm)).repartition(5)
-    got = pa.concat_tables(
-        kmeans_assign(ds, k=3, iters=4).iter_batches(
-            batch_size=None, batch_format="pyarrow"
-        )
-    )
-    assert got.equals(expected)
+    assert _labels(ds, k=3, iters=4).equals(expected)
 
 
 def test_assign_tie_breaks_to_lowest_cluster():

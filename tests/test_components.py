@@ -91,15 +91,18 @@ def test_components_contraction_across_batches(ray_session):
     within-block runs to stars, the global rounds must still merge across
     blocks to the single component min."""
     pairs = [(i, i + 1) for i in range(60)]
-    ds = _pairs_ds(pairs).repartition(8)
-    got = _labels(connected_components(ds, buckets=8, driver_threshold=0))
-    assert got == _union_find(pairs)
-    assert set(got.values()) == {0}
+    for blocks in (8, 64):  # 64 > pairs: zero-row blocks too
+        ds = _pairs_ds(pairs).repartition(blocks)
+        got = _labels(connected_components(ds, buckets=8, driver_threshold=0))
+        assert got == _union_find(pairs), f"{blocks} blocks"
+        assert set(got.values()) == {0}
 
 
 def test_components_empty(ray_session):
     ds = _pairs_ds([])
     assert connected_components(ds).count() == 0
+    with pytest.raises(ValueError, match="got 0"):
+        connected_components(_pairs_ds([(1, 2)]), buckets=0)
 
 
 def test_attach_components_labels_singletons(ray_session):

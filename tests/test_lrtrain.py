@@ -43,16 +43,24 @@ def _toy_table(n: int = 120, seed: int = 7) -> pa.Table:
     )
 
 
-@pytest.mark.parametrize("n_blocks", [1, 3, 8])
+def _scores(ds, **kw) -> pa.Table:
+    # the output order is not promised: compare by id
+    return pa.concat_tables(
+        lr_train_score(ds, **kw).iter_batches(batch_size=None, batch_format="pyarrow")
+    ).sort_by("doc_id")
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3, 8, "zero_row_block", "more_blocks_than_rows"])
 def test_bit_identical_to_reference_any_parallelism(ray_session, n_blocks):
     t = _toy_table()
     want = lr_reference(t, dim=1 << 12, iters=4)
-    ds = ray.data.from_arrow(t).repartition(n_blocks)
-    got = pa.concat_tables(
-        lr_train_score(ds, dim=1 << 12, iters=4).iter_batches(
-            batch_size=None, batch_format="pyarrow"
-        )
-    )
+    if n_blocks == "zero_row_block":
+        ds = ray.data.from_arrow([t.slice(0, 0), t])
+    elif n_blocks == "more_blocks_than_rows":
+        ds = ray.data.from_arrow(t).repartition(t.num_rows + 8)
+    else:
+        ds = ray.data.from_arrow(t).repartition(n_blocks)
+    got = _scores(ds, dim=1 << 12, iters=4)
     assert got.equals(want), f"blocks={n_blocks} diverged from reference"
 
 
@@ -87,11 +95,7 @@ def test_empty_and_short_docs(ray_session):
         }
     )
     want = lr_reference(t, dim=256, iters=2)
-    got = pa.concat_tables(
-        lr_train_score(ray.data.from_arrow(t), dim=256, iters=2).iter_batches(
-            batch_size=None, batch_format="pyarrow"
-        )
-    )
+    got = _scores(ray.data.from_arrow(t), dim=256, iters=2)
     assert got.equals(want)
     # the empty doc has no features: margin 0 → sigmoid 0.5 → ppb 5e8
     assert got.column("score_ppb")[0].as_py() == 500_000_000

@@ -5,18 +5,19 @@ balanced sampling, IVF index training (``similarity.py`` trains its
 cells on a sample; this is the full-data counterpart), and cluster-
 based quality triage. The scale shape is the textbook one:
 
-- **Assignment is row-local**: centroids (k × d, a few KB) broadcast
-  once per iteration via ``ray.put``; every batch computes nearest-
-  centroid with one matmul. The corpus never moves — no shuffle at all.
-- **The update is a tiny mergeable partial**: each shard emits per-
-  cluster (count, vector-sum); the driver folds k rows of d numbers.
-  Exchange volume is O(actors × k × d), independent of row count.
-- **Iteration state lives in actors** (graph.py's PageRank/HITS keep
-  theirs as object-store bucket slices read by stateless tasks instead,
-  cf. ``_pin_buckets``): embedding blocks are
-  quantized ONCE and pinned in a round-robin actor pool; each Lloyd
-  iteration is a round of actor RPCs, not a fresh Dataset job (a
-  Dataset launch costs ~1s on a busy driver; ×iters that dominates).
+- **Assignment is row-local**: every block computes nearest-centroid
+  with one matmul against the k × d centroids (a few KB). The corpus
+  never moves — no shuffle at all.
+- **The update is a tiny mergeable partial**: each block emits per-
+  cluster (count, vector-sum); one fold task sums k rows of d numbers.
+  Exchange volume is O(blocks × k × d), independent of row count.
+- **Iteration state is pinned once** (graph.py's kernel shape): one pin
+  task per block quantizes it and leaves its matrix and ids in the
+  object store; each Lloyd iteration is one stateless task per pinned
+  block plus the fold task, not a fresh Dataset job (a Dataset launch
+  costs ~1s on a busy driver; ×iters that dominates). Centroids pass
+  from task to task by ref; the driver holds refs and the O(blocks)
+  row counts.
 
 **Determinism across cluster sizes — the fixed-point trick.** Float
 centroid sums are summation-order-dependent, so a distributed run
@@ -25,7 +26,7 @@ assignments near cluster boundaries could flip. Instead, embeddings
 are quantized once to int64 fixed-point (``round(x * 2^20)``) and ALL
 arithmetic — distances, partial sums, centroid division — is exact
 integer math. Integer addition is associative and commutative, so the
-fold order (hence partitioning, batch size, actor count) cannot change
+fold order (hence partitioning, batch size, task count) cannot change
 any result bit: a 1-core run, a 32-core run, and the pure-numpy
 reference (:func:`kmeans_reference`) produce identical labels. Ties
 (exact equal distances) break to the lowest cluster id; empty clusters
@@ -43,6 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .graph import _blocks
 
 __all__ = ["kmeans_assign", "kmeans_reference"]
 
@@ -92,31 +95,35 @@ def _update(cents: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> np.ndarr
     return new
 
 
-class _VecShard:
-    """Pins a set of quantized embedding blocks; one RPC per iteration."""
+def _pin(vec_col: str, id_col: str, scale: int, k: int, t: pa.Table):
+    """Pin task over one block: its quantized matrix and ids, its ``k``
+    smallest-id (ids, rows) as seed candidates, and its row count."""
+    if not t.num_rows or vec_col not in t.column_names:
+        empty = np.zeros(0, np.int64)
+        return empty, empty, (empty, empty), 0
+    xq = _quantize(_emb_matrix(t, vec_col), scale)
+    ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
+    first = np.argsort(ids, kind="stable")[:k]
+    return xq, ids, (ids[first], xq[first]), len(ids)
 
-    def __init__(self, block_refs, vec_col: str, id_col: str, scale: int):
-        import ray
 
-        mats, ids = [], []
-        for t in map(ray.get, block_refs):
-            if t.num_rows and vec_col in t.column_names:
-                mats.append(_quantize(_emb_matrix(t, vec_col), scale))
-                ids.append(t.column(id_col).to_numpy(zero_copy_only=False))
-        self.xq = np.concatenate(mats) if mats else np.zeros((0, 1), np.int64)
-        self.ids = (
-            np.concatenate(ids) if ids else np.zeros(0, np.int64)
-        ).astype(np.int64)
+def _seed(k: int, *cands) -> np.ndarray:
+    """Initial centroids: the rows of the ``k`` smallest ids over the
+    blocks' seed candidates."""
+    ids = np.concatenate([c[0] for c in cands])
+    return np.concatenate([c[1] for c in cands])[np.argsort(ids, kind="stable")[:k]]
 
-    def partial(self, cents: np.ndarray, k: int):
-        if not len(self.xq):
-            return np.zeros(k, np.int64), np.zeros((k, cents.shape[1]), np.int64)
-        return _partials(self.xq, cents, k)
 
-    def labels(self, cents: np.ndarray):
-        if not len(self.xq):
-            return self.ids, np.zeros(0, np.int32)
-        return self.ids, _assign(self.xq, cents)
+def _fold(cents: np.ndarray, *parts) -> np.ndarray:
+    """One Lloyd update from the blocks' (counts, sums) partials: integer
+    adds, so the fold order is irrelevant."""
+    return _update(cents, sum(c for c, _ in parts), sum(s for _, s in parts))
+
+
+def _label_block(id_col: str, ids: np.ndarray, xq: np.ndarray, cents: np.ndarray) -> pa.Table:
+    return pa.table(
+        {id_col: pa.array(ids, pa.int64()), "cluster": pa.array(_assign(xq, cents), pa.int32())}
+    )
 
 
 def kmeans_assign(
@@ -128,61 +135,35 @@ def kmeans_assign(
     id_col: str = "vec_id",
     scale: int = DEFAULT_SCALE,
 ):
-    """Lloyd's k-means over ``ds[vec_col]`` → (id_col, cluster) Dataset.
+    """Lloyd's k-means over ``ds[vec_col]`` → (id_col, cluster) Dataset,
+    one output block per non-empty input block, in no promised order.
 
     See the module docstring for the scale shape and the fixed-point
     determinism argument. Initial centroids are the (quantized) vectors
-    of the ``k`` smallest ids — deterministic and cheap (one sort-limit
-    of the id column's top-k rows, not a global sort at scale: Ray's
-    sort+limit prunes, and at 100 TB you would seed from a fixed id
-    list instead)."""
+    of the ``k`` smallest ids — deterministic and cheap: each pin task
+    offers its block's ``k`` smallest-id rows and one seed task picks
+    the global ``k`` (at 100 TB you would seed from a fixed id list
+    instead)."""
     import ray
+    import ray.data
 
     slim = ds.map_batches(
         lambda t: t.select([id_col, vec_col]), batch_format="pyarrow",
         zero_copy_batch=True,
-    ).materialize()
-
-    seed = slim.sort(id_col).limit(k).take_all()
-    if len(seed) < k:
-        raise ValueError(f"k={k} but only {len(seed)} rows")
-    cents = _quantize(np.asarray([r[vec_col] for r in seed], dtype=np.float64), scale)
-
-    block_refs = slim.to_arrow_refs()
-    shard_cls = ray.remote(num_cpus=1)(_VecShard)
-    n_actors = max(1, min(len(block_refs), int(ray.cluster_resources().get("CPU", 8))))
-    actors = [
-        shard_cls.remote(block_refs[i::n_actors], vec_col, id_col, scale)
-        for i in range(n_actors)
-    ]
-    try:
-        for _ in range(iters):
-            cents_ref = ray.put(cents)
-            counts = np.zeros(k, np.int64)
-            sums = np.zeros((k, cents.shape[1]), np.int64)
-            for c, s in ray.get([a.partial.remote(cents_ref, k) for a in actors]):
-                counts += c  # integer adds: fold order is irrelevant
-                sums += s
-            cents = _update(cents, counts, sums)
-        cents_ref = ray.put(cents)
-        parts = ray.get([a.labels.remote(cents_ref) for a in actors])
-    finally:
-        for a in actors:
-            ray.kill(a)
-
-    ids = np.concatenate([p[0] for p in parts])
-    labs = np.concatenate([p[1] for p in parts])
-    order = np.argsort(ids, kind="stable")
-    import ray.data
-
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                id_col: pa.array(ids[order], pa.int64()),
-                "cluster": pa.array(labs[order].astype(np.int32), pa.int32()),
-            }
-        )
     )
+    pin = ray.remote(num_cpus=1)(_pin).options(num_returns=4)
+    pins = [pin.remote(vec_col, id_col, scale, k, b) for b in _blocks(slim)]
+    rows = ray.get([p[3] for p in pins])
+    if sum(rows) < k:
+        raise ValueError(f"k={k} but only {sum(rows)} rows")
+    pins = [p for p, r in zip(pins, rows) if r]
+    cents = ray.remote(num_cpus=1)(_seed).remote(k, *(p[2] for p in pins))
+    partial = ray.remote(num_cpus=1)(_partials)
+    fold = ray.remote(num_cpus=1)(_fold)
+    for _ in range(iters):
+        cents = fold.remote(cents, *(partial.remote(p[0], cents, k) for p in pins))
+    label = ray.remote(num_cpus=1)(_label_block)
+    return ray.data.from_arrow_refs([label.remote(id_col, p[1], p[0], cents) for p in pins])
 
 
 def kmeans_reference(

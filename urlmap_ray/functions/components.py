@@ -20,17 +20,18 @@ rounds, which a chain of duplicates makes unbounded):
 
 Scale shapes:
 
-- Each round is ONE single-key shuffle: emitted rows carry an int32
-  ``ub`` node bucket and the star rewire runs vectorized inside
-  ``groupby("ub").map_groups`` (lexsort + run reduction — the repo's
-  bucketed-combine pattern; no per-node groups, no Python loop over
-  edges). The shuffle moves (u, v) int64 pairs — never documents.
-- The pair set is materialized per round (it is consumed twice: the
-  convergence checksum and the next round) — pairs are O(duplicate
-  docs), a sliver of the corpus.
-- Convergence is detected with an order-free streamed checksum
-  (count + sum + xor of mixed 64-bit pair hashes, reduced from
-  per-batch partials); no round ships the pair set to the driver.
+- Each round is ONE task round (graph.py's ``_shuffle_round``): a map
+  task per pair block cuts its rows by an int64 ``ub`` node-hash bucket,
+  and a reduce task per bucket runs the star rewire vectorized (lexsort
+  + run reduction — the repo's bucketed-combine pattern; no per-node
+  groups, no Python loop over edges). The round moves (u, v) int64
+  pairs as object refs — never documents, never a Dataset job.
+- Each bucket's pairs stay in the object store between rounds — pairs
+  are O(duplicate docs), a sliver of the corpus.
+- Convergence is detected with an order-free checksum (count + sum +
+  xor of mixed 64-bit pair hashes): each small-star reduce returns its
+  bucket's partial beside its pairs, and the driver folds the
+  O(buckets) partials; no round ships the pair set to the driver.
 - Cluster labels attach to the full document set via the repo's
   pad→union→single-key-groupby shape (``attach_components``) — no
   broadcast of the label table, which is O(duplicate docs) and can
@@ -41,9 +42,20 @@ Everything is int64 arithmetic — no float-determinism caveats.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 import pyarrow as pa
 
+from .graph import (
+    SHUFFLE_MODE_NODES,
+    _bucket_cuts,
+    _concat_parts,
+    _cut,
+    _shuffle_round,
+    _task_parts,
+)
 from .pairs import EMPTY_PAIRS, distinct_pair_table
 
 __all__ = ["connected_components", "attach_components", "url_components"]
@@ -52,91 +64,79 @@ _MIX_A = np.uint64(0x9E3779B97F4A7C15)
 _MIX_B = np.uint64(0xC2B2AE3D27D4EB4F)
 
 
-def _star_round(pairs_ds, *, large: bool, buckets: int):
-    """One star rewrite: emit direction-keyed rows, bucket by node, and
-    run the vectorized star reduction per bucket. Input/output are
-    canonical (a < b) distinct-ish pair Datasets."""
-
-    def emit(t: pa.Table) -> pa.Table:
+def _star_emit(t: pa.Table, step: str, nb: int):
+    """Map task of a star round over one pair block: its (u, v) rows cut
+    into one part per ``ub`` hash bucket of u. A large star groups every
+    edge at BOTH endpoints, a small star each edge at its LARGER endpoint
+    (b > a); the label round sends each node of the converged star forest
+    (every pair is (comp_min, node); roots get a self row) with its comp."""
+    if "a" in t.column_names:
         a = t.column("a").to_numpy(zero_copy_only=False)
         b = t.column("b").to_numpy(zero_copy_only=False)
-        if large:  # group every edge at BOTH endpoints
-            u = np.concatenate([a, b])
-            v = np.concatenate([b, a])
-        else:  # group each edge at its LARGER endpoint only (b > a)
-            u, v = b, a
-        ub = ((u.astype(np.uint64) * _MIX_A) >> np.uint64(40)).astype(np.int64)
-        return pa.table(
-            {
-                "u": pa.array(u, pa.int64()),
-                "v": pa.array(v, pa.int64()),
-                "ub": pa.array((ub % buckets).astype(np.int32), pa.int32()),
-            }
-        )
-
-    def star(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return EMPTY_PAIRS
-        u = g.column("u").to_numpy(zero_copy_only=False)
-        v = g.column("v").to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        lens = np.diff(np.append(starts, len(u)))
-        # v is sorted within each u-run, so the run min is v[start]
-        m_run = np.minimum(v[starts], u[starts])
-        m = np.repeat(m_run, lens)
-        if large:
-            keep = v > u  # rewire strictly-larger neighbors to the min
-            lo, hi = m[keep], v[keep]
-        else:
-            # neighbors here are all < u: rewire them and u itself to the
-            # min; the (u, m) edge is one row per run
-            keep = v != m
-            lo = np.concatenate([m[keep], m_run])
-            hi = np.concatenate([v[keep], u[starts]])
-            sane = lo != hi  # u == m happens only for self-ish degenerates
-            lo, hi = lo[sane], hi[sane]
-        return distinct_pair_table(lo, hi)
-
-    return (
-        pairs_ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ub")
-        .map_groups(star, batch_format="pyarrow")
-    )
+    else:  # a zero-row block may carry no schema
+        a = b = np.empty(0, np.int64)
+    if step == "large":
+        u, v = np.concatenate([a, b]), np.concatenate([b, a])
+    elif step == "small":
+        u, v = b, a
+    else:
+        u, v = np.concatenate([b, a]), np.concatenate([a, a])
+    ub = ((u.astype(np.uint64) * _MIX_A) >> np.uint64(40)).astype(np.int64) % nb
+    order = np.argsort(ub, kind="stable")
+    return _task_parts(_cut(_bucket_cuts(ub[order], 1, nb), u[order], v[order]))
 
 
-def _checksum(pairs_ds) -> tuple[int, int, int]:
-    """Order-free multiset checksum (count, wrapped sum, xor) of mixed
-    pair hashes, reduced from tiny per-batch partials — the convergence
-    test never moves the pair set itself."""
+def _star(step: str, *parts):
+    """Reduce task of a star round over one ``ub`` bucket (every row of its
+    nodes): the vectorized star rewrite (lexsort + run reduction) as a
+    distinct pair table plus, after a small star, its checksum partial.
+    The label round returns each node's min comp as (node, comp) rows."""
+    u, v = _concat_parts(parts, 2)
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    # v is sorted within each u-run, so the run min is v[start]
+    starts = np.flatnonzero(np.r_[len(u) > 0, u[1:] != u[:-1]])
+    if step == "labels":
+        return pa.table({"node": pa.array(u[starts], pa.int64()), "comp": pa.array(v[starts], pa.int64())})
+    lens = np.diff(np.append(starts, len(u)))
+    m_run = np.minimum(v[starts], u[starts])
+    m = np.repeat(m_run, lens)
+    if step == "large":
+        keep = v > u  # rewire strictly-larger neighbors to the min
+        lo, hi = m[keep], v[keep]
+    else:
+        # neighbors here are all < u: rewire them and u itself to the
+        # min; the (u, m) edge is one row per run
+        keep = v != m
+        lo = np.concatenate([m[keep], m_run])
+        hi = np.concatenate([v[keep], u[starts]])
+        sane = lo != hi  # u == m happens only for self-ish degenerates
+        lo, hi = lo[sane], hi[sane]
+    out = distinct_pair_table(lo, hi)
+    return out, _checksum(out) if step == "small" else None
 
-    def part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return pa.table({"n": pa.array([0], pa.int64()),
-                             "s": pa.array([0], pa.uint64()),
-                             "x": pa.array([0], pa.uint64())})
-        a = t.column("a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t.column("b").to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = a * _MIX_A ^ (b * _MIX_B >> np.uint64(7))
-        return pa.table(
-            {
-                "n": pa.array([t.num_rows], pa.int64()),
-                "s": pa.array([int(np.sum(h, dtype=np.uint64))], pa.uint64()),
-                "x": pa.array([int(np.bitwise_xor.reduce(h))], pa.uint64()),
-            }
-        )
 
-    n = s = x = 0
-    for t in pairs_ds.map_batches(
-        part, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    ).iter_batches(batch_size=None, batch_format="pyarrow"):
-        n += int(np.sum(t.column("n").to_numpy(zero_copy_only=False), dtype=np.int64))
-        s = (s + int(np.sum(t.column("s").to_numpy(zero_copy_only=False),
-                            dtype=np.uint64))) & 0xFFFFFFFFFFFFFFFF
-        x ^= int(np.bitwise_xor.reduce(
-            t.column("x").to_numpy(zero_copy_only=False), initial=np.uint64(0)))
-    return n, s, x
+def _checksum(t: pa.Table) -> tuple[int, int, int]:
+    """Order-free multiset checksum partial (count, wrapped sum, xor) of
+    one pair table's mixed pair hashes — the convergence test never moves
+    the pair set itself."""
+    a = t.column("a").to_numpy(zero_copy_only=False).astype(np.uint64)
+    b = t.column("b").to_numpy(zero_copy_only=False).astype(np.uint64)
+    h = a * _MIX_A ^ (b * _MIX_B >> np.uint64(7))
+    return t.num_rows, int(np.sum(h, dtype=np.uint64)), int(np.bitwise_xor.reduce(h))
+
+
+def _gather(*blocks) -> tuple[pa.Table, tuple[int, int, int]]:
+    """One task bucket's share of the contracted pair blocks, as one pair
+    table, and its checksum partial."""
+    t = pa.concat_tables([EMPTY_PAIRS, *(b for b in blocks if b.num_rows)])
+    return t, _checksum(t)
+
+
+def _fold_checksums(*parts) -> tuple[int, int, int]:
+    """The checksum of a pair multiset from its parts' partials."""
+    n, s, x = zip(*parts)
+    return sum(n), sum(s) & 0xFFFFFFFFFFFFFFFF, functools.reduce(operator.xor, x)
 
 
 def _union_find_labels(pairs: pa.Table) -> pa.Table:
@@ -169,7 +169,7 @@ def _union_find_labels(pairs: pa.Table) -> pa.Table:
 
 
 def connected_components(
-    pairs_ds, *, buckets: int = 256, max_rounds: int = 64,
+    pairs_ds, *, buckets: int | None = None, max_rounds: int = 64,
     driver_threshold: int = 1_048_576,
 ):
     """(a, b) int64 pair Dataset → (node, comp) label Dataset.
@@ -179,20 +179,28 @@ def connected_components(
     themselves); use :func:`attach_components` to extend labels to a
     full id column with singletons mapping to themselves.
 
-    Alternates large-star / small-star rounds (one single-key shuffle
-    each) until the pair multiset checksum is stable — O(log n) rounds.
+    Alternates large-star / small-star rounds (one task round each over
+    ``buckets`` node-hash buckets; by default one per session CPU, more
+    when a bucket would hold over ``SHUFFLE_MODE_NODES`` pairs) until the
+    pair multiset checksum is stable — O(log n) rounds.
 
     Hybrid knob (same shape as the crawl budget gate): when the distinct
     pair count — known after the first materialize — is at most
     ``driver_threshold`` (≤16MB of int64 pairs / a few driver seconds of
     union-find at the default 2^20), a local union-find beats launching
-    ~2·log(n) shuffle jobs whose per-job overhead dwarfs the work. Above
+    ~2·log(n) task rounds whose per-round overhead dwarfs the work. Above
     it, or with ``driver_threshold=0``, the fully-distributed star rounds
     run (the 100-TB path; pair sets at high dup rates are O(corpus) and
     must never land on one machine). Labels are path-independent (min id
     of the component), so the two regimes are value-identical —
     test-asserted for both this function and url_components.
     """
+    import ray
+    import ray.data
+
+    if buckets is not None and buckets < 1:
+        raise ValueError(f"buckets must be at least 1, got {buckets}")
+
     def canon_contract(t: pa.Table) -> pa.Table:
         # canonicalize, then LOCAL CONTRACTION (Kiveris et al. §6 "local
         # aggregation"): union-find within the batch and emit each local
@@ -218,25 +226,32 @@ def connected_components(
     pairs = pairs_ds.map_batches(
         canon_contract, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
-    prev = _checksum(pairs)
-    if prev[0] == 0:
-        import ray.data
-
+    n = pairs.count()  # block metadata: no execution
+    if n == 0:
         return ray.data.from_arrow(
             pa.table({"node": pa.array([], pa.int64()),
                       "comp": pa.array([], pa.int64())})
         )
-    if prev[0] <= driver_threshold:
-        import ray.data
-
+    if n <= driver_threshold:
         local = pa.concat_tables(
             pairs.iter_batches(batch_size=None, batch_format="pyarrow")
         )
         return ray.data.from_arrow(_union_find_labels(local))
+    nb = buckets or max(int(ray.cluster_resources().get("CPU", 1)), -(-n // SHUFFLE_MODE_NODES))
+    blocks = pairs.to_arrow_refs()
+    gather = ray.remote(num_cpus=1)(_gather).options(num_returns=2)
+    pairs, parts = zip(*(gather.remote(*blocks[b::nb]) for b in range(nb)))
+    prev = _fold_checksums(*ray.get(list(parts)))
+    emit = ray.remote(num_cpus=1)(_star_emit).options(num_returns=nb)
+    star = ray.remote(num_cpus=1)(_star).options(num_returns=2)
+
+    def star_round(step, fold, pairs):
+        return _shuffle_round(emit, fold, pairs, [step] * nb, (nb,), [(step,)] * nb)
+
     for _ in range(max_rounds):
-        pairs = _star_round(pairs, large=True, buckets=buckets)
-        pairs = _star_round(pairs, large=False, buckets=buckets).materialize()
-        cur = _checksum(pairs)
+        pairs = [p for p, _ in star_round("large", star, pairs)]
+        pairs, parts = zip(*star_round("small", star, pairs))
+        cur = _fold_checksums(*ray.get(list(parts)))
         if cur == prev:
             break
         prev = cur
@@ -249,29 +264,9 @@ def connected_components(
             f"connected_components: no fixpoint after {max_rounds} rounds; "
             "raise max_rounds (expected O(log n) rounds) or check the input"
         )
-
-    from ray.data.aggregate import Min
-
-    # converged star forest: every pair is (comp_min, node); roots get a
-    # self row. Min-groupby collapses cross-bucket duplicate edges.
-    def labels(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "comp": pa.array([], pa.int64())})
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "node": pa.array(np.concatenate([b, a]), pa.int64()),
-                "comp": pa.array(np.concatenate([a, a]), pa.int64()),
-            }
-        )
-
-    return (
-        pairs.map_batches(labels, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("node")
-        .aggregate(Min("comp", alias_name="comp"))
-    )
+    # converged star forest: each node's min comp in its bucket collapses
+    # cross-bucket duplicate edges
+    return ray.data.from_arrow_refs(star_round("labels", ray.remote(num_cpus=1)(_star), pairs))
 
 
 def attach_components(ds, cc_ds, *, id_col: str = "doc_id", out_col: str = "comp"):

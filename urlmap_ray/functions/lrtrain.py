@@ -8,22 +8,25 @@ corpus itself (CCNet trains fastText on Wikipedia-vs-crawl labels; the
 GPT-3/Llama data papers train LR over hashed features the same way).
 The scale shape is the kmeans/PCA one (clustering.py, decomposition.py):
 
-- **Features are pinned once in an actor pool** — hashed unigram+bigram
-  bucket ids per doc (``quality_model._token_hashes`` contract: utf8proc
-  lowercase, unicode whitespace split, pandas hash, splitmix64 bigram
-  combine), flattened with per-doc offsets. Text is read once and never
+- **Features are pinned once per block** — one pin task per block
+  leaves its hashed unigram+bigram bucket ids per doc
+  (``quality_model._token_hashes`` contract: utf8proc lowercase, unicode
+  whitespace split, pandas hash, splitmix64 bigram combine), flattened
+  with per-doc offsets, in the object store. Text is read once and never
   re-tokenized across iterations.
-- **Each GD iteration is one RPC round**, not a Dataset job: weights
-  (``dim`` int64, ~128 KB at 2^14) broadcast via ``ray.put``; each shard
-  returns one int64 gradient vector — exchange volume O(actors × dim),
-  independent of row count.
+- **Each GD iteration is one task round**, not a Dataset job: one
+  stateless gradient task per pinned block returns one int64 gradient
+  vector, and one step task folds them and returns the new weights
+  (``dim`` int64, ~128 KB at 2^14) by ref — exchange volume
+  O(blocks × dim), independent of row count. The driver holds refs and
+  the O(blocks) doc counts.
 - **Determinism across parallelism — exact-integer gradients.** The
   per-doc margin is an EXACT integer (int64 weights summed over integer
   feature multiplicities); the per-doc float chain σ(z_q / S_W) − y is
   row-local (identical IEEE ops everywhere); the residual is quantized
   to int64 (``np.round(r · S_R)``, |r| < 1 so |r_q| ≤ 2^31) BEFORE any
   summation, so gradient partials are associative integer sums — fold
-  order, batch size and actor count cannot change any bit. Partials are
+  order, batch size and block count cannot change any bit. Partials are
   folded and the weight step applied in arbitrary-precision Python ints
   (the PCA contract), so no corpus size overflows. The update rounds
   ``lr · g / n`` back to weight fixed-point with nearest-ties-to-even
@@ -32,9 +35,10 @@ The scale shape is the kmeans/PCA one (clustering.py, decomposition.py):
   :func:`lr_reference` produce identical weights and scores.
 
 Overflow budget: |z_q| ≤ tokens·max|w_q|; weights stay small (gradient
-steps shrink as the model fits), and int64 per-shard gradient entries
-hold to ~2^25 docs/shard before the Python-int fold would need to move
-into the shard (documented knob, not a cliff).
+steps shrink as the model fits). A block's int64 gradient entry sums at
+most its feature-instance count of terms |r_q| ≤ 2^31, so it cannot
+overflow below 2^32 feature instances per block (a 128 MB text block
+holds about 2^26); the fold across blocks is in Python ints.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .graph import _blocks
 from .quality_model import _BIGRAM_MULT, _doc_sums, _token_hashes
 from .sketch import _splitmix64
 
@@ -152,51 +157,22 @@ def _scores_table(
     )
 
 
-class _LrShard:
-    """Pins hashed features + labels for a set of blocks; one RPC/iter."""
+def _pin(text_col: str, id_col: str, label_col: str, dim: int, t: pa.Table):
+    """Pin task over one block: its docs' feature buckets (``flat % dim``),
+    doc offsets, labels and ids, then its doc count."""
+    if not t.num_rows:
+        empty = np.zeros(0, np.int64)
+        return empty, np.zeros(1, np.int64), empty, empty, 0
+    flat, offsets = _doc_feats(t.column(text_col))
+    y = t.column(label_col).to_numpy(zero_copy_only=False).astype(np.int64)
+    ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
+    return (flat % dim).astype(np.int64), offsets, y, ids, t.num_rows
 
-    def __init__(self, block_refs, text_col, id_col, label_col, dim):
-        import ray
 
-        self.id_col = id_col
-
-        ids, ys, buckets, offs = [], [], [], []
-        for t in map(ray.get, block_refs):
-            if not t.num_rows:
-                continue
-            flat, off = _doc_feats(t.column(text_col))
-            buckets.append((flat % dim).astype(np.int64))
-            offs.append(off)
-            ids.append(t.column(id_col).to_numpy(zero_copy_only=False))
-            ys.append(t.column(label_col).to_numpy(zero_copy_only=False))
-        if ids:
-            self.ids = np.concatenate(ids).astype(np.int64)
-            self.y = np.concatenate(ys).astype(np.int64)
-            # merge per-block offsets into one flat array
-            self.bucket = (
-                np.concatenate(buckets) if buckets else np.zeros(0, np.int64)
-            )
-            merged = [np.zeros(1, dtype=np.int64)]
-            base = 0
-            for off in offs:
-                merged.append(off[1:] + base)
-                base += off[-1]
-            self.offsets = np.concatenate(merged)
-        else:
-            self.ids = np.zeros(0, np.int64)
-            self.y = np.zeros(0, np.int64)
-            self.bucket = np.zeros(0, np.int64)
-            self.offsets = np.zeros(1, np.int64)
-        self.dim = dim
-
-    def n_docs(self) -> int:
-        return int(len(self.ids))
-
-    def grad(self, wq: np.ndarray) -> np.ndarray:
-        return _grad(wq, self.bucket, self.offsets, self.y, self.dim)
-
-    def scores(self, wq: np.ndarray) -> pa.Table:
-        return _scores_table(self.ids, wq, self.bucket, self.offsets, self.id_col)
+def _fold_step(wq: np.ndarray, n: int, lr_den: int, *grads) -> np.ndarray:
+    """One GD step from the blocks' int64 gradients, folded exactly as
+    arbitrary-precision ints."""
+    return _step(wq, np.stack(grads).astype(object).sum(axis=0), n, lr_den)
 
 
 def lr_train_score(
@@ -210,7 +186,8 @@ def lr_train_score(
     lr_den: int = 4,
 ):
     """Train full-batch LR on ``ds`` (one int64 0/1 ``label_col``), then
-    score every row → (doc_id, score_ppb, lr_pred) Dataset.
+    score every row → (doc_id, score_ppb, lr_pred) Dataset, one block per
+    non-empty input block, in no promised order.
 
     lr = 1/lr_den. See module docstring for the determinism contract."""
     import ray
@@ -220,37 +197,21 @@ def lr_train_score(
         lambda t: t.select([id_col, text_col, label_col]),
         batch_format="pyarrow",
         zero_copy_batch=True,
-    ).materialize()
-    block_refs = slim.to_arrow_refs()
-    shard_cls = ray.remote(num_cpus=1)(_LrShard)
-    n_actors = max(1, min(len(block_refs), int(ray.cluster_resources().get("CPU", 8))))
-    actors = [
-        shard_cls.remote(block_refs[i::n_actors], text_col, id_col, label_col, dim)
-        for i in range(n_actors)
-    ]
-    try:
-        n = sum(ray.get([a.n_docs.remote() for a in actors]))
-        if n == 0:
-            raise ValueError("lr_train_score: empty input")
-        wq = np.zeros(dim, dtype=np.int64)
-        for _ in range(iters):
-            wq_ref = ray.put(wq)
-            g_total = [0] * dim
-            for g in ray.get([a.grad.remote(wq_ref) for a in actors]):
-                nz = np.flatnonzero(g)
-                for f in nz:
-                    g_total[f] += int(g[f])  # exact Python-int fold
-            wq = _step(wq, g_total, n, lr_den)
-        wq_ref = ray.put(wq)
-        parts = ray.get([a.scores.remote(wq_ref) for a in actors])
-    finally:
-        for a in actors:
-            ray.kill(a)
-    out = pa.concat_tables([p for p in parts if p.num_rows])
-    order = np.argsort(
-        out.column(id_col).to_numpy(zero_copy_only=False), kind="stable"
     )
-    return ray.data.from_arrow(out.take(pa.array(order, pa.int64())))
+    pin = ray.remote(num_cpus=1)(_pin).options(num_returns=5)
+    pins = [pin.remote(text_col, id_col, label_col, dim, b) for b in _blocks(slim)]
+    docs = ray.get([p[4] for p in pins])
+    n = sum(docs)
+    if n == 0:
+        raise ValueError("lr_train_score: empty input")
+    pins = [p for p, d in zip(pins, docs) if d]
+    grad = ray.remote(num_cpus=1)(_grad)
+    step = ray.remote(num_cpus=1)(_fold_step)
+    wq = np.zeros(dim, dtype=np.int64)
+    for _ in range(iters):
+        wq = step.remote(wq, n, lr_den, *(grad.remote(wq, p[0], p[1], p[2], dim) for p in pins))
+    scores = ray.remote(num_cpus=1)(_scores_table)
+    return ray.data.from_arrow_refs([scores.remote(p[3], wq, p[0], p[1], id_col) for p in pins])
 
 
 def lr_reference(

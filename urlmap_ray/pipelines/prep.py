@@ -30,7 +30,6 @@ def prep_docs(
     min_words: int = 10,
     threshold: float = 0.8,
     fractions: dict[str, float] | None = None,
-    cc_buckets: int = 64,
     sort: bool = True,
 ):
     """Run the composed prep flow over a documents Dataset.
@@ -72,7 +71,7 @@ def prep_docs(
         .materialize()  # consumed twice: pair mining + split/label rows
     )
     pairs = dd.dedup_minhash_lsh(gated, threshold=threshold)
-    cc = connected_components(pairs, buckets=cc_buckets)
+    cc = connected_components(pairs)
 
     def split_rows(b: pa.Table) -> pa.Table:
         return pa.table(
