@@ -931,9 +931,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def _graph_inputs(sf_dir):
         # node set = the corpus url column as a DATASET (a single-column
         # pruned read), never a driver-side list: at 10^10 URLs that list
-        # is ~600GB of driver heap. graph.py picks the membership/identity
-        # regime (object-store broadcast probe vs sorted url buckets built
-        # by task rounds) from the node count.
+        # is ~600GB of driver heap. graph.py sorts it into url buckets by
+        # task rounds and picks the regime (one bucket in the object store,
+        # or one per task bucket) from the node count.
         import ray.data
 
         from urlmap_ray.expected import ensure_graph_expected

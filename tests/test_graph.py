@@ -6,8 +6,8 @@ with the single-process references (the deterministic-summation contract
 in the module docstring).
 
 The node set enters every entry point as a DATASET — these tests also pin
-the handshake: the driver holds an ObjectRef (broadcast regime) or
-O(blocks) integers (shuffle regime's node_index), never the url column.
+the handshake: the driver holds ObjectRefs to the sorted url buckets and
+O(buckets) integers (their counts), never the url column.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from urlmap_ray.extract import extract_links
 from urlmap_ray.functions.graph import (
     build_edges,
     degrees,
-    node_index,
     pagerank,
     pagerank_reference,
 )
@@ -75,14 +74,12 @@ def _nodes_ds(corpus):
 
 def test_build_edges_matches_pure_both_regimes(ray_session, corpus, truth):
     _, _, edges = truth
-    for membership in ("broadcast", "shuffle"):
+    for mode in ("broadcast", "shuffle"):
         got = sorted(
             (r["src"], r["dst"])
-            for r in build_edges(
-                _pages_ds(corpus), _nodes_ds(corpus), membership=membership
-            ).take_all()
+            for r in build_edges(_pages_ds(corpus), _nodes_ds(corpus), mode=mode).take_all()
         )
-        assert got == edges, f"membership={membership}"
+        assert got == edges, f"mode={mode}"
     assert len(edges) > N_PAGES  # corpus pages interlink
 
 
@@ -95,15 +92,6 @@ def test_degrees_match_counter_both_regimes(ray_session, corpus, truth):
         for r in rows:
             assert r["out_deg"] == out_c.get(r["url"], 0), (mode, r["url"])
             assert r["in_deg"] == in_c.get(r["url"], 0), (mode, r["url"])
-
-
-def test_node_index_is_sorted_rank(ray_session, corpus, truth):
-    urls, _, _ = truth
-    index_ds, n = node_index(_nodes_ds(corpus))
-    assert n == len(urls)
-    rows = index_ds.take_all()
-    expect = {u: i for i, u in enumerate(sorted(urls))}
-    assert {r["url"]: r["node_id"] for r in rows} == expect
 
 
 def test_pagerank_broadcast_matches_reference(ray_session, corpus, truth):
@@ -382,6 +370,13 @@ def _anf_and_walks(edges):
     }
 
 
+def _edge_calls():
+    """build_edges and the two host calls built on it."""
+    from urlmap_ray.functions.graph import host_cocitation, host_graph
+
+    return (build_edges, host_graph, host_cocitation)
+
+
 def test_rank_rejects_bad_n_buckets(ray_session, corpus):
     """A task bucket count below one is refused before any graph work, by
     the ranks, the traversals, the counting calls, HyperANF and the walks
@@ -412,7 +407,8 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
     walks read their start blocks before it).
     The shuffle regime's graph build and url attach are task rounds too: a
     shuffle-mode call starts no more Ray Data executions than the same
-    call in broadcast mode."""
+    call in broadcast mode. A shuffle-mode build_edges gets the url bucket
+    counts and nothing larger."""
     import numpy as np
     import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
@@ -512,7 +508,14 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
                 assert pinned == [jobs[-1]], f"{name}: Dataset executions after the pin round"
         assert jobs[0] == jobs[1], f"{name}: Dataset executions grow with n_iters: {jobs}"
         execs[name] = jobs[0]
+    sizes.clear()
+    edges = build_edges(_pages_ds(corpus), _nodes_ds(corpus), mode="shuffle").materialize()
+    ours = [(op, size) for who, op, size in sizes if who.startswith("urlmap_ray.")]
+    nu = -(-n // gr._rank_regime(n, "shuffle", None)[1])
+    assert nu > 1 and ("get", 0) in ours  # the url bucket counts: ints, no array
+    assert max(size for _, size in ours) <= max(nu, n_l1), sorted(ours, key=lambda x: -x[1])[:3]
     monkeypatch.undo()
+    assert sorted((r["src"], r["dst"]) for r in edges.take_all()) == truth[2]
     for (mode, alg, k), count in execs.items():
         if mode == "shuffle":
             twin = execs.get(("broadcast", alg, k), execs[("broadcast", alg, None)])
@@ -531,8 +534,9 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
 
 def test_repeated_node_url_raises(ray_session, corpus, truth):
     """A node set that repeats a url is refused with a ValueError naming
-    the url, in both regimes, by the ranks, the traversals and the
-    counting calls (the sort of each url bucket sees every repeat)."""
+    the url, in both regimes, by the ranks, the traversals, the counting
+    calls and the edge builds (the sort of each url bucket sees every
+    repeat)."""
     import re
 
     import ray.data
@@ -552,6 +556,9 @@ def test_repeated_node_url_raises(ray_session, corpus, truth):
         for name, call in calls.items():
             with pytest.raises(ValueError, match=re.escape(repr(dup))):
                 call(_pages_ds(corpus), nodes(), mode=mode, n_buckets=7).materialize()
+        for call in _edge_calls():  # these raise before returning their Dataset
+            with pytest.raises(ValueError, match=re.escape(repr(dup))):
+                call(_pages_ds(corpus), nodes(), mode=mode)
 
 
 def test_shuffle_calls_log_no_schema_mismatch(ray_session, corpus):
@@ -610,12 +617,13 @@ def test_driver_never_materializes_url_column(ray_session, corpus):
     from urlmap_ray.functions import graph as gr
 
     # 1) no list[str] node argument anywhere in the public surface
-    for fn in (gr.build_edges, gr.degrees, gr.pagerank, gr.hits, gr.node_index):
+    for fn in (gr.build_edges, gr.degrees, gr.pagerank, gr.hits, gr.host_graph, gr.host_cocitation):
         params = inspect.signature(fn).parameters
         assert "node_urls" not in params, fn.__name__
-    # 2) broadcast handshake: driver holds a ref, not the array
-    ref = gr._sorted_urls_ref(_nodes_ds(corpus))
-    assert isinstance(ref, ray.ObjectRef)
+    # 2) broadcast handshake: driver holds a ref to the one url bucket, not the array
+    urls, counts, bounds = gr._url_buckets(gr._blocks(_nodes_ds(corpus)), 1)
+    assert isinstance(urls[0], ray.ObjectRef) and isinstance(counts[0], ray.ObjectRef)
+    assert bounds is None
     # 3) the registered queries' input builder has no driver-side pylist
     import __ray_entry__ as entry
 
@@ -627,8 +635,15 @@ def test_driver_never_materializes_url_column(ray_session, corpus):
 
 
 def test_pagerank_rejects_bad_mode(ray_session, corpus, truth):
-    with pytest.raises(ValueError):
-        pagerank(_pages_ds(corpus), _nodes_ds(corpus), mode="banana")
+    """PageRank and the edge calls refuse an unknown ``mode``, the one
+    regime knob: no graph.py function takes ``membership=``."""
+    from urlmap_ray.functions import graph as gr
+
+    for call in (pagerank, *_edge_calls()):
+        with pytest.raises(ValueError, match="mode"):
+            call(_pages_ds(corpus), _nodes_ds(corpus), mode="banana")
+    for name, fn in inspect.getmembers(gr, inspect.isfunction):
+        assert "membership" not in inspect.signature(fn).parameters, name
 
 
 def test_anchor_text_index_counts_and_tiebreak(ray_session):
@@ -1014,7 +1029,7 @@ def test_lpa_modes_identical_and_match_reference(ray_session, corpus, truth):
 
 def test_host_graph_matches_pure_both_regimes(ray_session, corpus, truth):
     """host_graph == the pure per-edge host collapse (intra-host dropped,
-    weight = page-edge multiplicity), in both membership regimes."""
+    weight = page-edge multiplicity), in both regimes."""
     import re
     from collections import Counter
 
@@ -1036,9 +1051,7 @@ def test_host_graph_matches_pure_both_regimes(ray_session, corpus, truth):
     for regime in ("broadcast", "shuffle"):
         got = {
             (r["src_host"], r["dst_host"]): r["weight"]
-            for r in host_graph(
-                _pages_ds(corpus), _nodes_ds(corpus), membership=regime
-            ).take_all()
+            for r in host_graph(_pages_ds(corpus), _nodes_ds(corpus), mode=regime).take_all()
         }
         assert got == dict(want), regime
 

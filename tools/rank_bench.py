@@ -5,8 +5,11 @@
 Makes a ``--pages`` corpus (``generate_corpus(..., seed=--seed)``; the
 defaults are the perfbench ``link_rank`` corpus) in a temporary directory,
 starts a 2-CPU local Ray session and prints, one ``name value unit`` line
-each, for ``pagerank`` and ``hits`` in broadcast mode at its default
-bucketing (one task bucket per session CPU):
+each, first ``build_edges_total_s`` and ``build_edges_shuffle_total_s``:
+``graph.build_edges`` in broadcast and in shuffle mode, materialized (the
+broadcast call is what the perfbench ``link_rank`` workload times as
+``resume_s``). Then, for ``pagerank`` and ``hits`` in broadcast mode at
+its default bucketing (one task bucket per session CPU):
 
 - ``<alg>_pin_s``: the pin round over the id-mapped edge blocks
   (``_pin_buckets``; HITS pins both bucket layouts), until every pinned
@@ -41,10 +44,11 @@ layouts they read (``fwd`` and ``bwd``; ``und``; ``bwd``),
 ``random_walks_total_s``: ``random_walks`` (length 3, one walk from each
 page) over the distinct link pairs, materialized.
 
-Each call is checked against its reference (``pagerank_reference``,
-``hits_reference``, ``label_propagation_reference``, ``scc_reference``,
-and here a sequential BFS, peel, degree count, neighbour-set triangle
-and Jaccard count, dense HyperANF and md5 walk replay). Timings are
+Each call is checked against its reference (the distinct in-corpus link
+set, ``pagerank_reference``, ``hits_reference``,
+``label_propagation_reference``, ``scc_reference``, and here a sequential
+BFS, peel, degree count, neighbour-set triangle and Jaccard count, dense
+HyperANF and md5 walk replay). Timings are
 medians over ``--reps`` repetitions; the session is shut down at the end.
 """
 
@@ -278,12 +282,13 @@ def main(argv=None) -> int:
     os.environ.setdefault("RAY_DATA_DISABLE_PROGRESS_BARS", "1")
     ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
     logging.getLogger("ray.data").setLevel(logging.WARNING)
-    times = {
+    times = {f"build_edges{r}_total": [] for r in ("", "_shuffle")}
+    times.update({
         f"{a}{r}_{m}": []
         for r in ("", "_shuffle")
         for a in ("pagerank", "hits")
         for m in ("pin", "round", "total", "build", "attach")
-    }
+    })
     times.update({f"{a}_{m}": [] for a in traversals for m in ("pin", "round", "total")})
     times.update({f"{a}_{m}": [] for a in counts for m in ("pin", "total")})
     times["random_walks_total"] = []
@@ -307,6 +312,11 @@ def main(argv=None) -> int:
         ("_shuffle", shuffle, exp_pr3, exp_hits3),
     )
     try:
+        for tag, mode in (("", "broadcast"), ("_shuffle", "shuffle")):
+            for _ in range(args.reps):
+                s, ds = _timed(lambda: gr.build_edges(*inputs(), mode=mode).materialize())
+                times[f"build_edges{tag}_total"].append(s)
+                assert {(r["src"], r["dst"]) for r in ds.take_all()} == edges, mode
         n = len(urls)
         l1 = gr._graph_buckets(n)
         for tag, kw, want_pr, want_hits in regimes:

@@ -13,36 +13,37 @@ parser.go:120-208), so the graph is exactly "what the crawler saw".
 URLs (~60B average) a driver-side url list is ~600GB of heap. Every
 entry point takes ``nodes`` = a ``ray.data.Dataset`` with a distinct
 ``url`` column (for the registered queries that is the corpus url
-column, read column-pruned), and the engine picks one of two
-membership/identity regimes by ``nodes.count()``:
+column, read column-pruned), and the engine picks one of two regimes by
+``nodes.count()``. Either way node identity is the sorted url buckets
+(:func:`_url_buckets`), built by task rounds over the node Dataset's
+blocks: a task samples each node block, one picks the boundary urls, a
+map per block range-partitions its urls and a reduce per bucket sorts
+them. Node ids are url ranks; each bucket's first id is a prefix sum of
+the O(buckets) counts the driver fetches. The regimes differ only in the
+number of url buckets:
 
-- **Broadcast regime** (≤ ``SHUFFLE_MODE_NODES``): the sorted url array
-  is folded in ONE remote task from the node Dataset's blocks and lives
-  only in the object store — the driver holds an ``ObjectRef``, never
-  the strings. Membership is a per-batch ``pc.is_in`` probe; node ids
-  are ``pc.index_in`` ranks against the same shared array (the graph
-  calls drop an edge whose endpoint has no rank).
-- **Shuffle regime** (above it): no O(nodes) object exists anywhere.
-  For :func:`build_edges` membership is a bucketed
-  pad→union→``groupby(hash(url) % B)`` semi-join (the joins.py shape).
-  The graph calls and :func:`node_index` cut the node set into sorted
-  url buckets by task rounds (:func:`_url_buckets`): a task samples each
-  node block, one picks the boundary urls, a map per block
-  range-partitions its urls and a reduce per bucket sorts them. Node ids
-  are url ranks; each bucket's first id is a prefix sum of the
-  O(buckets) counts the driver fetches. Edge endpoints are mapped to ids
-  by two more task rounds over the same boundaries (by dst, then by src;
-  ``pc.index_in`` against the bucket, which also drops non-members).
+- **Broadcast regime** (≤ ``SHUFFLE_MODE_NODES``): one bucket, sorted
+  by ONE remote task and living only in the object store — the driver
+  holds an ``ObjectRef``, never the strings. Membership is a per-batch
+  ``pc.is_in`` probe; node ids are ``pc.index_in`` ranks against the same
+  shared array (the graph calls drop an edge whose endpoint has no rank).
+- **Shuffle regime** (above it): one bucket per task bucket, so no
+  O(nodes) object exists anywhere. Edge endpoints are cut by the bucket
+  boundaries and looked up per bucket (``pc.is_in`` / ``pc.index_in``
+  against the bucket's sorted urls) by task rounds over the same
+  boundaries.
 
-A rank, traversal or counting call, or :func:`node_index`, over a node
-set that repeats a url raises ``ValueError`` naming it, in either regime.
+Any call over a node set that repeats a url raises ``ValueError`` naming
+it, in either regime.
 
 Scale shapes:
 
-- **Edge build is shuffle-free** in the broadcast regime (every
-  (src, dst) edge originates from exactly one page row, so "globally
-  distinct edges" = per-row dedup — vectorized Arrow kernels, no
-  exchange) and ONE bucketed semi-join in the shuffle regime.
+- **Edge build is exchange-free** (:func:`build_edges`): every (src, dst)
+  edge originates from exactly one page row, so "globally distinct
+  edges" = per-row dedup — vectorized Arrow kernels. In the broadcast
+  regime membership is applied in the extraction map; in the shuffle
+  regime one task round cuts the candidate pairs by url bucket of dst and
+  keeps, per bucket, the rows whose dst is one of its urls.
 - **Degrees, triangles and edge Jaccard count on the pinned graph**
   (below) with no Ray Data exchange: :func:`degrees` pins the ``fwd``
   and ``bwd`` layouts and counts them with one task per bucket;
@@ -110,7 +111,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 __all__ = [
-    "build_edges", "node_index", "degrees", "pagerank", "pagerank_reference", "hits",
+    "build_edges", "degrees", "pagerank", "pagerank_reference", "hits",
     "hits_reference", "anchor_text_index", "bfs_distances", "kcore", "triangle_counts",
     "edge_jaccard", "neighborhood_sizes", "host_graph", "host_degrees", "weighted_pagerank",
     "weighted_spam_mass", "weighted_pagerank_reference", "spam_mass", "random_walks",
@@ -124,10 +125,6 @@ SHUFFLE_MODE_NODES = 5_000_000
 
 _DAMPING = 0.85
 _N_ITERS = 10
-
-# Hash-bucket count for the shuffle regime's membership exchanges (a
-# performance knob only — results are bucketing-independent).
-_MAP_BUCKETS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -222,75 +219,14 @@ def _blocks(ds) -> list:
     return ds.materialize().to_arrow_refs()
 
 
-def _sorted_urls_ref(nodes_ds):
-    """ObjectRef to the sorted distinct url array of a node Dataset: the
-    one-bucket case of :func:`_url_buckets`, ONE remote task — the url
-    column never lands on the driver. Broadcast-regime helper: callers
-    must already know ``nodes.count()`` is within ``SHUFFLE_MODE_NODES``.
-    """
-    return _url_buckets(_blocks(nodes_ds), 1)[0][0]
-
-
-def _index_block(lo: int, urls: pa.Array) -> pa.Table:
-    """One url bucket's (node_id, url) rows."""
-    return pa.table({"node_id": pa.array(np.arange(lo, lo + len(urls), dtype=np.int64)), "url": urls})
-
-
-def node_index(nodes_ds):
-    """Distributed zipWithIndex over the node table → ((node_id, url)
-    Dataset, n) with ``node_id`` = the url's rank in global sorted order.
-
-    The url buckets of :func:`_url_buckets` (one per node block), one
-    (node_id, url) block each: the driver holds O(blocks) integers and
-    never the url column. The node Dataset must be distinct on ``url`` (the
-    corpus url column is — it is the pages table's key); a repeated url
-    raises ``ValueError``.
-    """
-    import ray
-    import ray.data
-
-    blocks = _blocks(nodes_ds)
-    urls, counts, _ = _url_buckets(blocks, max(1, len(blocks)))
-    offsets = _offsets(counts)
-    block = ray.remote(num_cpus=1)(_index_block)
-    index = [block.remote(int(lo), u) for lo, u in zip(offsets, urls)]
-    return ray.data.from_arrow_refs(index), int(offsets[-1])
-
-
-def _resolve_membership(membership: str, n: int) -> str:
-    if membership == "auto":
-        return "shuffle" if n > SHUFFLE_MODE_NODES else "broadcast"
-    if membership not in ("broadcast", "shuffle"):
-        raise ValueError(
-            f"membership must be 'auto', 'broadcast' or 'shuffle', got {membership!r}"
-        )
-    return membership
-
-
 # ---------------------------------------------------------------------------
 # edge build
 
 
-def _edges_batch(t: pa.Table, keep: pa.Array) -> pa.Table:
-    """links list column → distinct in-corpus non-self (src, dst) rows.
-    Row-local and fully vectorized; see module docstring."""
-    links = t.column("links")
-    if isinstance(links, pa.ChunkedArray):
-        links = links.combine_chunks()
-    flat = pc.list_flatten(links)
-    src = pc.take(t.column("url"), pc.list_parent_indices(links))
-    if isinstance(src, pa.ChunkedArray):
-        src = src.combine_chunks()
-    mask = pc.and_(pc.is_in(flat, value_set=keep), pc.not_equal(flat, src))
-    pairs = pa.table({"src": pc.filter(src, mask), "dst": pc.filter(flat, mask)})
-    # batch-local distinct = global distinct (each src lives in one row)
-    return pairs.group_by(["src", "dst"]).aggregate([])
-
-
-def _candidate_pairs_batch(t: pa.Table) -> pa.Table:
-    """links list column → batch-local distinct non-self (src, dst)
-    candidate rows (membership NOT yet applied — the shuffle regime's
-    semi-join does that)."""
+def _link_pairs(t: pa.Table, keep: pa.Array | None = None) -> pa.Table:
+    """links list column → distinct non-self (src, dst) rows, keeping only
+    the rows whose dst is in ``keep`` if given. Row-local and fully
+    vectorized; see module docstring."""
     links = t.column("links")
     if isinstance(links, pa.ChunkedArray):
         links = links.combine_chunks()
@@ -299,7 +235,10 @@ def _candidate_pairs_batch(t: pa.Table) -> pa.Table:
     if isinstance(src, pa.ChunkedArray):
         src = src.combine_chunks()
     mask = pc.not_equal(flat, src)
+    if keep is not None:
+        mask = pc.and_(pc.is_in(flat, value_set=keep), mask)
     pairs = pa.table({"src": pc.filter(src, mask), "dst": pc.filter(flat, mask)})
+    # batch-local distinct = global distinct (each src lives in one row)
     return pairs.group_by(["src", "dst"]).aggregate([])
 
 
@@ -311,80 +250,58 @@ def _extracted(pages_ds):
     )
 
 
-def _edges_broadcast(pages_ds, keep_ref):
-    import ray
-
-    def to_edges(t: pa.Table) -> pa.Table:
-        return _edges_batch(t, ray.get(keep_ref))
-
-    return _extracted(pages_ds).map_batches(
-        to_edges, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
-def _member_semijoin(pairs_ds, nodes_ds, *, n_buckets: int = _MAP_BUCKETS):
-    """Keep (src, dst) rows whose ``dst`` is in the node set — ONE bucketed
-    pad→union→groupby exchange (no O(nodes) object anywhere). Node rows
-    are marked by a null ``src``; in-group membership is a vectorized
-    ``pc.is_in`` against the bucket's node slice."""
-    from .sketch import hash64_column
-
-    def pad_pairs(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("dst")) % n_buckets).astype(np.int64)
-        return pa.table(
-            {"bk": pa.array(bk, pa.int64()), "src": t.column("src"), "dst": t.column("dst")}
-        )
-
-    def pad_nodes(t: pa.Table) -> pa.Table:
-        bk = (hash64_column(t.column("url")) % n_buckets).astype(np.int64)
-        return pa.table(
-            {
-                "bk": pa.array(bk, pa.int64()),
-                "src": pa.array([None] * t.num_rows, pa.string()),
-                "dst": t.column("url"),
-            }
-        )
-
-    unioned = pairs_ds.map_batches(
-        pad_pairs, batch_format="pyarrow", zero_copy_batch=True
-    ).union(nodes_ds.map_batches(pad_nodes, batch_format="pyarrow", zero_copy_batch=True))
-
-    def group(g: pa.Table) -> pa.Table:
-        is_node = pc.is_null(g.column("src"))
-        node_urls = pc.filter(g.column("dst"), is_node)
-        if isinstance(node_urls, pa.ChunkedArray):
-            node_urls = node_urls.combine_chunks()
-        e = g.filter(pc.invert(is_node))
-        keep = pc.is_in(e.column("dst"), value_set=node_urls)
-        return pa.table(
-            {
-                "src": pc.filter(e.column("src"), keep),
-                "dst": pc.filter(e.column("dst"), keep),
-            }
-        )
-
-    return unioned.groupby("bk").map_groups(group, batch_format="pyarrow")
+def _member_edges(urls: pa.Array, *parts) -> pa.Table:
+    """Shuffle-regime reduce task of one url bucket: the (src, dst)
+    candidate rows cut to it whose dst is one of its sorted ``urls``."""
+    typed = [t for t in parts if "dst" in t.column_names]  # a zero-row block may carry no schema
+    if not typed:
+        return pa.table({"src": pa.array([], pa.string()), "dst": pa.array([], pa.string())})
+    t = pa.concat_tables(typed)
+    return t.filter(pc.is_in(t.column("dst"), value_set=urls))
 
 
-def build_edges(pages_ds, nodes, *, membership: str = "auto", n_buckets: int = _MAP_BUCKETS):
+def build_edges(pages_ds, nodes, *, mode: str = "auto"):
     """Distinct in-corpus (src, dst) edge Dataset from a pages Dataset.
 
     ``nodes`` is the graph's node set as a Dataset with a distinct ``url``
     column (for the registered queries, the corpus url column — a
-    column-pruned ``read_parquet``). Membership of extracted targets is a
-    broadcast ``pc.is_in`` probe (array built in a remote task, driver
-    holds only the ref) below ``SHUFFLE_MODE_NODES`` and the bucketed
-    semi-join above it. Edge sources are assumed ⊆ nodes (pages ARE
-    nodes for the corpus graph), matching the reference's extraction
-    seam (parser.go:120-208: links come only from fetched pages).
+    column-pruned ``read_parquet``); ``mode`` ("broadcast", "shuffle" or
+    "auto") resolves as for the rank calls (:func:`_rank_regime`). The
+    node set is sorted into url buckets (:func:`_url_buckets`), and a
+    repeated url raises ``ValueError`` here, at call time.
+
+    - Broadcast regime (one url bucket): the extraction map keeps the
+      links found in the bucket (``pc.is_in``) before its per-block
+      distinct; the driver holds only the bucket's ref.
+    - Shuffle regime: one task round over the distinct candidate pairs, a
+      map per block cutting them by url bucket of dst (:func:`_split_by`)
+      and a reduce per bucket keeping the rows whose dst is one of its
+      urls (:func:`_member_edges`). No Ray Data exchange.
+
+    Edge sources are assumed ⊆ nodes (pages ARE nodes for the corpus
+    graph), matching the reference's extraction seam (parser.go:120-208:
+    links come only from fetched pages).
     """
-    membership = _resolve_membership(membership, nodes.count())
-    if membership == "broadcast":
-        return _edges_broadcast(pages_ds, _sorted_urls_ref(nodes))
-    pairs = _extracted(pages_ds).map_batches(
-        _candidate_pairs_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return _member_semijoin(pairs, nodes, n_buckets=n_buckets)
+    import ray
+    import ray.data
+
+    n = nodes.count()
+    mode, per_bucket = _rank_regime(max(n, 1), mode, None)
+    nu = max(1, -(-n // per_bucket)) if mode == "shuffle" else 1
+    urls, counts, bounds = _url_buckets(_blocks(nodes), nu)
+    _offsets(counts)  # fetches the counts, so a repeated url raises now
+    if nu == 1:
+        keep = urls[0]
+
+        def to_edges(t: pa.Table) -> pa.Table:
+            return _link_pairs(t, ray.get(keep))
+
+        return _extracted(pages_ds).map_batches(to_edges, batch_format="pyarrow", zero_copy_batch=True)
+    pairs = _extracted(pages_ds).map_batches(_link_pairs, batch_format="pyarrow", zero_copy_batch=True)
+    split = ray.remote(num_cpus=1)(_split_by).options(num_returns=nu)
+    by_dst = [_part_refs(split.remote(bounds, "dst", b), nu) for b in _blocks(pairs)]
+    member = ray.remote(num_cpus=1)(_member_edges)
+    return ray.data.from_arrow_refs([member.remote(u, *(p[j] for p in by_dst)) for j, u in enumerate(urls)])
 
 
 # ---------------------------------------------------------------------------
@@ -728,9 +645,7 @@ def _page_graph(pages_ds, nodes, n: int, mode: str, n_buckets: int | None) -> _R
     """The corpus link graph of :func:`pagerank`, :func:`hits` and the
     traversals: the extracted distinct non-self links as :func:`_graph`
     pairs."""
-    pairs = _extracted(pages_ds).map_batches(
-        _candidate_pairs_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
+    pairs = _extracted(pages_ds).map_batches(_link_pairs, batch_format="pyarrow", zero_copy_batch=True)
     return _graph(nodes, pairs, n, mode, n_buckets)
 
 
@@ -1928,7 +1843,7 @@ def neighborhood_sizes(pages_ds, nodes, *, radius=3, mode="auto", n_buckets=None
     return g.attach([block.remote(st) for st in states])
 
 
-def host_graph(pages_ds, nodes, *, membership: str = "auto", n_buckets: int = _MAP_BUCKETS):
+def host_graph(pages_ds, nodes, *, mode: str = "auto"):
     """Weighted host-level link graph: ``(src_host, dst_host, weight)``.
 
     Collapses the distinct page-level edges (:func:`build_edges`, i.e.
@@ -1937,7 +1852,8 @@ def host_graph(pages_ds, nodes, *, membership: str = "auto", n_buckets: int = _M
     host-level ranking (host PageRank / TrustRank seeds / spam-mass) in
     web-scale pipelines, where page-level centrality is too easy to
     manipulate with on-site link farms. ``weight`` counts the distinct
-    page-level edges between the two hosts.
+    page-level edges between the two hosts. ``mode`` is
+    :func:`build_edges`'s.
 
     Host extraction is the repo's pinned cross-engine seam (urlmine.py
     ``_HOST_RE`` ≡ the oracle's ``regexp_extract(url,
@@ -1954,7 +1870,7 @@ def host_graph(pages_ds, nodes, *, membership: str = "auto", n_buckets: int = _M
 
     from .urlmine import _HOST_RE
 
-    edges = build_edges(pages_ds, nodes, membership=membership, n_buckets=n_buckets)
+    edges = build_edges(pages_ds, nodes, mode=mode)
 
     def partials(t: pa.Table) -> pa.Table:
         src_host = pc.struct_field(
@@ -2491,14 +2407,19 @@ def random_walks(edges_ds, starts_ds, *, length=3, start_col="url", mode="auto",
     return ray.data.from_arrow_refs(walkers).drop_columns(["cur"])
 
 
+# host_cocitation's exchange widths: hash(src) buckets of its (src, host)
+# groupby and hash(pair) buckets of its pair-count combine (speed only).
+_COCITE_SRC_BUCKETS = 256
+_COCITE_PAIR_BUCKETS = 1024
+
+
 def host_cocitation(
     pages_ds,
     nodes,
     *,
     min_count: int = 2,
     max_out: int = 256,
-    membership: str = "auto",
-    n_buckets: int = _MAP_BUCKETS,
+    mode: str = "auto",
 ):
     """Host co-citation: pairs of DISTINCT hosts linked from the same
     page → ``(host_a, host_b, n_src)`` with ``host_a < host_b`` and
@@ -2508,10 +2429,11 @@ def host_cocitation(
     of the collocation operator's "appear together" rule.
 
     Scale shape: TWO bucketed exchanges. (1) ``groupby(hash(src) % B)``
-    brings each page's out-hosts together; per bucket the distinct
-    (src, host) rows sort once and pair generation vectorizes per
-    DISTINCT out-degree (the triangle_counts trick — a Python loop over
-    O(#distinct degrees) lengths, never over pairs), with each page's
+    (B = ``_COCITE_SRC_BUCKETS``) brings each page's out-hosts together;
+    per bucket the distinct (src, host) rows sort once and pair
+    generation vectorizes per DISTINCT out-degree (the triangle_counts
+    trick — a Python loop over O(#distinct degrees) lengths, never over
+    pairs), with each page's
     host list capped at a DECLARED ``max_out`` (a mega-hub page citing
     10^4 hosts would contribute 10^8 pairs; the cap keeps the
     lexicographically-first hosts, documented like dedup's ``max_df``
@@ -2519,11 +2441,12 @@ def host_cocitation(
     therefore exact). Pairs pre-aggregate in-bucket before (2) ONE
     int32-key pair exchange (the dedup pair-combine shape) sums
     per-pair counts and applies ``min_count``. Host extraction is the
-    pinned ``_HOST_RE`` cross-engine seam."""
+    pinned ``_HOST_RE`` cross-engine seam; ``mode`` is
+    :func:`build_edges`'s."""
     from .sketch import hash64_column
     from .urlmine import _HOST_RE
 
-    edges = build_edges(pages_ds, nodes, membership=membership, n_buckets=n_buckets)
+    edges = build_edges(pages_ds, nodes, mode=mode)
 
     def keyed(t: pa.Table) -> pa.Table:
         dst_host = pc.struct_field(
@@ -2532,12 +2455,8 @@ def host_cocitation(
         tt = pa.table({"src": t.column("src"), "h": dst_host}).filter(
             pc.is_valid(dst_host)
         )
-        bk = (hash64_column(tt.column("src")) % np.uint64(n_buckets)).astype(
-            np.int64
-        )
+        bk = (hash64_column(tt.column("src")) % np.uint64(_COCITE_SRC_BUCKETS)).astype(np.int64)
         return tt.append_column("bk", pa.array(bk, pa.int64()))
-
-    PB = 1024
 
     def bucket_pairs(g: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -2584,7 +2503,7 @@ def host_cocitation(
         cnt = np.diff(np.append(st2, len(key)))
         arr_a = pa.array(a[st2], pa.string())
         pbk = (
-            hash64_column(pa.array(key[st2], pa.string())) % np.uint64(PB)
+            hash64_column(pa.array(key[st2], pa.string())) % np.uint64(_COCITE_PAIR_BUCKETS)
         ).astype(np.int32)
         return pa.table(
             {

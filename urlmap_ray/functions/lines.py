@@ -17,9 +17,9 @@ parser.go:120-208's output seam) and "training document":
 Scale shape
 -----------
 ``line_dedup`` / ``boilerplate_strip`` are two-exchange pipelines with
-BUCKETED group stages (the _member_semijoin pattern — never one group
-per key, so a footer shared by millions of pages is just rows inside a
-bucket, not a hot group):
+BUCKETED group stages (hash buckets, never one group per key, so a
+footer shared by millions of pages is just rows inside a bucket, not a
+hot group):
 
     map_batches(explode text → (doc, line_no, line))     # row-local
     groupby(hash(line) % B)  → vectorized keep/drop mark  # exchange 1

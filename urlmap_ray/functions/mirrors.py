@@ -296,7 +296,7 @@ def mirror_hosts(
     # union+sort+merge exchange entirely; its fixed all-to-all floors
     # dominate wall time at test scale, and at 100 TB host cardinality
     # (~10^7) still sits under the bound. Above the bound the shuffle
-    # attach below is unchanged (the graph.py membership-regime split).
+    # attach below is unchanged (the graph.py broadcast/shuffle regime split).
     # one collect, capped one row past the bound, decides the regime and
     # (under the bound) is the table — never an unbounded driver collect
     size_rows = sizes_ds.limit(broadcast_max_size_rows + 1).take_all()

@@ -12,9 +12,10 @@ Scale shape: ONE range-partitioned sort (Ray Data's ``Dataset.sort``)
 assignment is embarrassingly parallel: block row-counts come from block
 METADATA after ``materialize()``, the driver folds them into O(blocks)
 integer offsets, and a per-block remote task adds ``arange(off, off+n)``.
-The driver never holds a row. (``graph.node_index`` gives the same
-ranks for a distinct url column by task rounds over sampled url
-buckets; this takes any declared sort order and full payload rows.)
+The driver never holds a row. (graph.py's sorted url buckets,
+``_url_buckets``, give the same ranks for a distinct url column by task
+rounds over sampled boundaries; this takes any declared sort order and
+full payload rows.)
 
 Determinism contract: the declared key list must be a TOTAL order —
 include a unique tiebreak column (doc_id, url). Equal-key rows would
