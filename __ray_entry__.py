@@ -997,8 +997,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # web graph): hosts linked from the same page, pairs generated
         # per DISTINCT out-degree (the triangle_counts trick) under a
         # declared max_out cap (unsaturated here ⇒ the SQL self-join
-        # oracle is exact), pre-aggregated in-bucket before one
-        # int32-key pair exchange.
+        # oracle is exact); two task rounds on the pinned graph (page
+        # out-hosts at the page's bucket, pair counts at a hash bucket
+        # of the first host), no exchange.
         from urlmap_ray.functions import graph as gr
 
         pages, nodes = _graph_inputs(sf_dir)
@@ -1017,8 +1018,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from urlmap_ray.functions import graph as gr
 
         pages, nodes = _graph_inputs(sf_dir)
-        edges = gr.build_edges(pages, nodes)
-        return gr.random_walks(edges, nodes, length=3).sort("start")
+        return gr.random_walks(pages, nodes, length=3).sort("start")
 
     def page_triangles(sf_dir):
         # per-node triangle participation + local clustering coefficient,
@@ -1122,9 +1122,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def page_spam_mass(sf_dir):
         # relative spam mass (Gyöngyi et al. 2005): rank fraction not
         # backed by trusted seeds — max(pr−tr,0)·10⁹//pr over the
-        # 3-iteration uniform and seed-personalized ranks; ONE hash
-        # equi-join, integer-only row-local mass rule; oracle = the same
-        # formula over the two rank ground truths
+        # 3-iteration uniform and seed-personalized ranks, both iterated
+        # over one pinned graph; integer-only mass rule per bucket, no
+        # join; oracle = the same formula over the two rank ground truths
         from urlmap_ray.corpus import page_url
         from urlmap_ray.expected import (
             ensure_graph_expected,
@@ -1137,9 +1137,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ensure_trustrank_expected(info)
         seeds = [page_url(h, 0) for h in range(info.n_hosts)]
         pages, nodes = _graph_inputs(sf_dir)
-        pr = gr.pagerank(pages, nodes, n_iters=3)
-        tr = gr.pagerank(pages, nodes, n_iters=3, seed_urls=seeds)
-        return gr.spam_mass(pr, tr).sort("url")
+        return gr.spam_mass(pages, nodes, seed_urls=seeds, n_iters=3).sort("url")
 
     def page_components(sf_dir):
         # weakly-connected components of the link graph (site clusters):

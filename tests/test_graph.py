@@ -72,6 +72,19 @@ def _nodes_ds(corpus):
     return ray.data.read_parquet(corpus.pages_path, columns=["url"])
 
 
+def _link_pages(links, parts=1):
+    """(pages, nodes) Datasets of a hand-made graph: a page per key of
+    ``links`` whose html holds one ``<a href>`` per url it links to, in
+    ``parts`` blocks, and its url column as the node set."""
+    import ray.data
+
+    urls = sorted(links)
+    html = ["<html><body>" + "".join(f'<a href="{t}">x</a>' for t in links[u]) + "</body></html>" for u in urls]
+    pages = pa.table({"url": pa.array(urls, pa.string()), "html": pa.array([h.encode() for h in html], pa.binary())})
+    nodes = ray.data.from_arrow(pa.table({"url": pa.array(urls, pa.string())}))
+    return ray.data.from_arrow(pages).repartition(parts), nodes
+
+
 def test_build_edges_matches_pure_both_regimes(ray_session, corpus, truth):
     _, _, edges = truth
     for mode in ("broadcast", "shuffle"):
@@ -318,6 +331,12 @@ def test_shuffle_kernel_any_layout_and_bucket_count(ray_session, corpus, truth):
         assert gr.weighted_pagerank(empty_w, mode=mode).take_all() == [], mode
 
 
+def _bounded(fn, arg):
+    """``fn`` as call(pages, nodes, rounds=None, **kw), ``rounds`` (if
+    given) passed as its keyword ``arg``."""
+    return lambda p, n, rounds=None, **kw: fn(p, n, **({arg: rounds} if rounds else {}), **kw)
+
+
 def _traversals(seeds):
     """The five traversal calls, each as call(pages, nodes, rounds=None,
     **kw), ``rounds`` being its round bound (BFS ``radius``, kcore
@@ -326,21 +345,21 @@ def _traversals(seeds):
     from urlmap_ray.functions.labelprop import label_propagation
     from urlmap_ray.functions.scc import bowtie, scc
 
-    def bounded(fn, arg):
-        return lambda p, n, rounds=None, **kw: fn(p, n, **({arg: rounds} if rounds else {}), **kw)
-
     return {
         "bfs": lambda p, n, rounds=None, **kw: bfs_distances(p, n, seeds, radius=rounds, **kw),
-        "kcore": bounded(kcore, "max_rounds"),
-        "lpa": bounded(label_propagation, "n_iters"),
+        "kcore": _bounded(kcore, "max_rounds"),
+        "lpa": _bounded(label_propagation, "n_iters"),
         "scc": lambda p, n, rounds=None, **kw: scc(p, n, **kw),
         "bowtie": lambda p, n, rounds=None, **kw: bowtie(p, n, **kw),
     }
 
 
 def _counts():
-    """The three round-free counting calls on the pinned graph, each as
-    call(pages, nodes, rounds=None, **kw) like :func:`_traversals`."""
+    """The counting calls on the pinned graph with a task bucket knob
+    (degrees, triangles, edge Jaccard), none with a round bound, each as
+    call(pages, nodes, rounds=None, **kw) like :func:`_traversals`. Host
+    co-citation, which reduces over L1 buckets and has no ``n_buckets``,
+    is called on its own."""
     from urlmap_ray.functions.graph import edge_jaccard, triangle_counts
 
     return {
@@ -349,43 +368,41 @@ def _counts():
     }
 
 
-def _anf_and_walks(edges):
+def _anf_and_walks():
     """HyperANF and random walks, each as call(pages, nodes, rounds=None,
     **kw) like :func:`_traversals`, ``rounds`` being HyperANF ``radius`` and
-    walk ``length``. The walks run over the (src, dst) url pairs ``edges``
-    (one block), one walk from each node."""
-    import ray.data
-
+    walk ``length``."""
     from urlmap_ray.functions.graph import neighborhood_sizes, random_walks
 
-    def walks(p, n, rounds=None, **kw):
-        e = ray.data.from_arrow(pa.table({"src": [s for s, _ in edges], "dst": [d for _, d in edges]}))
-        return random_walks(e, n, **({"length": rounds} if rounds else {}), **kw)
+    return {"hyperanf": _bounded(neighborhood_sizes, "radius"), "walks": _bounded(random_walks, "length")}
 
-    return {
-        "hyperanf": lambda p, n, rounds=None, **kw: neighborhood_sizes(
-            p, n, **({"radius": rounds} if rounds else {}), **kw
-        ),
-        "walks": walks,
-    }
+
+def _spam(seeds):
+    """spam_mass from ``seeds`` as call(pages, nodes, rounds=None, **kw),
+    ``rounds`` being ``n_iters``."""
+    from functools import partial
+
+    from urlmap_ray.functions.graph import spam_mass
+
+    return _bounded(partial(spam_mass, seed_urls=seeds), "n_iters")
 
 
 def _edge_calls():
-    """build_edges and the two host calls built on it."""
-    from urlmap_ray.functions.graph import host_cocitation, host_graph
+    """build_edges and host_graph, the calls built on string edges."""
+    from urlmap_ray.functions.graph import host_graph
 
-    return (build_edges, host_graph, host_cocitation)
+    return (build_edges, host_graph)
 
 
 def test_rank_rejects_bad_n_buckets(ray_session, corpus):
     """A task bucket count below one is refused before any graph work, by
-    the ranks, the traversals, the counting calls, HyperANF and the walks
-    alike."""
+    the ranks, spam mass, the traversals, the counting calls, HyperANF
+    and the walks alike."""
     from urlmap_ray.functions.graph import hits
 
     calls = {
-        "pagerank": pagerank, "hits": hits, **_traversals(["https://x.example/"]), **_counts(),
-        **_anf_and_walks([("https://x.example/", "https://y.example/")]),
+        "pagerank": pagerank, "hits": hits, "spam_mass": _spam(["https://x.example/"]),
+        **_traversals(["https://x.example/"]), **_counts(), **_anf_and_walks(),
     }
     for mode in ("broadcast", "shuffle"):
         for bad in (0, -2):
@@ -400,11 +417,11 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
     multi-ref get) has at most max(per_bucket, task buckets, L1 buckets)
     elements. Ray Data's own exchanges (their sort samples) are not
     counted. And iterations are task rounds, not Dataset jobs: the Ray
-    Data executions a call makes do not grow with ``n_iters`` (BFS
-    ``radius``, kcore ``max_rounds``, HyperANF ``radius``, walk
+    Data executions a call makes do not grow with ``n_iters`` (spam mass
+    too; BFS ``radius``, kcore ``max_rounds``, HyperANF ``radius``, walk
     ``length``), and a traversal, a counting call (degrees, triangles, edge
-    Jaccard), HyperANF or the walks start none after their pin round (the
-    walks read their start blocks before it).
+    Jaccard, host co-citation at its L1 buckets), HyperANF or the walks
+    start none after their pin round.
     The shuffle regime's graph build and url attach are task rounds too: a
     shuffle-mode call starts no more Ray Data executions than the same
     call in broadcast mode. A shuffle-mode build_edges gets the url bucket
@@ -414,7 +431,7 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from urlmap_ray.functions import graph as gr
-    from urlmap_ray.functions.graph import hits
+    from urlmap_ray.functions.graph import hits, host_cocitation
 
     urls, links, _ = truth
     n, nb = len(urls), 7
@@ -475,14 +492,20 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
                 (mode, "hits", k): lambda i, kw=kw: hits(
                     _pages_ds(corpus), _nodes_ds(corpus), n_iters=i, **kw
                 ),
+                (mode, "spam_mass", k): lambda i, kw=kw: _spam(seeds)(
+                    _pages_ds(corpus), _nodes_ds(corpus), i, **kw
+                ),
             }
         )
     for mode in ("shuffle", "broadcast"):
         for k in (None, nb):
-            for alg, call in {**_traversals(seeds), **_counts(), **_anf_and_walks(truth[2])}.items():
+            for alg, call in {**_traversals(seeds), **_counts(), **_anf_and_walks()}.items():
                 calls[(mode, alg, k)] = lambda i, call=call, kw={"mode": mode, "n_buckets": k}: (
                     call(_pages_ds(corpus), _nodes_ds(corpus), i, **kw)
                 )
+        calls[(mode, "cocitation", None)] = lambda i, mode=mode: (
+            host_cocitation(_pages_ds(corpus), _nodes_ds(corpus), mode=mode)
+        )
     monkeypatch.setattr(ray, "put", put)
     monkeypatch.setattr(ray, "get", get)
     monkeypatch.setattr(StreamingExecutor, "execute", execute)
@@ -504,7 +527,7 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
             assert max((size for _, size in ours), default=0) <= bound, (name, sorted(ours, key=lambda x: -x[1])[:3])
             if name[1] == "hits":
                 assert ("get", n_l1) in ours  # the L1 partials of one round
-            if name[1] not in ("pagerank", "trustrank", "hits"):
+            if name[1] not in ("pagerank", "trustrank", "hits", "spam_mass"):
                 assert pinned == [jobs[-1]], f"{name}: Dataset executions after the pin round"
         assert jobs[0] == jobs[1], f"{name}: Dataset executions grow with n_iters: {jobs}"
         execs[name] = jobs[0]
@@ -527,6 +550,9 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
         assert {r["url"]: r["rank_ppb"] for r in results[(mode, "trustrank", 4)].take_all()} == (
             pagerank_reference(urls, links, n_iters=4, seed_urls=seeds)
         ), mode
+        assert {r["url"]: r["spam_mass_ppb"] for r in results[(mode, "spam_mass", 4)].take_all()} == (
+            _spam_reference(urls, links, 4, seeds)
+        ), mode
         assert {r["url"]: r["dist"] for r in results[(mode, "bfs", 4)].take_all()} == (
             _bfs_reference(truth[2], seeds, radius=4)
         ), mode
@@ -534,14 +560,14 @@ def test_shuffle_regime_contract(ray_session, corpus, truth, monkeypatch):
 
 def test_repeated_node_url_raises(ray_session, corpus, truth):
     """A node set that repeats a url is refused with a ValueError naming
-    the url, in both regimes, by the ranks, the traversals, the counting
-    calls and the edge builds (the sort of each url bucket sees every
-    repeat)."""
+    the url, in both regimes, by the ranks, spam mass, the traversals, the
+    counting calls (host co-citation included), HyperANF, the walks and
+    the edge builds (the sort of each url bucket sees every repeat)."""
     import re
 
     import ray.data
 
-    from urlmap_ray.functions.graph import hits
+    from urlmap_ray.functions.graph import hits, host_cocitation
 
     dup = sorted(truth[0])[17]
 
@@ -549,13 +575,15 @@ def test_repeated_node_url_raises(ray_session, corpus, truth):
         return _nodes_ds(corpus).union(ray.data.from_arrow(pa.table({"url": [dup]})))
 
     calls = {
-        "pagerank": pagerank, "hits": hits, "bfs": _traversals([dup])["bfs"], **_counts(),
-        "hyperanf": _anf_and_walks([])["hyperanf"],
+        "pagerank": pagerank, "hits": hits, "spam_mass": _spam([dup]), "bfs": _traversals([dup])["bfs"],
+        **_counts(), **_anf_and_walks(),
     }
     for mode in ("broadcast", "shuffle"):
         for name, call in calls.items():
             with pytest.raises(ValueError, match=re.escape(repr(dup))):
                 call(_pages_ds(corpus), nodes(), mode=mode, n_buckets=7).materialize()
+        with pytest.raises(ValueError, match=re.escape(repr(dup))):
+            host_cocitation(_pages_ds(corpus), nodes(), mode=mode).materialize()
         for call in _edge_calls():  # these raise before returning their Dataset
             with pytest.raises(ValueError, match=re.escape(repr(dup))):
                 call(_pages_ds(corpus), nodes(), mode=mode)
@@ -635,11 +663,12 @@ def test_driver_never_materializes_url_column(ray_session, corpus):
 
 
 def test_pagerank_rejects_bad_mode(ray_session, corpus, truth):
-    """PageRank and the edge calls refuse an unknown ``mode``, the one
-    regime knob: no graph.py function takes ``membership=``."""
+    """PageRank, host co-citation and the edge calls refuse an unknown
+    ``mode``, the one regime knob: no graph.py function takes
+    ``membership=``."""
     from urlmap_ray.functions import graph as gr
 
-    for call in (pagerank, *_edge_calls()):
+    for call in (pagerank, gr.host_cocitation, *_edge_calls()):
         with pytest.raises(ValueError, match="mode"):
             call(_pages_ds(corpus), _nodes_ds(corpus), mode="banana")
     for name, fn in inspect.getmembers(gr, inspect.isfunction):
@@ -677,34 +706,16 @@ def test_anchor_text_index_counts_and_tiebreak(ray_session):
 def test_triangle_counts_known_graph(ray_session):
     # K4 on a,b,c,d (4 triangles, each node in 3, deg 3 → C=1) plus a
     # pendant e–a (deg(a)=4, C(a)=3/6) and an isolated node f
-    import pyarrow as pa
-    import ray.data
-
     from urlmap_ray.functions.graph import triangle_counts
 
     urls = [f"https://x.org/{c}" for c in "abcdef"]
     a, b, c, d, e, f = urls
     und = [(a, b), (a, c), (a, d), (b, c), (b, d), (c, d), (e, a)]
-    # feed as a fake "pages" edge set: build pages html with hrefs
     links = {u: [] for u in urls}
     for s, t in und:
         links[s].append(t)  # one direction is enough — undirect dedups
     links[b].append(a)  # and a reverse duplicate must not double-count
-
-    def html(u):
-        return "<html><body>" + "".join(
-            f'<a href="{t}">x</a>' for t in links[u]
-        ) + "</body></html>"
-
-    pages = ray.data.from_arrow(
-        pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "html": pa.array([html(u).encode() for u in urls], pa.binary()),
-            }
-        )
-    )
-    nodes = ray.data.from_arrow(pa.table({"url": pa.array(urls, pa.string())}))
+    pages, nodes = _link_pages(links)
     for mode in ("broadcast", "shuffle"):
         for buckets in (1, 7):
             out = {
@@ -722,9 +733,6 @@ def test_edge_jaccard_known_graph(ray_session):
     # same K4 + pendant graph as the triangle test: per-edge common
     # neighbors are the triangles through the edge, jaccard over
     # |N(a)∪N(b)| = deg_a + deg_b − common
-    import pyarrow as pa
-    import ray.data
-
     from urlmap_ray.functions.graph import edge_jaccard
 
     urls = [f"https://x.org/{c}" for c in "abcdef"]
@@ -734,21 +742,7 @@ def test_edge_jaccard_known_graph(ray_session):
     for s, t in und:
         links[s].append(t)
     links[b].append(a)  # reverse duplicate must not double-count
-
-    def html(u):
-        return "<html><body>" + "".join(
-            f'<a href="{t}">x</a>' for t in links[u]
-        ) + "</body></html>"
-
-    pages = ray.data.from_arrow(
-        pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "html": pa.array([html(u).encode() for u in urls], pa.binary()),
-            }
-        )
-    )
-    nodes = ray.data.from_arrow(pa.table({"url": pa.array(urls, pa.string())}))
+    pages, nodes = _link_pages(links)
 
     # brute-force reference over undirected neighbor sets
     nbr = {u: set() for u in urls}
@@ -775,6 +769,12 @@ def test_edge_jaccard_known_graph(ray_session):
     assert want[(a, b)] == (2, 4, 3, (2 * 10**9) // 5)
     assert want[(b, c)] == (2, 3, 3, (2 * 10**9) // 4)
     assert want[(a, e)] == (0, 4, 1, 0)
+    # an empty node set: no rows, the same columns
+    import ray.data
+
+    empty = edge_jaccard(pages, ray.data.from_arrow(pa.table({"url": pa.array([], pa.string())})))
+    assert empty.take_all() == []
+    assert empty.columns() == ["a", "b", "common", "deg_a", "deg_b", "jaccard_ppb"]
 
 
 def test_triangles_and_jaccard_match_neighbour_sets(ray_session, corpus, truth):
@@ -820,8 +820,6 @@ def test_neighborhood_sizes_hyperanf(ray_session):
     # a:{a,b,c} b:{b,c,d} c:{c,d} d:{d} e:{e,f} f:{e,f}; the distributed
     # rounds must land bit-identically on the dense sequential reference
     import numpy as np
-    import pyarrow as pa
-    import ray.data
 
     from urlmap_ray.functions.graph import neighborhood_sizes
     from urlmap_ray.functions.sketch import (
@@ -837,21 +835,7 @@ def test_neighborhood_sizes_hyperanf(ray_session):
     links = {u: [] for u in urls}
     for s, t in direct:
         links[s].append(t)
-
-    def html(u):
-        return "<html><body>" + "".join(
-            f'<a href="{t}">x</a>' for t in links[u]
-        ) + "</body></html>"
-
-    pages = ray.data.from_arrow(
-        pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "html": pa.array([html(u).encode() for u in urls], pa.binary()),
-            }
-        )
-    )
-    nodes = ray.data.from_arrow(pa.table({"url": pa.array(urls, pa.string())}))
+    pages, nodes = _link_pages(links)
 
     # dense sequential HyperANF reference (same primitives, same rounds)
     h = hash64_column(pa.array(urls, pa.string()))
@@ -1126,37 +1110,20 @@ def test_weighted_pagerank_modes_identical_and_match_reference(
     assert abs(sum(want.values()) - 1_000_000_000) < len(want) + 1000
 
 
-def test_spam_mass_integer_rule(ray_session):
-    """spam_mass: max(pr−tr,0)·10⁹//pr, 0 when pr=0 — clamp and floor
-    pinned; join is inner on url."""
-    import pyarrow as pa
-    import ray.data
+def test_spam_mass_integer_rule():
+    """The mass rule: max(pr−tr,0)·10⁹//pr, 0 when pr=0 — clamp and floor
+    pinned."""
+    import numpy as np
 
-    from urlmap_ray.functions.graph import spam_mass
+    from urlmap_ray.functions.graph import _mass_ppb
 
-    pr = ray.data.from_arrow(
-        pa.table(
-            {
-                "url": pa.array(["a", "b", "c", "d"]),
-                "rank_ppb": pa.array([1000, 300, 0, 7], pa.int64()),
-            }
-        )
-    )
-    tr = ray.data.from_arrow(
-        pa.table(
-            {
-                "url": pa.array(["a", "b", "c", "d"]),
-                "rank_ppb": pa.array([250, 900, 5, 3], pa.int64()),
-            }
-        )
-    )
-    got = {r["url"]: r["spam_mass_ppb"] for r in spam_mass(pr, tr).take_all()}
-    assert got == {
-        "a": (750 * 10**9) // 1000,
-        "b": 0,  # tr > pr clamps to 0
-        "c": 0,  # pr == 0 guard
-        "d": (4 * 10**9) // 7,  # floor division
-    }
+    got = _mass_ppb(np.array([1000, 300, 0, 7], np.int64), np.array([250, 900, 5, 3], np.int64))
+    assert got.tolist() == [
+        (750 * 10**9) // 1000,
+        0,  # tr > pr clamps to 0
+        0,  # pr == 0 guard
+        (4 * 10**9) // 7,  # floor division
+    ]
 
 
 def test_weighted_pagerank_seeded_modes_identical(ray_session, corpus, truth):
@@ -1193,15 +1160,32 @@ def test_weighted_pagerank_seeded_modes_identical(ray_session, corpus, truth):
         weighted_pagerank(hg, n_iters=1, seed_urls=["no-such-host"]).take_all()
 
 
+def _mass_rule(pr, tr):
+    """{url: spam mass} of two {url: rank_ppb} maps by the integer rule."""
+    import numpy as np
+
+    from urlmap_ray.functions.graph import _mass_ppb
+
+    keys = sorted(pr)
+    mass = _mass_ppb(np.array([pr[u] for u in keys], np.int64), np.array([tr[u] for u in keys], np.int64))
+    return dict(zip(keys, mass.tolist()))
+
+
+def _spam_reference(urls, links, n_iters, seeds):
+    """Page spam mass from pagerank_reference ×2 and the integer rule."""
+    return _mass_rule(
+        pagerank_reference(urls, links, n_iters=n_iters),
+        pagerank_reference(urls, links, n_iters=n_iters, seed_urls=seeds),
+    )
+
+
 def test_weighted_spam_mass_matches_composition(ray_session, corpus, truth):
     """weighted_spam_mass (shared-prep fast path) is bit-identical in
-    both regimes to composing weighted_pagerank ×2 + spam_mass."""
+    both regimes to composing weighted_pagerank ×2 + the mass rule."""
     import re
-    from collections import Counter
 
     from urlmap_ray.functions.graph import (
         host_graph,
-        spam_mass,
         weighted_pagerank,
         weighted_spam_mass,
     )
@@ -1217,159 +1201,183 @@ def test_weighted_spam_mass_matches_composition(ray_session, corpus, truth):
     )
     seeds = hosts[:2]
     hg = host_graph(_pages_ds(corpus), _nodes_ds(corpus)).materialize()
-    pr = weighted_pagerank(hg, n_iters=3)
-    tr = weighted_pagerank(hg, n_iters=3, seed_urls=seeds)
-    want = {r["url"]: r["spam_mass_ppb"] for r in spam_mass(pr, tr).take_all()}
+    pr = {r["url"]: r["rank_ppb"] for r in weighted_pagerank(hg, n_iters=3).take_all()}
+    tr = {r["url"]: r["rank_ppb"] for r in weighted_pagerank(hg, n_iters=3, seed_urls=seeds).take_all()}
+    want = _mass_rule(pr, tr)
     assert any(v > 0 for v in want.values())  # non-vacuous: spam exists
     for mode in ("broadcast", "shuffle"):
         rows = weighted_spam_mass(hg, seed_urls=seeds, n_iters=3, mode=mode).take_all()
         assert {r["url"]: r["spam_mass_ppb"] for r in rows} == want, mode
 
 
-def test_random_walks_match_sequential_replay(ray_session):
-    import hashlib
-
-    import numpy as np
+def test_spam_mass_matches_pagerank_pair(ray_session, corpus, truth):
+    """Page spam mass equals pagerank ×2 (uniform and seeded) + the mass
+    rule, and the references, in both modes at any bucket count; a seed
+    outside the node set and an empty seed list raise; an empty node set
+    gives no rows."""
     import ray.data
 
-    from urlmap_ray.functions.graph import random_walks
+    from urlmap_ray.functions.graph import spam_mass
 
-    import pyarrow as pa
+    urls, links, _ = truth
+    seeds = sorted(urls)[:3]
+    want = _spam_reference(urls, links, 3, seeds)
+    assert any(v > 0 for v in want.values()) and any(v == 0 for v in want.values())
+    ranks = [
+        {r["url"]: r["rank_ppb"] for r in pagerank(_pages_ds(corpus), _nodes_ds(corpus), n_iters=3, **kw).take_all()}
+        for kw in ({}, {"seed_urls": seeds})
+    ]
+    assert _mass_rule(*ranks) == want
+    for mode in ("broadcast", "shuffle"):
+        for nb in (None, 7):
+            rows = spam_mass(
+                _pages_ds(corpus), _nodes_ds(corpus), seed_urls=seeds, n_iters=3, mode=mode, n_buckets=nb
+            ).take_all()
+            assert {r["url"]: r["spam_mass_ppb"] for r in rows} == want, (mode, nb)
+    with pytest.raises(ValueError, match="seed_urls"):
+        spam_mass(_pages_ds(corpus), _nodes_ds(corpus), seed_urls=["https://nope.example/x"])
+    with pytest.raises(ValueError, match="seed_urls"):
+        spam_mass(_pages_ds(corpus), _nodes_ds(corpus), seed_urls=[])
+    empty = ray.data.from_arrow(pa.table({"url": pa.array([], pa.string())}))
+    out = spam_mass(_pages_ds(corpus), empty, seed_urls=seeds)
+    assert out.take_all() == [] and out.columns() == ["url", "spam_mass_ppb"]
 
-    rng = np.random.default_rng(5)
-    nodes = [f"n{i:03d}" for i in range(40)]
-    edges = sorted(
-        {(nodes[rng.integers(40)], nodes[rng.integers(40)]) for _ in range(120)}
-    )
-    adj = {}
-    for s, d in edges:
-        adj.setdefault(s, set()).add(d)
 
-    def ref_walk(w, length=3):
-        cur, path = w, w
+def _walk_replay(links, length):
+    """Sorted (start, path) of the md5-rule walk from every page of
+    ``links``, replayed sequentially over the distinct non-self links."""
+    import hashlib
+
+    rows = []
+    for w in sorted(links):
+        cur = path = w
         for t in range(length):
-            nb = sorted(adj.get(cur, ()))
+            nb = sorted(set(links[cur]) - {cur})
             if not nb:
                 break  # dead end terminates (pinned)
             h = int(hashlib.md5(f"{w}|{t}|{cur}".encode()).hexdigest()[:15], 16)
             cur = nb[h % len(nb)]
             path += " " + cur
-        return path
+        rows.append((w, path))
+    return rows
 
-    want = sorted((w, ref_walk(w)) for w in nodes)
-    e_tbl = pa.table(
-        {"src": [s for s, _ in edges], "dst": [d for _, d in edges]}
-    )
-    n_tbl = pa.table({"url": nodes})
+
+def _random_links(seed, n, draws):
+    """{url: linked urls} of ``draws`` random links over ``n`` pages."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    urls = [f"https://w.org/n{i:03d}" for i in range(n)]
+    links = {u: [] for u in urls}
+    for _ in range(draws):
+        links[urls[rng.integers(n)]].append(urls[rng.integers(n)])
+    return links
+
+
+def test_random_walks_match_sequential_replay(ray_session):
+    """Bit-identical to the sequential replay in both modes, at any bucket
+    count and block layout: the md5 step rule depends only on (walk,
+    step, node)."""
+    from urlmap_ray.functions.graph import random_walks
+
+    links = _random_links(5, 40, 120)
+    want = _walk_replay(links, 3)
+    assert any(p.count(" ") == 3 for _, p in want) and any(" " not in p for _, p in want)
     for parts in (1, 4):
-        out = random_walks(
-            ray.data.from_arrow(e_tbl).repartition(parts),
-            ray.data.from_arrow(n_tbl).repartition(parts),
-            length=3,
-        ).take_all()
-        # bit-identical to the sequential replay at any parallelism:
-        # the md5 step rule depends only on (walk, step, node)
-        assert sorted((r["start"], r["path"]) for r in out) == want
-    # starts: a strict subset of the nodes, one url twice, one on no edge
-    subset = nodes[::3] + [nodes[3], "n-lone"]
-    want = sorted((w, ref_walk(w)) for w in subset)
-    for mode in ("broadcast", "shuffle"):
-        for k in (None, 7):
-            out = random_walks(
-                ray.data.from_arrow(e_tbl).repartition(2),
-                ray.data.from_arrow(pa.table({"url": subset})).repartition(2),
-                length=3,
-                mode=mode,
-                n_buckets=k,
-            ).take_all()
-            assert sorted((r["start"], r["path"]) for r in out) == want, (mode, k)
+        for mode in ("broadcast", "shuffle"):
+            for k in (None, 7):
+                out = random_walks(*_link_pages(links, parts), length=3, mode=mode, n_buckets=k).take_all()
+                assert sorted((r["start"], r["path"]) for r in out) == want, (parts, mode, k)
 
 
 def test_random_walks_dead_end_and_self_loop(ray_session):
-    import pyarrow as pa
-    import ray.data
-
+    """A dead end ends the walk; a page's link to itself is no edge, so it
+    is a dead end too; a 2-cycle alternates."""
     from urlmap_ray.functions.graph import random_walks
 
-    # a -> b (only edge), b is a dead end, c -> c self-loop
-    e_tbl = pa.table({"src": ["a", "c"], "dst": ["b", "c"]})
-    n_tbl = pa.table({"url": ["a", "b", "c"]})
-    out = {
-        r["start"]: r["path"]
-        for r in random_walks(
-            ray.data.from_arrow(e_tbl), ray.data.from_arrow(n_tbl), length=2
-        ).take_all()
-    }
-    assert out == {"a": "a b", "b": "b", "c": "c c c"}
+    a, b, c, d, e = (f"https://w.org/{x}" for x in "abcde")
+    links = {a: [b], b: [], c: [c], d: [e], e: [d]}
+    want = {a: f"{a} {b}", b: b, c: c, d: f"{d} {e} {d} {e}", e: f"{e} {d} {e} {d}"}
+    for mode in ("broadcast", "shuffle"):
+        for k in (None, 7):
+            out = random_walks(*_link_pages(links), length=3, mode=mode, n_buckets=k).take_all()
+            assert {r["start"]: r["path"] for r in out} == want, (mode, k)
 
 
 def test_random_walks_modes_identical(ray_session):
-    import numpy as np
-    import pyarrow as pa
+    """Longer walks agree across modes and bucket counts (and with the
+    replay); an empty node set gives no walks."""
     import ray.data
 
     from urlmap_ray.functions.graph import random_walks
 
-    rng = np.random.default_rng(13)
-    nodes = [f"m{i:02d}" for i in range(25)]
-    edges = sorted(
-        {(nodes[rng.integers(25)], nodes[rng.integers(25)]) for _ in range(70)}
-    )
-    e_tbl = pa.table({"src": [s for s, _ in edges], "dst": [d for _, d in edges]})
-    n_tbl = pa.table({"url": nodes})
-    outs = []
+    links = _random_links(13, 25, 70)
+    want = _walk_replay(links, 4)
     for mode in ("broadcast", "shuffle"):
-        rows = random_walks(
-            ray.data.from_arrow(e_tbl).repartition(3),
-            ray.data.from_arrow(n_tbl).repartition(2),
-            length=4,
-            mode=mode,
-        ).take_all()
-        outs.append(sorted((r["start"], r["path"]) for r in rows))
-    # the step rule depends only on (walk, step, node): regimes agree
-    # bit for bit
-    assert outs[0] == outs[1]
+        for k in (None, 7):
+            rows = random_walks(*_link_pages(links, 4), length=4, mode=mode, n_buckets=k).take_all()
+            assert sorted((r["start"], r["path"]) for r in rows) == want, (mode, k)
+    empty = ray.data.from_arrow(pa.table({"url": pa.array([], pa.string())}))
+    assert random_walks(_link_pages(links)[0], empty).take_all() == []
 
 
-def test_host_cocitation_counts_and_cap(ray_session, monkeypatch):
-    import pyarrow as pa
+def _cocite_reference(edges, min_count, max_out):
+    """{(host_a, host_b): n_src} from the distinct (src, dst) links: each
+    page's first ``max_out`` distinct dst hosts, every pair of them
+    counted once per page, pairs below ``min_count`` dropped."""
+    import re
+    from collections import Counter
+    from itertools import combinations
+
+    host_re = re.compile(r"^[a-z][a-z0-9+.-]*://([^/?#]+)")
+    out = {}
+    for s, d in edges:
+        m = host_re.match(d)
+        if m:
+            out.setdefault(s, set()).add(m.group(1))
+    pairs = Counter(p for hs in out.values() for p in combinations(sorted(hs)[:max_out], 2))
+    return {p: c for p, c in pairs.items() if c >= min_count}
+
+
+def test_host_cocitation_counts_and_cap(ray_session):
+    from urlmap_ray.functions.graph import host_cocitation
+
+    links = {
+        "https://s1.x/a": ["https://h1.x/", "https://h2.x/", "https://h3.x/"],
+        "https://s2.x/b": ["https://h1.x/p", "https://h2.x/q"],
+        "https://s3.x/c": ["https://h1.x/", "https://h2.x/other"],
+    }
+    for dst in ("https://h1.x/", "https://h2.x/", "https://h3.x/", "https://h1.x/p", "https://h2.x/q",
+                "https://h2.x/other"):
+        links[dst] = []
+    for parts in (1, 3):
+        for mode in ("broadcast", "shuffle"):
+            out = host_cocitation(*_link_pages(links, parts), min_count=2, mode=mode).take_all()
+            got = sorted((r["host_a"], r["host_b"], r["n_src"]) for r in out)
+            # (h1,h2) co-cited by s1, s2 AND s3; h3 pairs only appear once
+            assert got == [("h1.x", "h2.x", 3)], (parts, mode)
+            # max_out=1 keeps only the lexicographically-first host per
+            # page: no page contributes any pair
+            assert host_cocitation(*_link_pages(links), min_count=1, max_out=1, mode=mode).take_all() == []
+
+
+def test_host_cocitation_matches_reference(ray_session, corpus, truth):
+    """On the corpus graph both modes equal the pure per-page host-pair
+    count, uncapped and with a cap that bites; an empty node set gives no
+    pairs. Both modes reduce over many L1 buckets, and the shuffle mode
+    maps over one dst bucket per L1 bucket."""
     import ray.data
 
-    import urlmap_ray.functions.graph as G
+    from urlmap_ray.functions.graph import host_cocitation
 
-    edges = pa.table(
-        {
-            "src": [
-                "https://s1.x/a",
-                "https://s1.x/a",
-                "https://s1.x/a",
-                "https://s2.x/b",
-                "https://s2.x/b",
-                "https://s3.x/c",
-                "https://s3.x/c",
-            ],
-            "dst": [
-                "https://h1.x/",
-                "https://h2.x/",
-                "https://h3.x/",
-                "https://h1.x/p",
-                "https://h2.x/q",
-                "https://h1.x/",
-                "https://h2.x/other",
-            ],
-        }
-    )
-    monkeypatch.setattr(G, "build_edges", lambda p, n, **kw: p)
-    for parts in (1, 3):
-        out = G.host_cocitation(
-            ray.data.from_arrow(edges).repartition(parts), None, min_count=2
-        ).take_all()
-        got = sorted((r["host_a"], r["host_b"], r["n_src"]) for r in out)
-        # (h1,h2) co-cited by s1, s2 AND s3; h3 pairs only appear once
-        assert got == [("h1.x", "h2.x", 3)]
-    # max_out=1 keeps only the lexicographically-first host per page:
-    # no page contributes any pair
-    out = G.host_cocitation(
-        ray.data.from_arrow(edges), None, min_count=1, max_out=1
-    ).take_all()
-    assert out == []
+    edges = truth[2]
+    for max_out in (256, 2):
+        want = _cocite_reference(edges, 2, max_out)
+        assert want
+        for mode in ("broadcast", "shuffle"):
+            out = host_cocitation(_pages_ds(corpus), _nodes_ds(corpus), max_out=max_out, mode=mode).take_all()
+            assert {(r["host_a"], r["host_b"]): r["n_src"] for r in out} == want, (max_out, mode)
+    assert _cocite_reference(edges, 2, 2) != _cocite_reference(edges, 2, 256)
+    empty = ray.data.from_arrow(pa.table({"url": pa.array([], pa.string())}))
+    out = host_cocitation(_pages_ds(corpus), empty)
+    assert out.take_all() == [] and out.columns() == ["host_a", "host_b", "n_src"]

@@ -40,16 +40,21 @@ Then, the same way, the two for the counting calls ``degrees``,
 ``triangle_counts`` and ``edge_jaccard`` and for HyperANF
 ``neighborhood_sizes`` (radius 3): ``<alg>_pin_s`` the pin round of the
 layouts they read (``fwd`` and ``bwd``; ``und``; ``bwd``),
-``<alg>_total_s`` the public call, materialized. Last,
-``random_walks_total_s``: ``random_walks`` (length 3, one walk from each
-page) over the distinct link pairs, materialized.
+``<alg>_total_s`` the public call, materialized. Last, three public
+calls in broadcast mode, materialized: ``random_walks_total_s``
+(``random_walks``, length 3, one walk from each page),
+``spam_mass_total_s`` (``spam_mass``, 3 iterations, the first three urls
+as seeds) and ``host_cocitation_total_s`` (``host_cocitation``,
+``min_count=2``).
 
 Each call is checked against its reference (the distinct in-corpus link
 set, ``pagerank_reference``, ``hits_reference``,
 ``label_propagation_reference``, ``scc_reference``, and here a sequential
 BFS, peel, degree count, neighbour-set triangle and Jaccard count, dense
-HyperANF and md5 walk replay). Timings are
-medians over ``--reps`` repetitions; the session is shut down at the end.
+HyperANF, md5 walk replay, ``pagerank_reference`` ×2 plus the spam-mass
+rule, and per-page distinct host pairs of the extracted links). Timings
+are medians over ``--reps`` repetitions; the session is shut down at the
+end.
 """
 
 from __future__ import annotations
@@ -154,6 +159,32 @@ def _hyperanf_reference(urls, edges, radius) -> dict:
     }
 
 
+def _spam_reference(urls, links, seeds) -> dict:
+    """{url: spam_mass_ppb} of the 3-iteration uniform and seeded
+    ``pagerank_reference`` ranks by the integer rule."""
+    from urlmap_ray.functions import graph as gr
+
+    pr = gr.pagerank_reference(urls, links, n_iters=3)
+    tr = gr.pagerank_reference(urls, links, n_iters=3, seed_urls=seeds)
+    return {u: (max(pr[u] - tr[u], 0) * 10**9) // pr[u] if pr[u] > 0 else 0 for u in urls}
+
+
+def _cocitation_reference(edges, min_count=2) -> dict:
+    """{(host_a, host_b): n_src}: per page its distinct linked hosts, every
+    pair of them counted once, pairs below ``min_count`` dropped."""
+    import re
+    from itertools import combinations
+
+    host_re = re.compile(r"^[a-z][a-z0-9+.-]*://([^/?#]+)")
+    hosts: dict = {}
+    for s, d in edges:
+        m = host_re.match(d)
+        if m:
+            hosts.setdefault(s, set()).add(m.group(1))
+    pairs = Counter(p for hs in hosts.values() for p in combinations(sorted(hs), 2))
+    return {p: c for p, c in pairs.items() if c >= min_count}
+
+
 def _walk_reference(starts, edges, length) -> list:
     """Sorted (start, path) of the md5-rule walks, replayed sequentially."""
     import hashlib
@@ -182,7 +213,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     import numpy as np
-    import pyarrow as pa
     import pyarrow.dataset as pads
     import ray
     import ray.data
@@ -268,8 +298,22 @@ def main(argv=None) -> int:
             _hyperanf_reference(urls, sorted(edges), 3),
         ),
     }
-    walk_edges = pa.table({"src": [s for s, _ in sorted(edges)], "dst": [d for _, d in sorted(edges)]})
-    walk_ref = _walk_reference(urls, edges, 3)
+    seeds = sorted(urls)[:3]
+    # name: (public call, result rows → comparable value, expected value)
+    tail = {
+        "random_walks": (
+            lambda p, n: gr.random_walks(p, n, length=3, mode="broadcast"),
+            lambda rows: sorted((r["start"], r["path"]) for r in rows), _walk_reference(urls, edges, 3),
+        ),
+        "spam_mass": (
+            lambda p, n: gr.spam_mass(p, n, seed_urls=seeds, n_iters=3, mode="broadcast"),
+            lambda rows: {r["url"]: r["spam_mass_ppb"] for r in rows}, _spam_reference(urls, links, seeds),
+        ),
+        "host_cocitation": (
+            lambda p, n: gr.host_cocitation(p, n, min_count=2, mode="broadcast"),
+            lambda rows: {(r["host_a"], r["host_b"]): r["n_src"] for r in rows}, _cocitation_reference(edges),
+        ),
+    }
 
     def inputs():
         pages = ray.data.read_parquet(info.pages_path, columns=["url", "html"])
@@ -291,7 +335,7 @@ def main(argv=None) -> int:
     })
     times.update({f"{a}_{m}": [] for a in traversals for m in ("pin", "round", "total")})
     times.update({f"{a}_{m}": [] for a in counts for m in ("pin", "total")})
-    times["random_walks_total"] = []
+    times.update({f"{a}_total": [] for a in tail})
 
     def done(refs):  # wait for task outputs without fetching them
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
@@ -418,12 +462,11 @@ def main(argv=None) -> int:
                 s, ds = _timed(lambda: call(*inputs()).materialize())
                 times[f"{name}_total"].append(s)
                 assert result(ds.take_all()) == want, name
-        for _ in range(args.reps):
-            s, ds = _timed(lambda: gr.random_walks(
-                ray.data.from_arrow(walk_edges), inputs()[1], length=3, mode="broadcast"
-            ).materialize())
-            times["random_walks_total"].append(s)
-            assert sorted((r["start"], r["path"]) for r in ds.take_all()) == walk_ref
+        for name, (call, result, want) in tail.items():
+            for _ in range(args.reps):
+                s, ds = _timed(lambda: call(*inputs()).materialize())
+                times[f"{name}_total"].append(s)
+                assert result(ds.take_all()) == want, name
     finally:
         ray.shutdown()
         tmp.cleanup()

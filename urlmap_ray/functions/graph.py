@@ -1,6 +1,7 @@
 """Web-graph analytics over the corpus link graph: edge extraction,
-degree distributions, PageRank, HITS, BFS distances, k-core, triangles,
-edge Jaccard, HyperANF neighborhood sizes and random walks.
+degree distributions, PageRank, HITS, spam mass, BFS distances, k-core,
+triangles, edge Jaccard, host co-citation, HyperANF neighborhood sizes
+and random walks.
 
 The reference stops at the visited-URL set; the natural next consumer of
 a 100TB crawl is the link GRAPH — in/out-degree statistics and a
@@ -44,20 +45,24 @@ Scale shapes:
   regime membership is applied in the extraction map; in the shuffle
   regime one task round cuts the candidate pairs by url bucket of dst and
   keeps, per bucket, the rows whose dst is one of its urls.
-- **Degrees, triangles and edge Jaccard count on the pinned graph**
-  (below) with no Ray Data exchange: :func:`degrees` pins the ``fwd``
-  and ``bwd`` layouts and counts them with one task per bucket;
-  :func:`triangle_counts` and :func:`edge_jaccard` pin ``und`` and run
-  two task rounds (neighbour lists sorted by (deg, id), then wedges
-  closed at their first endpoint's bucket) and a counting task per
-  bucket.
+- **Degrees, triangles, edge Jaccard and host co-citation count on the
+  pinned graph** (below) with no Ray Data exchange: :func:`degrees` pins
+  the ``fwd`` and ``bwd`` layouts and counts them with one task per
+  bucket; :func:`triangle_counts` and :func:`edge_jaccard` pin ``und``
+  and run two task rounds (neighbour lists sorted by (deg, id), then
+  wedges closed at their first endpoint's bucket) and a counting task
+  per bucket; :func:`host_cocitation` pins ``bwd`` and runs two task
+  rounds (each page's distinct out-hosts gathered at its bucket, then
+  host pairs summed at a hash bucket of the first host).
 - **Every iterative graph operator is one kernel in both regimes:
   edges pinned once as bucket slices, then rounds of stateless tasks.**
-  PageRank, HITS, BFS (:func:`bfs_distances`), k-core (:func:`kcore`),
-  label propagation (labelprop.py), SCC and bow-tie (scc.py), HyperANF
-  (:func:`neighborhood_sizes`, sparse register rows as state) and random
-  walks (:func:`random_walks`, walker rows as state) all run on it, and
-  so do the counting calls above. No actor pool and no
+  PageRank, HITS, spam mass (:func:`spam_mass`, the uniform and the
+  seeded rank over the same pins), BFS (:func:`bfs_distances`), k-core
+  (:func:`kcore`), label propagation (labelprop.py), SCC and bow-tie
+  (scc.py), HyperANF (:func:`neighborhood_sizes`, sparse register rows
+  as state) and random walks (:func:`random_walks`, walker rows as
+  state; like the others it takes the pages and the node set) all run
+  on it, and so do the counting calls above. No actor pool and no
   Dataset job per iteration: tasks run on the pooled workers, retry on
   worker death, and a lost pinned array is rebuilt from lineage. Node ids are range-bucketed; a pin round cuts
   the id-mapped edges into per-bucket slices; each round is a map task
@@ -405,13 +410,13 @@ def _rank_regime(n: int, mode: str, n_buckets: int | None) -> tuple[str, int]:
     return mode, _task_bucket(n, n_buckets)
 
 
-def _empty_scores(**cols):
-    """The result of a graph call over an empty node set (``cols``: name →
-    type)."""
+def _empty_scores(key="url", **cols):
+    """The result of a graph call over an empty node set: a string column
+    ``key``, then ``cols`` (name → type)."""
     import ray.data
 
     return ray.data.from_arrow(
-        pa.table({"url": pa.array([], pa.string()), **{c: pa.array([], t) for c, t in cols.items()}})
+        pa.table({key: pa.array([], pa.string()), **{c: pa.array([], t) for c, t in cols.items()}})
     )
 
 
@@ -878,6 +883,27 @@ def _rank_loop(g: _RankGraph, *, n_iters, damping, seed_urls, weighted=False):
     return g.attach(blocks)
 
 
+def _mass_loop(g: _RankGraph, *, n_iters, damping, seed_urls, weighted=False):
+    """Spam mass shared by :func:`spam_mass` and
+    :func:`weighted_spam_mass`: the uniform and the seeded teleport
+    iterate over the same pins (:func:`_shuffle_rank_slices`), each
+    bucket's two final rank slices become mass (:func:`_mass_block`),
+    urls attached."""
+    import ray
+
+    pr, tr = _shuffle_rank_slices(
+        g.edges,
+        g.n,
+        n_iters=n_iters,
+        damping=damping,
+        teleports=[None, g.seed_ids(seed_urls)],
+        per_bucket=g.per_bucket,
+        weighted=weighted,
+    )
+    mass = ray.remote(num_cpus=1)(_mass_block)
+    return g.attach([mass.remote(b * g.per_bucket, p, t) for b, (p, t) in enumerate(zip(pr, tr))])
+
+
 def pagerank(
     pages_ds,
     nodes,
@@ -919,6 +945,39 @@ def pagerank(
         return _empty_scores(rank_ppb=pa.int64())
     g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
     return _rank_loop(g, n_iters=n_iters, damping=damping, seed_urls=seed_urls)
+
+
+def spam_mass(
+    pages_ds,
+    nodes,
+    *,
+    seed_urls: list[str],
+    n_iters: int = _N_ITERS,
+    damping: float = _DAMPING,
+    mode: str = "auto",
+    n_buckets: int | None = None,
+):
+    """Relative spam mass per page (Gyöngyi et al. 2005, "Link spam
+    detection based on mass estimation") → (url, spam_mass_ppb): the
+    fraction of a page's PageRank NOT backed by trusted sources,
+    :func:`_mass_ppb` of the ppb uniform rank ``pr`` and the ppb TrustRank
+    ``tr`` seeded by ``seed_urls``. High spam mass ⇒ rank earned from link
+    structures no trusted seed reaches — the classic link-farm demotion
+    signal.
+
+    One graph build and one pin round serve both ranks: the uniform and
+    the seeded teleport iterate over the same pinned buckets, and each
+    bucket turns its two final rank slices into mass (:func:`_mass_block`),
+    so no join is needed. Ranks are those of :func:`pagerank` and
+    ``pagerank(seed_urls=...)`` bit for bit, in either ``mode`` at any
+    ``n_buckets``; every seed must be in the node set."""
+    if not seed_urls:
+        raise ValueError("seed_urls must be non-empty")
+    n = nodes.count()
+    if n == 0:
+        return _empty_scores(spam_mass_ppb=pa.int64())
+    g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
+    return _mass_loop(g, n_iters=n_iters, damping=damping, seed_urls=seed_urls)
 
 
 # ---------------------------------------------------------------------------
@@ -1732,11 +1791,10 @@ def edge_jaccard(pages_ds, nodes, *, mode="auto", n_buckets=None):
     n = nodes.count()
     if n == 0:
         ints = dict.fromkeys(("common", "deg_a", "deg_b", "jaccard_ppb"), pa.int64())
-        ds = _empty_scores(b=pa.string(), **ints)
-    else:
-        g, _, nbrs, credits = _triangle_rounds(pages_ds, nodes, n, mode, n_buckets, True)
-        block = ray.remote(num_cpus=1)(_jaccard_block)
-        ds = g.attach([block.remote(s, *c) for s, c in zip(nbrs, credits)], ids=("b",))
+        return _empty_scores("a", b=pa.string(), **ints)
+    g, _, nbrs, credits = _triangle_rounds(pages_ds, nodes, n, mode, n_buckets, True)
+    block = ray.remote(num_cpus=1)(_jaccard_block)
+    ds = g.attach([block.remote(s, *c) for s, c in zip(nbrs, credits)], ids=("b",))
     return ds.rename_columns({"url": "a"})
 
 
@@ -1967,20 +2025,20 @@ def _distinct(*parts) -> pa.Table:
     return pa.table({"url": pc.unique(pa.chunked_array(urls, pa.string()))})
 
 
-def _endpoint_nodes(*pair_sets):
-    """Distinct endpoint Dataset (column ``url``) of (src, dst[, w]) edge
-    Datasets — the node table a graph is born with when it arrives as a
-    bare edge list. Task rounds in the :func:`_url_buckets` shape, no Ray
-    Data exchange: a task per block takes its distinct endpoints, which are
-    cut by sampled boundary urls into one bucket per ``SHUFFLE_MODE_NODES``
-    endpoint rows, and a task per bucket keeps its distinct urls."""
+def _endpoint_nodes(pairs):
+    """Distinct endpoint Dataset (column ``url``) of a materialized
+    (src, dst[, w]) edge Dataset — the node table a graph is born with
+    when it arrives as a bare edge list. Task rounds in the
+    :func:`_url_buckets` shape, no Ray Data exchange: a task per block
+    takes its distinct endpoints, which are cut by sampled boundary urls
+    into one bucket per ``SHUFFLE_MODE_NODES`` endpoint rows, and a task
+    per bucket keeps its distinct urls."""
     import ray
     import ray.data
 
     task = ray.remote(num_cpus=1)
-    pair_sets = [ds.materialize() for ds in pair_sets]
-    ends = [task(_ends).remote(b) for ds in pair_sets for b in ds.to_arrow_refs()]
-    nu = max(1, -(-sum(2 * ds.count() for ds in pair_sets) // SHUFFLE_MODE_NODES))
+    ends = [task(_ends).remote(b) for b in pairs.to_arrow_refs()]
+    nu = max(1, -(-2 * pairs.count() // SHUFFLE_MODE_NODES))
     parts = [ends]
     if nu > 1:
         sample = task(_url_sample)
@@ -2087,15 +2145,12 @@ def weighted_spam_mass(
     n_buckets: int | None = None,
 ):
     """Spam mass over a weighted edge list in ONE prepared pass →
-    (url, spam_mass_ppb): the uniform and seed-personalized ranks share
-    the graph preparation (node derivation, id mapping) and one
-    pin of the edges, so the capstone costs one graph build plus two
-    cheap iteration sweeps instead of two full rank jobs. Ranks and the
-    integer mass rule are bit-identical to composing
-    :func:`weighted_pagerank` × 2 + :func:`spam_mass`, without its join:
-    the rule is applied per bucket to the two rank slices."""
-    import ray
-
+    (url, spam_mass_ppb): :func:`spam_mass`'s path on the graph of
+    :func:`weighted_pagerank` — the uniform and seed-personalized ranks
+    share the graph preparation (node derivation, id mapping) and one
+    pin of the edges, and the integer rule (:func:`_mass_ppb`) runs per
+    bucket on the two rank slices. Bit-identical to composing
+    :func:`weighted_pagerank` × 2 + :func:`_mass_ppb`."""
     if not seed_urls:
         raise ValueError("seed_urls must be non-empty")
     g = _weighted_prepared(
@@ -2108,34 +2163,28 @@ def weighted_spam_mass(
     )
     if g is None:
         return _empty_scores(spam_mass_ppb=pa.int64())
-    pr, tr = _shuffle_rank_slices(
-        g.edges,
-        g.n,
-        n_iters=n_iters,
-        damping=damping,
-        teleports=[None, g.seed_ids(seed_urls)],
-        per_bucket=g.per_bucket,
-        weighted=True,
-    )
-    mass = ray.remote(num_cpus=1)(_mass_block)
-    blocks = [mass.remote(b * g.per_bucket, p, t) for b, (p, t) in enumerate(zip(pr, tr))]
-    return g.attach(blocks)
+    return _mass_loop(g, n_iters=n_iters, damping=damping, seed_urls=seed_urls, weighted=True)
+
+
+def _mass_ppb(pr_ppb: np.ndarray, tr_ppb: np.ndarray) -> np.ndarray:
+    """The integer spam-mass rule over ppb ranks: ``max(pr − tr, 0)·10⁹
+    // pr``, 0 where ``pr`` is 0. The clamp keeps the floor division on
+    non-negatives, where numpy and DuckDB's ``//`` agree."""
+    num = np.maximum(pr_ppb - tr_ppb, 0) * np.int64(1_000_000_000)
+    mass = np.zeros(len(pr_ppb), dtype=np.int64)
+    nz = pr_ppb > 0
+    mass[nz] = num[nz] // pr_ppb[nz]
+    return mass
 
 
 def _mass_block(lo: int, pr: np.ndarray, tr: np.ndarray) -> pa.Table:
     """One bucket's (node_id, spam_mass_ppb) rows from its uniform and
     seeded rank slices: ppb quantization first (the rank contract), then
-    the integer rule — identical to :func:`spam_mass` over the two
-    finished rank tables."""
-    pr_ppb, tr_ppb = _ppb(pr), _ppb(tr)
-    num = np.maximum(pr_ppb - tr_ppb, 0) * np.int64(1_000_000_000)
-    mass = np.zeros(len(pr_ppb), dtype=np.int64)
-    nz = pr_ppb > 0
-    mass[nz] = num[nz] // pr_ppb[nz]
+    the integer rule :func:`_mass_ppb`."""
     return pa.table(
         {
             "node_id": pa.array(np.arange(lo, lo + len(pr), dtype=np.int64)),
-            "spam_mass_ppb": pa.array(mass, pa.int64()),
+            "spam_mass_ppb": pa.array(_mass_ppb(_ppb(pr), _ppb(tr)), pa.int64()),
         }
     )
 
@@ -2195,101 +2244,11 @@ def weighted_pagerank_reference(
     return {h: int(ppb[i]) for i, h in enumerate(hosts)}
 
 
-def spam_mass(pr_ds, tr_ds, *, num_partitions: int = 16):
-    """Relative spam mass per node (Gyöngyi et al. 2005, "Link spam
-    detection based on mass estimation"): the fraction of a node's
-    PageRank NOT backed by trusted sources —
-    ``max(pr − tr, 0)·10⁹ // pr`` in parts-per-billion, where ``pr`` is
-    the uniform-teleport rank and ``tr`` the seed-personalized TrustRank
-    (both ppb-quantized probability vectors, so directly comparable).
-    High spam mass ⇒ rank earned from link structures no trusted seed
-    reaches — the classic link-farm demotion signal.
-
-    Inputs are the two rank Datasets (columns ``url, rank_ppb``) over
-    the SAME node set — both ranks cover every node, so the combine is
-    the repo's pad→union→``groupby(hash(url) % B)`` exchange with a
-    per-bucket Arrow hash-agg sum standing in for the equi-join (exact
-    because each url appears once per side; both sides are node-sized,
-    neither broadcasts). The mass rule is integer-only row-local
-    arithmetic, so the result is exact and parallelism-independent given
-    its inputs.
-    """
-    from .sketch import hash64_column
-
-    n_buckets = num_partitions
-
-    def pad(col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            if "url" not in t.column_names:  # zero-row empty-schema blocks
-                return pa.table(
-                    {
-                        "bk": pa.array([], pa.int64()),
-                        "url": pa.array([], pa.string()),
-                        "pr_ppb": pa.array([], pa.int64()),
-                        "tr_ppb": pa.array([], pa.int64()),
-                    }
-                )
-            zeros = pa.array(np.zeros(t.num_rows, np.int64), pa.int64())
-            rank = t.column("rank_ppb").cast(pa.int64())
-            return pa.table(
-                {
-                    "bk": pa.array(
-                        (hash64_column(t.column("url")) % n_buckets).astype(np.int64),
-                        pa.int64(),
-                    ),
-                    "url": t.column("url"),
-                    "pr_ppb": rank if col == "pr_ppb" else zeros,
-                    "tr_ppb": rank if col == "tr_ppb" else zeros,
-                }
-            )
-
-        return fn
-
-    def mass(g: pa.Table) -> pa.Table:
-        agg = g.group_by(["url"]).aggregate([("pr_ppb", "sum"), ("tr_ppb", "sum")])
-        pr = agg.column("pr_ppb_sum").to_numpy(zero_copy_only=False).astype(np.int64)
-        tr = agg.column("tr_ppb_sum").to_numpy(zero_copy_only=False).astype(np.int64)
-        # floor division on non-negatives only: the GREATEST clamp keeps
-        # the // rule identical in numpy and DuckDB
-        num = np.maximum(pr - tr, 0) * np.int64(1_000_000_000)
-        out = np.zeros(len(pr), dtype=np.int64)
-        nz = pr > 0
-        out[nz] = num[nz] // pr[nz]
-        return pa.table(
-            {"url": agg.column("url"), "spam_mass_ppb": pa.array(out, pa.int64())}
-        )
-
-    return (
-        pr_ds.map_batches(pad("pr_ppb"), batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            tr_ds.map_batches(
-                pad("tr_ppb"), batch_format="pyarrow", zero_copy_batch=True
-            )
-        )
-        .groupby("bk")
-        .map_groups(mass, batch_format="pyarrow")
-    )
-
-
-def _walk_split(t: pa.Table, *firsts):
-    """Walker-init map task: a start block's rows cut by task bucket of
-    their url (``firsts``: the first url of each bucket after the first)."""
-    return _split_by(np.array(firsts, object), "src", t)
-
-
-def _first_url(urls: pa.Array) -> str:
-    return urls[0].as_py()
-
-
-def _walkers(lo, urls, *parts) -> pa.Table:
-    """Walker-init reduce task of the bucket whose url slice ``urls``
-    starts at node id ``lo``: one (start, path, cur) walker per start row
-    received, at its url's node id (``pc.index_in`` against the slice, the
-    lookup the edges get), its path the start url."""
-    chunks = [c for t in parts if t.num_rows for c in t.column("src").chunks]
-    start = pa.concat_arrays(chunks) if chunks else pa.array([], pa.string())
-    cur = pc.add(pc.index_in(start, value_set=urls).cast(pa.int64()), lo)
-    return pa.table({"start": start, "path": start, "cur": cur})
+def _walkers(lo, urls) -> pa.Table:
+    """A bucket's first walkers: one (start, path, cur) row per node of its
+    url slice ``urls`` (which starts at node id ``lo``), its path the
+    start url."""
+    return pa.table({"start": urls, "path": urls, "cur": np.arange(lo, lo + len(urls), dtype=np.int64)})
 
 
 def _walk_pin(lo, hi, pin, urls) -> dict:
@@ -2341,11 +2300,11 @@ def _walk_fold(lo, urls, *parts):
     return s.set_column(1, "path", pc.if_else(moved, grown, path)), int(moved.sum())
 
 
-def random_walks(edges_ds, starts_ds, *, length=3, start_col="url", mode="auto", n_buckets=None):
+def random_walks(pages_ds, nodes, *, length=3, mode="auto", n_buckets=None):
     """DeepWalk-style walk-corpus generation (Perozzi et al. 2014): one
-    deterministic random walk per start row over the directed link graph
-    → ``(start, path)`` rows, the training sequences graph-embedding
-    models consume.
+    deterministic random walk from each node over the directed corpus
+    link graph → ``(start, path)`` rows, the training sequences
+    graph-embedding models consume.
 
     Pinned step rule (mirrored op-for-op by the SQL oracle): from node
     ``u`` at step ``t`` in the walk started at ``w``, the next node is
@@ -2359,11 +2318,11 @@ def random_walks(edges_ds, starts_ds, *, length=3, start_col="url", mode="auto",
     cross-engine-determinism cost, paid on walkers per step, never on
     edges.
 
-    Runs the traversal kernel in either ``mode`` (as :func:`kcore`) over
-    the distinct edge endpoints and start urls, whose ids are url ranks
-    (ascending id = byte-wise url order): the ``fwd`` layout pinned once
-    and sorted by (src, dst) per bucket; a walker is a (start, path, cur
-    id) row of its node's bucket. One map/reduce task round per step: the
+    Runs the traversal kernel in either ``mode`` (as :func:`kcore`), ids
+    being url ranks (ascending id = byte-wise url order): the ``fwd``
+    layout pinned once and sorted by (src, dst) per bucket; a walker is a
+    (start, path, cur id) row of its node's bucket, each bucket starting
+    one per node of its url slice. One map/reduce task round per step: the
     map applies the md5 rule and sends each walker to its next node's
     bucket, whose reduce appends that node's url. It stops after
     ``length`` steps or a step that moves no walker (one count per bucket
@@ -2373,27 +2332,16 @@ def random_walks(edges_ds, starts_ds, *, length=3, start_col="url", mode="auto",
     import ray
     import ray.data
 
-    def pairs(src, dst):
-        return lambda t: pa.table({"src": t.column(src).cast(pa.string()),
-                                   "dst": t.column(dst).cast(pa.string())})
-
-    edges = edges_ds.map_batches(pairs("src", "dst"), batch_format="pyarrow").materialize()
-    # start urls as (u, u) rows: the node set counts them, the walkers read src
-    starts = starts_ds.map_batches(pairs(start_col, start_col), batch_format="pyarrow").materialize()
-    nodes = _endpoint_nodes(edges, starts).materialize()
     n = nodes.count()
     if n == 0:
-        return ray.data.from_arrow(pa.table({c: pa.array([], pa.string()) for c in ("start", "path")}))
-    g = _graph(nodes, edges, n, mode, n_buckets)
+        return _empty_scores("start", path=pa.string())
+    g = _page_graph(pages_ds, nodes, n, mode, n_buckets)
     task = ray.remote(num_cpus=1)
     slices = g.url_slices()
     nb = len(slices)
     fold_args = [(lo, u) for (lo, _), u in zip(g.bounds(), slices)]
-    firsts = [task(_first_url).remote(u) for u in slices[1:]]
-    split = task(_walk_split).options(num_returns=nb)
-    parts = [_part_refs(split.remote(b, *firsts), nb) for b in starts.to_arrow_refs()]
     init = task(_walkers)
-    walkers = [init.remote(lo, u, *(p[b] for p in parts)) for b, (lo, u) in enumerate(fold_args)]
+    walkers = [init.remote(lo, u) for lo, u in fold_args]
     (fwd,) = g.pin(("fwd",))
     prep = task(_walk_pin)
     pins = [prep.remote(lo, hi, p, u) for (lo, hi), p, u in zip(g.bounds(), fwd, slices)]
@@ -2407,135 +2355,93 @@ def random_walks(edges_ds, starts_ds, *, length=3, start_col="url", mode="auto",
     return ray.data.from_arrow_refs(walkers).drop_columns(["cur"])
 
 
-# host_cocitation's exchange widths: hash(src) buckets of its (src, host)
-# groupby and hash(pair) buckets of its pair-count combine (speed only).
-_COCITE_SRC_BUCKETS = 256
-_COCITE_PAIR_BUCKETS = 1024
+def _cocite_map(pin, urls, width, k):
+    """Co-citation map task over one dst bucket's ``bwd`` pin: each
+    in-edge as a (src, host) row, ``host`` the host of its dst
+    (``_HOST_RE`` applied once to the bucket's url slice ``urls``), cut
+    into the ``k`` src buckets of ``width`` ids. A dst without a host
+    sends nothing."""
+    from .urlmine import _HOST_RE
+
+    hosts = pc.struct_field(pc.extract_regex(urls, pattern=_HOST_RE), "host")
+    t = pa.table({"src": pin["other"], "host": hosts.take(pin["key"] - pin["lo"])})
+    keep = pc.is_valid(t.column("host"))
+    cuts = np.r_[0, np.cumsum(keep.to_numpy(zero_copy_only=False))][_bucket_cuts(pin["other"], width, k)]
+    t = t.filter(keep)
+    return _task_parts([t.slice(i, j - i) for i, j in zip(cuts[:-1], cuts[1:])])
 
 
-def host_cocitation(
-    pages_ds,
-    nodes,
-    *,
-    min_count: int = 2,
-    max_out: int = 256,
-    mode: str = "auto",
-):
+def _cocite_pairs(max_out, nb, *parts):
+    """Co-citation reduce task of one src bucket, which receives every
+    out-edge of its pages: the distinct (src, host) rows sorted by (src,
+    host), every pair of each page's first ``max_out`` hosts (host a <
+    host b, per distinct run length as in :func:`_tri_run_pairs`), and
+    the pages citing each (a, b) counted — cut by hash bucket of a."""
+    from .sketch import hash64_column
+
+    t = pa.concat_tables(parts).group_by(["src", "host"]).aggregate([])
+    t = t.sort_by([("src", "ascending"), ("host", "ascending")])
+    src = t.column("src").to_numpy()
+    starts = np.flatnonzero(np.r_[True, np.diff(src) != 0])
+    i, j = _tri_run_pairs(starts, np.minimum(np.diff(np.r_[starts, len(src)]), max_out))
+    host = t.column("host")
+    pairs = pa.table({"a": host.take(i), "b": host.take(j)}).group_by(["a", "b"]).aggregate([([], "count_all")])
+    b = (hash64_column(pairs.column("a")) % np.uint64(nb)).astype(np.int64)
+    order = np.argsort(b, kind="stable")
+    cuts = _bucket_cuts(b[order], 1, nb)
+    return _task_parts([pairs.take(order[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])])
+
+
+def _cocite_counts(min_count, *parts) -> pa.Table:
+    """Co-citation reduce task of one pair bucket: each (a, b)'s page
+    counts summed, the pairs below ``min_count`` dropped."""
+    t = pa.concat_tables(parts).group_by(["a", "b"]).aggregate([("count_all", "sum")])
+    t = t.filter(pc.greater_equal(t.column("count_all_sum"), min_count))
+    return pa.table({"host_a": t.column("a"), "host_b": t.column("b"), "n_src": t.column("count_all_sum")})
+
+
+def host_cocitation(pages_ds, nodes, *, min_count: int = 2, max_out: int = 256, mode: str = "auto"):
     """Host co-citation: pairs of DISTINCT hosts linked from the same
     page → ``(host_a, host_b, n_src)`` with ``host_a < host_b`` and
     ``n_src`` = number of distinct source pages citing both — the
     classic related-domain / co-citation similarity signal (Small 1973
     co-citation, applied to the web graph), and the link-graph analogue
-    of the collocation operator's "appear together" rule.
+    of the collocation operator's "appear together" rule. Pairs cited by
+    fewer than ``min_count`` pages are dropped.
 
-    Scale shape: TWO bucketed exchanges. (1) ``groupby(hash(src) % B)``
-    (B = ``_COCITE_SRC_BUCKETS``) brings each page's out-hosts together;
-    per bucket the distinct (src, host) rows sort once and pair
-    generation vectorizes per DISTINCT out-degree (the triangle_counts
+    Runs on the traversal kernel's graph in either ``mode`` (as
+    :func:`kcore`), the ``bwd`` layout pinned once, in two task rounds and
+    no Ray Data exchange. Both rounds reduce over L1 buckets
+    (:func:`_graph_buckets`: at most ~100k pages, and n/16 up to 1.6M
+    nodes), not over the session's task buckets, so a task's pages and
+    pairs stay bounded whatever the CPU count. Round 1: each dst bucket
+    sends every in-edge as (src, dst host) to the src's L1 bucket
+    (:func:`_cocite_map`), where each page's distinct hosts sort once and
+    their pairs generate per DISTINCT out-degree (the triangle_counts
     trick — a Python loop over O(#distinct degrees) lengths, never over
-    pairs), with each page's
-    host list capped at a DECLARED ``max_out`` (a mega-hub page citing
-    10^4 hosts would contribute 10^8 pairs; the cap keeps the
+    pairs) and pre-aggregate (:func:`_cocite_pairs`). Each page's host
+    list is capped at a DECLARED ``max_out`` (a mega-hub page citing 10^4
+    hosts would contribute 10^8 pairs; the cap keeps the
     lexicographically-first hosts, documented like dedup's ``max_df``
     knob — unsaturated at the gate corpora, where the SQL oracle is
-    therefore exact). Pairs pre-aggregate in-bucket before (2) ONE
-    int32-key pair exchange (the dedup pair-combine shape) sums
-    per-pair counts and applies ``min_count``. Host extraction is the
-    pinned ``_HOST_RE`` cross-engine seam; ``mode`` is
-    :func:`build_edges`'s."""
-    from .sketch import hash64_column
-    from .urlmine import _HOST_RE
+    therefore exact). Round 2: a task per hash bucket of host a sums the
+    counts of its pairs and applies ``min_count``
+    (:func:`_cocite_counts`). Host extraction is the pinned ``_HOST_RE``
+    cross-engine seam."""
+    import ray
+    import ray.data
 
-    edges = build_edges(pages_ds, nodes, mode=mode)
-
-    def keyed(t: pa.Table) -> pa.Table:
-        dst_host = pc.struct_field(
-            pc.extract_regex(t.column("dst"), pattern=_HOST_RE), "host"
-        )
-        tt = pa.table({"src": t.column("src"), "h": dst_host}).filter(
-            pc.is_valid(dst_host)
-        )
-        bk = (hash64_column(tt.column("src")) % np.uint64(_COCITE_SRC_BUCKETS)).astype(np.int64)
-        return tt.append_column("bk", pa.array(bk, pa.int64()))
-
-    def bucket_pairs(g: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "a": pa.array([], pa.string()),
-                "b": pa.array([], pa.string()),
-                "cnt": pa.array([], pa.int64()),
-                "pb": pa.array([], pa.int32()),
-            }
-        )
-        if not g.num_rows:
-            return empty
-        src = np.asarray(g.column("src").to_pylist(), dtype=object).astype(str)
-        hh = np.asarray(g.column("h").to_pylist(), dtype=object).astype(str)
-        order = np.lexsort((hh, src))
-        s, hh = src[order], hh[order]
-        keep = np.r_[True, (s[1:] != s[:-1]) | (hh[1:] != hh[:-1])]
-        s, hh = s[keep], hh[keep]
-        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-        runlen = np.diff(np.append(starts, len(s)))
-        rank = np.arange(len(s)) - np.repeat(starts, runlen)
-        capped = rank < max_out
-        s, hh = s[capped], hh[capped]
-        if not len(s):
-            return empty
-        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-        runlen = np.diff(np.append(starts, len(s)))
-        a_parts, b_parts = [], []
-        for L in np.unique(runlen):
-            if L < 2:
-                continue
-            iu, ju = np.triu_indices(int(L), k=1)
-            sel = starts[runlen == L]
-            a_parts.append(hh[(sel[:, None] + iu[None, :]).ravel()])
-            b_parts.append(hh[(sel[:, None] + ju[None, :]).ravel()])
-        if not a_parts:
-            return empty
-        a = np.concatenate(a_parts)
-        b = np.concatenate(b_parts)
-        key = np.char.add(np.char.add(a.astype(str), "\x01"), b.astype(str))
-        o2 = np.argsort(key, kind="stable")
-        a, b, key = a[o2], b[o2], key[o2]
-        st2 = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        cnt = np.diff(np.append(st2, len(key)))
-        arr_a = pa.array(a[st2], pa.string())
-        pbk = (
-            hash64_column(pa.array(key[st2], pa.string())) % np.uint64(_COCITE_PAIR_BUCKETS)
-        ).astype(np.int32)
-        return pa.table(
-            {
-                "a": arr_a,
-                "b": pa.array(b[st2], pa.string()),
-                "cnt": pa.array(cnt.astype(np.int64), pa.int64()),
-                "pb": pa.array(pbk, pa.int32()),
-            }
-        )
-
-    def combine(g: pa.Table) -> pa.Table:
-        a = np.asarray(g.column("a").to_pylist(), dtype=object).astype(str)
-        b = np.asarray(g.column("b").to_pylist(), dtype=object).astype(str)
-        c = g.column("cnt").to_numpy(zero_copy_only=False)
-        key = np.char.add(np.char.add(a, "\x01"), b)
-        order = np.argsort(key, kind="stable")
-        a, b, c, key = a[order], b[order], c[order], key[order]
-        st = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        tot = np.add.reduceat(c, st)
-        ok = tot >= min_count
-        return pa.table(
-            {
-                "host_a": pa.array(a[st][ok], pa.string()),
-                "host_b": pa.array(b[st][ok], pa.string()),
-                "n_src": pa.array(tot[ok].astype(np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        edges.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bk")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(combine, batch_format="pyarrow")
-    )
+    n = nodes.count()
+    if n == 0:
+        return _empty_scores("host_a", host_b=pa.string(), n_src=pa.int64())
+    g = _page_graph(pages_ds, nodes, n, mode, None)
+    (pins,) = g.pin(("bwd",))
+    width = _graph_buckets(n)
+    k = -(-n // width)
+    task = ray.remote(num_cpus=1)
+    step = task(_cocite_map).options(num_returns=k)
+    hosts = [_part_refs(step.remote(p, u, width, k), k) for p, u in zip(pins, g.url_slices())]
+    fold = task(_cocite_pairs).options(num_returns=k)
+    pairs = [_part_refs(fold.remote(max_out, k, *(h[j] for h in hosts)), k) for j in range(k)]
+    count = task(_cocite_counts)
+    return ray.data.from_arrow_refs([count.remote(min_count, *(p[j] for p in pairs)) for j in range(k)])
